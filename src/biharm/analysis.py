@@ -2,10 +2,10 @@
 
 The convergence indicator compares solutions on successive nested
 meshes: R_j = log2(||v_{j-1} - v_{j-2}|| / ||v_j - v_{j-1}||).  The
-difference of two nested fields is integrated on the finer mesh, with
-the coarse field evaluated exactly through the refinement ancestry, so
-no representation error enters (the Mini bubble is not representable on
-the refined mesh, but its point values are).
+difference of two nested fields is taken after prolongating both
+exactly into one Lagrange space on the finer mesh (P_k spaces on
+refined meshes are nested; the Mini bubble is cubic, so a Mini field
+lifts exactly into P3), so no representation error enters.
 """
 
 import math
@@ -25,7 +25,14 @@ from .assembly import (
     vector_boundary_dofs,
 )
 from .quadrature import physical_points, triangle_rule
-from .spaces import Field, basis_ref_grads, basis_values, evaluate, gradient, jacobians
+from .spaces import (
+    Field,
+    basis_ref_grads,
+    basis_values,
+    build_space,
+    jacobians,
+    prolongate,
+)
 
 __all__ = [
     "ConvergenceReport",
@@ -71,62 +78,28 @@ def _lagrange_nodes(space):
     return space.dof_coords, np.arange(space.ndof)
 
 
-def _ancestry(fine_mesh, coarse_mesh):
-    anc = np.arange(len(fine_mesh.triangles))
-    m = fine_mesh
-    while m is not coarse_mesh:
-        if m.coarser is None:
-            raise ValueError("fields do not live on nested meshes")
-        anc = m.parent[anc]
-        m = m.coarser
-    return anc
-
-
-def _bary_in_coarse(fine_mesh, coarse_mesh, anc, lam):
-    """Barycentric coords of fine quad points inside coarse ancestors."""
-    pts = physical_points(lam, fine_mesh.points[fine_mesh.triangles])
-    nt, nq, _ = pts.shape
-    cp = coarse_mesh.points[coarse_mesh.triangles[anc]]  # (nt, 3, 2)
-    d1 = cp[:, 1] - cp[:, 0]
-    d2 = cp[:, 2] - cp[:, 0]
-    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])[:, None]
-    r = pts - cp[:, None, 0]
-    l1 = (r[..., 0] * d2[:, None, 1] - r[..., 1] * d2[:, None, 0]) / det
-    l2 = (d1[:, None, 0] * r[..., 1] - d1[:, None, 1] * r[..., 0]) / det
-    lam_c = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)  # (nt, nq, 3)
-    tri_c = np.repeat(anc, nq)
-    return tri_c, lam_c.reshape(-1, 3)
-
-
 def field_norm(field, norm="L2"):
     """L2 norm, H1 seminorm, or nodal max of a field (components summed)."""
     _check_norm(norm)
     space = field.space
-    mesh = space.mesh
     if norm == "Linf":
-        nodes, idx = _lagrange_nodes(space)
-        best = 0.0
-        for c in range(field.components):
-            best = max(best, float(np.max(np.abs(field.component(c)[idx]))))
-        return best
+        _, idx = _lagrange_nodes(space)
+        return max(float(np.max(np.abs(field.component(c)[idx])))
+                   for c in range(field.components))
     lam, w = triangle_rule(_quad_order(space))
-    _, det, inv_t = jacobians(mesh)
-    total = 0.0
-    if norm == "L2":
-        vals = basis_values(space, lam)
-        for c in range(field.components):
-            vq = np.einsum("tl,ql->tq", field.component(c)[space.element_dofs], vals)
-            total += float(np.einsum("q,tq->", w, np.abs(det)[:, None] * vq**2))
-    else:
-        gref = basis_ref_grads(space, lam)
-        for c in range(field.components):
-            g = kernels.field_grads_at_quad(
-                det, inv_t, gref, field.component(c)[space.element_dofs]
-            )
-            total += float(
-                np.einsum("q,tq->", w, np.abs(det)[:, None] * np.sum(g**2, axis=2))
-            )
-    return math.sqrt(total)
+    _, det, inv_t = jacobians(space.mesh)
+    ed = space.element_dofs
+    vals = basis_values(space, lam)
+    gref = basis_ref_grads(space, lam)
+    sq = 0.0  # squared integrand at the quadrature points, (nt, nq)
+    for c in range(field.components):
+        coef = field.component(c)[ed]
+        if norm == "L2":
+            sq = sq + (coef @ vals.T) ** 2
+        else:
+            g = kernels.field_grads_at_quad(det, inv_t, gref, coef)
+            sq = sq + g[..., 0] ** 2 + g[..., 1] ** 2
+    return math.sqrt(float(np.abs(det) @ (sq @ w)))
 
 
 def _order_pair(a, b):
@@ -145,77 +118,40 @@ def _order_pair(a, b):
     raise ValueError("fields do not live on nested meshes")
 
 
+def _same_space(s, t):
+    return s.mesh is t.mesh and s.degree == t.degree and s.kind == t.kind
+
+
+def _coefficients_in(field, space):
+    """Coefficients of ``field`` in ``space``, which must contain it."""
+    if _same_space(field.space, space):
+        return field.coefficients
+    return prolongate(field, space).coefficients
+
+
 def diff_norm(a, b, norm="L2"):
     """Norm of a - b for fields on nested meshes of the same hierarchy.
 
-    Quadrature runs on the finer mesh (order >= 2k+2, and high enough to
-    square the bubble exactly); the coarser field is evaluated through
-    the parent map.  Linf is sampled at the finer space's Lagrange nodes.
+    Both fields are represented exactly in one space S on the finer
+    mesh and the norm of their difference is taken there.  For L2/H1,
+    S is the Lagrange space of the larger polynomial degree of the two
+    (the Mini bubble is cubic, so Mini goes to P3); Lagrange spaces on
+    nested meshes are nested, so the prolongation is exact and no
+    representation error enters.  For Linf, S is the finer field's own
+    space, so the norm is sampled at its Lagrange nodes.
     """
     _check_norm(norm)
     if a.components != b.components:
         raise ValueError("fields have different component counts")
     fine, coarse = _order_pair(a, b)
-    fspace, cspace = fine.space, coarse.space
-    fmesh, cmesh = fspace.mesh, cspace.mesh
-    if (fmesh is cmesh and fspace.degree == cspace.degree
-            and fspace.kind == cspace.kind):
-        delta = Field(fspace, fine.components,
-                      fine.coefficients - coarse.coefficients)
-        return field_norm(delta, norm)
-    anc = _ancestry(fmesh, cmesh)
-
-    if norm == "Linf":
-        nodes, idx = _lagrange_nodes(fspace)
-        nt, nloc = fspace.element_dofs.shape
-        rep = np.full(fspace.ndof, nt, dtype=np.int64)
-        np.minimum.at(rep, fspace.element_dofs.ravel(),
-                      np.repeat(np.arange(nt), nloc))
-        tri_c = anc[rep[idx]]
-        lam_c = _bary_of_points(cmesh, tri_c, nodes)
-        best = 0.0
-        for c in range(fine.components):
-            fa = fine.component(c)[idx]
-            fb = evaluate(Field(cspace, 1, coarse.component(c)), tri_c, lam_c)
-            best = max(best, float(np.max(np.abs(fa - fb))))
-        return best
-
-    order = max(_quad_order(fspace), _quad_order(cspace))
-    lam, w = triangle_rule(order)
-    _, det, inv_t = jacobians(fmesh)
-    tri_c, lam_c = _bary_in_coarse(fmesh, cmesh, anc, lam)
-    nt, nq = len(fmesh.triangles), len(w)
-    total = 0.0
-    for c in range(fine.components):
-        sub_c = Field(cspace, 1, coarse.component(c))
-        if norm == "L2":
-            vals = basis_values(fspace, lam)
-            va = np.einsum("tl,ql->tq", fine.component(c)[fspace.element_dofs], vals)
-            vb = evaluate(sub_c, tri_c, lam_c).reshape(nt, nq)
-            total += float(np.einsum("q,tq->", w, np.abs(det)[:, None] * (va - vb) ** 2))
-        else:
-            gref = basis_ref_grads(fspace, lam)
-            ga = kernels.field_grads_at_quad(
-                det, inv_t, gref, fine.component(c)[fspace.element_dofs]
-            )
-            gb = gradient(sub_c, tri_c, lam_c).reshape(nt, nq, 2)
-            d = ga - gb
-            total += float(
-                np.einsum("q,tq->", w, np.abs(det)[:, None] * np.sum(d**2, axis=2))
-            )
-    return math.sqrt(total)
-
-
-def _bary_of_points(mesh, elems, pts):
-    """Barycentric coordinates of points inside the given elements."""
-    cp = mesh.points[mesh.triangles[elems]]
-    d1 = cp[:, 1] - cp[:, 0]
-    d2 = cp[:, 2] - cp[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    r = pts - cp[:, 0]
-    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-    return np.column_stack([1.0 - l1 - l2, l1, l2])
+    target = fine.space
+    if norm != "Linf":
+        degree = max(poly_degree(fine.space), poly_degree(coarse.space))
+        if target.kind != "lagrange" or target.degree != degree:
+            target = build_space(target.mesh, degree)
+    delta = (_coefficients_in(fine, target)
+             - _coefficients_in(coarse, target))
+    return field_norm(Field(target, fine.components, delta), norm)
 
 
 def rate_table(quantity, norm, levels, diffs):

@@ -301,6 +301,16 @@ def _run_column(config, root, kappa):
     return records
 
 
+# Failures confined to one kappa column: numerical breakdown or running
+# out of memory on its meshes.  Bad input (ValueError) hits every column
+# alike and propagates.
+_COLUMN_ERRORS = (ArithmeticError, MemoryError)
+
+
+def _column_failure(exc):
+    return str(exc) or type(exc).__name__
+
+
 def _fmt_kappa(kappa):
     return f"{kappa:g}"
 
@@ -322,9 +332,9 @@ def _write(path, text):
 def run_experiment(config, jobs=None):
     """Run every kappa column, compute rate reports, write artifacts.
 
-    A solver failure (singular system, violated invariant) aborts only
-    the kappa column it occurred in; the column is dropped from the
-    tables and recorded in ``failures``.  Files are written under
+    A solver failure (singular system, violated invariant) or a
+    ``MemoryError`` aborts only the kappa column it occurred in; the
+    column is dropped from the tables and recorded in ``failures``.  Files are written under
     ``config.out`` after all columns finish; with ``out`` empty the
     result is returned without touching the disk.
     """
@@ -342,8 +352,8 @@ def run_experiment(config, jobs=None):
         for kappa in config.kappas:
             try:
                 outcomes[kappa] = (True, _run_column(config, root, kappa))
-            except ArithmeticError as exc:
-                outcomes[kappa] = (False, str(exc))
+            except _COLUMN_ERRORS as exc:
+                outcomes[kappa] = (False, _column_failure(exc))
     for kappa, (ok, value) in outcomes.items():
         if ok:
             columns[kappa] = value
@@ -377,8 +387,8 @@ def run_experiment(config, jobs=None):
 def _outcome(future):
     try:
         return True, future.result()
-    except ArithmeticError as exc:
-        return False, str(exc)
+    except _COLUMN_ERRORS as exc:
+        return False, _column_failure(exc)
 
 
 def _rate_rows(config, reports, quantity):
@@ -484,8 +494,8 @@ def run_comparison(config_a, config_b, out=None):
         try:
             runs = [_full_run(config, root, meshes)
                     for config in (config_a, config_b)]
-        except ArithmeticError as exc:
-            failures[kappa] = str(exc)
+        except _COLUMN_ERRORS as exc:
+            failures[kappa] = _column_failure(exc)
             continue
         rows[kappa] = [
             (level, compare_runs(runs[0], runs[1], level))

@@ -1,240 +1,67 @@
-"""Element-level assembly kernels with two interchangeable backends.
+"""Element-level assembly kernels as reference-tensor contractions.
 
-The same five kernels exist as numba-compiled loops and as vectorized
-numpy code.  The environment variable BIHARM_KERNELS picks the backend:
+On affine triangles every bilinear form factors into a geometry part,
+a few numbers per element, and a reference tensor that depends only on
+the basis and the quadrature rule (Kirby & Logg 2006, the tensor
+representation of FFC).  Each kernel contracts the two with one matrix
+product, so no per-quadrature-point physical gradients are formed:
 
-    BIHARM_KERNELS=numba   require numba (ImportError if missing)
-    BIHARM_KERNELS=numpy   force the pure-numpy path
-    unset                  numba when importable, numpy otherwise
-
-Both backends produce the same values up to floating-point summation
-order; a fixed backend is bit-deterministic.  benchmarks/bench_kernels.py
-compares their throughput.
+    stiffness   (nt x 4 metric |det| invT^T invT) @ (4 x nloc^2)
+    divergence  (2nt x 2 rows of -|det| invT)     @ (2 x nloc_p nloc_v)
+    load        (nt x nq values |det| f)          @ (nq x nloc)
 
 Conventions: ``det`` are signed Jacobian determinants (2x triangle area),
 ``inv_t`` the transposed inverse Jacobians, ``gref`` reference-basis
 gradients of shape (nq, nloc, 2), ``vals`` reference-basis values of
-shape (nq, nloc), and ``w`` quadrature weights summing to 1/2, so physical integrals scale
-by |det| alone.  The numpy path processes elements in bounded chunks so
-intermediate arrays stay small on fine meshes.
+shape (nq, nloc), and ``w`` quadrature weights summing to 1/2, so
+physical integrals scale by |det| alone.
 """
-
-import os
 
 import numpy as np
 
-_CHUNK = 16384
-
-_requested = os.environ.get("BIHARM_KERNELS", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"BIHARM_KERNELS must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-if _requested == "numpy":
-    _njit = None
-else:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _njit = None
-
-USE_NUMBA = _njit is not None
-
 
 def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# -- numpy backend ----------------------------------------------------------
-
-
-def _chunks(n):
-    for start in range(0, n, _CHUNK):
-        yield start, min(start + _CHUNK, n)
-
-
-def _phys_grads(inv_t, gref):
-    # (nt, nq, nloc, 2) physical gradients for a chunk of elements
-    return np.einsum("tde,qle->tqld", inv_t, gref)
-
-
-def _stiffness_np(det, inv_t, gref, w):
-    nt, nloc = len(det), gref.shape[1]
-    out = np.empty((nt, nloc, nloc))
-    for a, b in _chunks(nt):
-        g = _phys_grads(inv_t[a:b], gref)
-        out[a:b] = np.abs(det[a:b])[:, None, None] * np.einsum(
-            "q,tqid,tqjd->tij", w, g, g, optimize=True
-        )
-    return out
-
-
-def _mass_np(det, vals, w):
-    ref = np.einsum("q,qi,qj->ij", w, vals, vals)
-    return np.abs(det)[:, None, None] * ref
-
-
-def _divergence_np(det, inv_t, gref_v, vals_p, w):
-    nt = len(det)
-    nloc_v, nloc_p = gref_v.shape[1], vals_p.shape[1]
-    out = np.empty((nt, nloc_p, 2 * nloc_v))
-    for a, b in _chunks(nt):
-        g = _phys_grads(inv_t[a:b], gref_v)  # (c, nq, nloc_v, 2)
-        blk = -np.abs(det[a:b])[:, None, None, None] * np.einsum(
-            "q,qi,tqjd->tijd", w, vals_p, g, optimize=True
-        )
-        # component-major velocity columns: derivative d goes with block d
-        out[a:b, :, :nloc_v] = blk[:, :, :, 0]
-        out[a:b, :, nloc_v:] = blk[:, :, :, 1]
-    return out
-
-
-def _load_np(det, vals, fq, w):
-    return np.abs(det)[:, None] * np.einsum("q,qi,tq->ti", w, vals, fq)
-
-
-def _grads_at_quad_np(det, inv_t, gref, coeffs_loc):
-    nt = len(det)
-    nq = gref.shape[0]
-    out = np.empty((nt, nq, 2))
-    for a, b in _chunks(nt):
-        g = _phys_grads(inv_t[a:b], gref)
-        out[a:b] = np.einsum("tl,tqld->tqd", coeffs_loc[a:b], g, optimize=True)
-    return out
-
-
-# -- numba backend ----------------------------------------------------------
-
-if USE_NUMBA:
-
-    @_njit(cache=True)
-    def _stiffness_nb(det, inv_t, gref, w):
-        nt = det.shape[0]
-        nq, nloc = gref.shape[0], gref.shape[1]
-        out = np.zeros((nt, nloc, nloc))
-        g = np.empty((nloc, 2))
-        for t in range(nt):
-            a00, a01 = inv_t[t, 0, 0], inv_t[t, 0, 1]
-            a10, a11 = inv_t[t, 1, 0], inv_t[t, 1, 1]
-            scale = abs(det[t])
-            for q in range(nq):
-                for l in range(nloc):
-                    g[l, 0] = a00 * gref[q, l, 0] + a01 * gref[q, l, 1]
-                    g[l, 1] = a10 * gref[q, l, 0] + a11 * gref[q, l, 1]
-                wq = scale * w[q]
-                for i in range(nloc):
-                    for j in range(nloc):
-                        out[t, i, j] += wq * (g[i, 0] * g[j, 0] + g[i, 1] * g[j, 1])
-        return out
-
-    @_njit(cache=True)
-    def _mass_nb(det, vals, w):
-        nq, nloc = vals.shape
-        ref = np.zeros((nloc, nloc))
-        for q in range(nq):
-            for i in range(nloc):
-                for j in range(nloc):
-                    ref[i, j] += w[q] * vals[q, i] * vals[q, j]
-        nt = det.shape[0]
-        out = np.empty((nt, nloc, nloc))
-        for t in range(nt):
-            scale = abs(det[t])
-            for i in range(nloc):
-                for j in range(nloc):
-                    out[t, i, j] = scale * ref[i, j]
-        return out
-
-    @_njit(cache=True)
-    def _divergence_nb(det, inv_t, gref_v, vals_p, w):
-        nt = det.shape[0]
-        nq, nloc_v = gref_v.shape[0], gref_v.shape[1]
-        nloc_p = vals_p.shape[1]
-        out = np.zeros((nt, nloc_p, 2 * nloc_v))
-        g = np.empty((nloc_v, 2))
-        for t in range(nt):
-            a00, a01 = inv_t[t, 0, 0], inv_t[t, 0, 1]
-            a10, a11 = inv_t[t, 1, 0], inv_t[t, 1, 1]
-            scale = -abs(det[t])
-            for q in range(nq):
-                for l in range(nloc_v):
-                    g[l, 0] = a00 * gref_v[q, l, 0] + a01 * gref_v[q, l, 1]
-                    g[l, 1] = a10 * gref_v[q, l, 0] + a11 * gref_v[q, l, 1]
-                for i in range(nloc_p):
-                    wq = scale * w[q] * vals_p[q, i]
-                    for j in range(nloc_v):
-                        out[t, i, j] += wq * g[j, 0]
-                        out[t, i, nloc_v + j] += wq * g[j, 1]
-        return out
-
-    @_njit(cache=True)
-    def _load_nb(det, vals, fq, w):
-        nt = det.shape[0]
-        nq, nloc = vals.shape
-        out = np.zeros((nt, nloc))
-        for t in range(nt):
-            scale = abs(det[t])
-            for q in range(nq):
-                wq = scale * w[q] * fq[t, q]
-                for i in range(nloc):
-                    out[t, i] += wq * vals[q, i]
-        return out
-
-    @_njit(cache=True)
-    def _grads_at_quad_nb(det, inv_t, gref, coeffs_loc):
-        nt = det.shape[0]
-        nq, nloc = gref.shape[0], gref.shape[1]
-        out = np.zeros((nt, nq, 2))
-        for t in range(nt):
-            a00, a01 = inv_t[t, 0, 0], inv_t[t, 0, 1]
-            a10, a11 = inv_t[t, 1, 0], inv_t[t, 1, 1]
-            for q in range(nq):
-                gx = 0.0
-                gy = 0.0
-                for l in range(nloc):
-                    c = coeffs_loc[t, l]
-                    gx += c * (a00 * gref[q, l, 0] + a01 * gref[q, l, 1])
-                    gy += c * (a10 * gref[q, l, 0] + a11 * gref[q, l, 1])
-                out[t, q, 0] = gx
-                out[t, q, 1] = gy
-        return out
-
-
-# -- dispatch ---------------------------------------------------------------
+    """Name of the kernel implementation (there is one: numpy)."""
+    return "numpy"
 
 
 def element_stiffness(det, inv_t, gref, w):
     """Per-element grad-grad matrices, shape (nt, nloc, nloc)."""
-    if USE_NUMBA:
-        return _stiffness_nb(det, inv_t, gref, w)
-    return _stiffness_np(det, inv_t, gref, w)
+    nt, nloc = len(det), gref.shape[1]
+    # ref[e, f, i, j] = sum_q w_q dphi_i/dx_e dphi_j/dx_f (reference)
+    ref = np.einsum("q,qie,qjf->efij", w, gref, gref).reshape(4, nloc * nloc)
+    metric = np.abs(det)[:, None, None] * np.einsum("tde,tdf->tef", inv_t, inv_t)
+    return (metric.reshape(nt, 4) @ ref).reshape(nt, nloc, nloc)
 
 
 def element_mass(det, vals, w):
     """Per-element value-value matrices, shape (nt, nloc, nloc)."""
-    if USE_NUMBA:
-        return _mass_nb(det, vals, w)
-    return _mass_np(det, vals, w)
+    ref = np.einsum("q,qi,qj->ij", w, vals, vals)
+    return np.abs(det)[:, None, None] * ref
 
 
 def element_divergence(det, inv_t, gref_v, vals_p, w):
     """Per-element -(div v, q) blocks, shape (nt, nloc_p, 2 nloc_v)."""
-    if USE_NUMBA:
-        return _divergence_nb(det, inv_t, gref_v, vals_p, w)
-    return _divergence_np(det, inv_t, gref_v, vals_p, w)
+    nt = len(det)
+    nloc_v, nloc_p = gref_v.shape[1], vals_p.shape[1]
+    # ref[e, i, j] = sum_q w_q psi_i dphi_j/dx_e (reference)
+    ref = np.einsum("q,qi,qje->eij", w, vals_p, gref_v).reshape(
+        2, nloc_p * nloc_v)
+    geo = -np.abs(det)[:, None, None] * inv_t  # (nt, d, e)
+    blk = (geo.reshape(2 * nt, 2) @ ref).reshape(nt, 2, nloc_p, nloc_v)
+    # component-major velocity columns: derivative d goes with block d
+    return blk.transpose(0, 2, 1, 3).reshape(nt, nloc_p, 2 * nloc_v)
 
 
 def element_load(det, vals, fq, w):
     """Per-element load vectors for values fq (nt, nq); shape (nt, nloc)."""
-    if USE_NUMBA:
-        return _load_nb(det, vals, fq, w)
-    return _load_np(det, vals, fq, w)
+    return (np.abs(det)[:, None] * fq) @ (w[:, None] * vals)
 
 
 def field_grads_at_quad(det, inv_t, gref, coeffs_loc):
     """Gradient of a scalar FE function at quad points, shape (nt, nq, 2)."""
-    if USE_NUMBA:
-        return _grads_at_quad_nb(det, inv_t, gref, coeffs_loc)
-    return _grads_at_quad_np(det, inv_t, gref, coeffs_loc)
+    nq, nloc = gref.shape[:2]
+    ref = coeffs_loc @ gref.transpose(1, 0, 2).reshape(nloc, 2 * nq)
+    ref = ref.reshape(len(det), nq, 2)  # reference gradients
+    # physical d-component: sum_e inv_t[d, e] * reference e-component
+    return ref @ inv_t.transpose(0, 2, 1)

@@ -558,24 +558,38 @@ def polygon_boundary_distance(domain, pts):
     return best
 
 
+def _halton(start, n):
+    """Points start..start+n-1 of the unscrambled 2D Halton sequence.
+
+    Radical inverses in bases 2 and 3; point 0 is the origin, as in
+    ``scipy.stats.qmc.Halton(d=2, scramble=False)``.
+    """
+    index = np.arange(start, start + n)
+    out = np.zeros((n, 2))
+    for axis, base in enumerate((2, 3)):
+        q = index.copy()
+        scale = 1.0 / base
+        while q.any():
+            out[:, axis] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out
+
+
 def quasi_random_interior(domain, n=100, margin=None):
     """First n Halton points strictly inside the polygon.
 
     Deterministic (unscrambled sequence); points keep a small safety
     margin from the boundary so finite-difference stencils stay inside.
     """
-    from scipy.stats import qmc
-
     v = domain.vertices
     lo, hi = v.min(axis=0), v.max(axis=0)
     diam = float(np.max(hi - lo))
     if margin is None:
         margin = 1e-3 * diam
-    sampler = qmc.Halton(d=2, scramble=False)
     out = []
-    for _ in range(64):
-        raw = sampler.random(256)
-        pts = lo + raw * (hi - lo)
+    for batch in range(64):
+        pts = lo + _halton(256 * batch, 256) * (hi - lo)
         keep = polygon_contains(domain, pts)
         keep &= polygon_boundary_distance(domain, pts) > margin
         out.extend(pts[keep])

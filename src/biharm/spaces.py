@@ -127,14 +127,13 @@ def build_space(mesh, degree, kind="lagrange"):
             enodes[1::2] = mesh.points[lo] + 2.0 * (mesh.points[hi] - mesh.points[lo]) / 3.0
             dof_coords = np.vstack([mesh.points, enodes, centroids])
 
-    bdofs = set(int(i) for e in mesh.boundary_edges for i in e)
+    bedges = np.array(sorted(mesh.boundary_edges), dtype=np.int64)
+    bdofs = [bedges.ravel()]
     if kind == "lagrange" and degree >= 2:
         per_edge = degree - 1
-        for a, b in mesh.boundary_edges:
-            e = int(_edge_index(mesh, np.asarray(a), np.asarray(b)))
-            for j in range(per_edge):
-                bdofs.add(nv + per_edge * e + j)
-    boundary_dofs = np.array(sorted(bdofs), dtype=np.int64)
+        e = _edge_index(mesh, bedges[:, 0], bedges[:, 1])
+        bdofs += [nv + per_edge * e + j for j in range(per_edge)]
+    boundary_dofs = np.unique(np.concatenate(bdofs))
 
     return FeSpace(
         mesh=mesh,
@@ -332,12 +331,13 @@ def gradient(field, triangle, bary):
 
 
 def prolongate(coarse, fine_space):
-    """Represent a coarse field exactly on a descendant mesh's space.
+    """Represent a coarse field exactly on a space of the same or a finer mesh.
 
     Fine Lagrange DOF values are the coarse field evaluated at the fine
     DOF nodes, located through the refinement ancestry; this reproduces
     the coarse function exactly whenever the fine space contains the
-    coarse one elementwise.
+    coarse one elementwise (P_k in P_m for k <= m, Mini in P3).  Fine
+    bubble coefficients are set to 0.
     """
     cmesh = coarse.space.mesh
     fmesh = fine_space.mesh

@@ -25,6 +25,7 @@ from biharm.spaces import (
     Field,
     build_space,
     evaluate,
+    gradient,
     interpolate,
     interpolate_vector,
     zero_field,
@@ -117,35 +118,58 @@ def test_diff_norm_exact_linear_pair(square_meshes):
     assert abs(diff_norm(coarse, fine, "Linf") - 2.0) < 1e-13
 
 
-def test_diff_norm_matches_independent_quadrature(square_meshes):
-    # difference of interpolants == interpolant of the difference; its
-    # L2 norm is recomputed here by direct per-element quadrature
-    cspace = build_space(square_meshes[1], 2)
-    fspace = build_space(square_meshes[2], 2)
+def _ancestor(mesh, coarse_mesh, t):
+    while mesh is not coarse_mesh:
+        t, mesh = mesh.parent[t], mesh.coarser
+    return t
+
+
+@pytest.mark.parametrize(
+    "coarse_level,coarse_degree,coarse_kind,fine_level,fine_degree,fine_kind",
+    [(1, 2, "lagrange", 2, 2, "lagrange"),
+     (1, 1, "lagrange_bubble", 3, 1, "lagrange_bubble"),
+     (1, 2, "lagrange", 2, 1, "lagrange")],
+    ids=["p2-p2", "mini-mini-two-levels", "coarse-p2-fine-p1"])
+def test_diff_norm_matches_independent_quadrature(
+        square_meshes, coarse_level, coarse_degree, coarse_kind,
+        fine_level, fine_degree, fine_kind):
+    # the L2 norm and H1 seminorm of the difference are recomputed here
+    # by direct per-element quadrature on the finer mesh, evaluating the
+    # coarse field in the ancestor triangle of each fine one
+    cspace = build_space(square_meshes[coarse_level], coarse_degree,
+                         coarse_kind)
+    fspace = build_space(square_meshes[fine_level], fine_degree, fine_kind)
     bump = lambda x, y: x * (1 - x**2) * (1 - y**2)
     base = lambda x, y: np.cos(x + y)
     a = interpolate(fspace, lambda x, y: base(x, y) + bump(x, y))
     b = interpolate(cspace, base)
-    got = diff_norm(a, b, "L2")
+    rng = np.random.default_rng(3)
+    for field in (a, b):
+        if field.space.kind == "lagrange_bubble":
+            nv = len(field.space.mesh.points)
+            field.coefficients[nv:] = rng.normal(size=field.space.ndof - nv)
 
     lam, w = triangle_rule(10)
-    mesh = fspace.mesh
-    total = 0.0
-    for t in range(len(mesh.triangles)):
-        va = evaluate(a, np.full(len(lam), t), lam)
-        # evaluate the coarse field in the parent triangle
-        pts = physical_points(lam, mesh.points[mesh.triangles[[t]]])[0]
-        parent = mesh.parent[t]
-        cp = mesh.coarser.points[mesh.coarser.triangles[parent]]
+    fmesh, cmesh = fspace.mesh, cspace.mesh
+    l2 = h1 = 0.0
+    for t in range(len(fmesh.triangles)):
+        ts = np.full(len(lam), t)
+        pts = physical_points(lam, fmesh.points[fmesh.triangles[[t]]])[0]
+        parent = _ancestor(fmesh, cmesh, t)
+        cp = cmesh.points[cmesh.triangles[parent]]
         mat = np.column_stack([cp[1] - cp[0], cp[2] - cp[0]])
         loc = np.linalg.solve(mat, (pts - cp[0]).T).T
         lam_c = np.column_stack([1 - loc.sum(axis=1), loc])
-        vb = evaluate(b, np.full(len(lam), parent), lam_c)
-        fp = mesh.points[mesh.triangles[t]]
+        ps = np.full(len(lam), parent)
+        dv = evaluate(a, ts, lam) - evaluate(b, ps, lam_c)
+        dg = gradient(a, ts, lam) - gradient(b, ps, lam_c)
+        fp = fmesh.points[fmesh.triangles[t]]
         fine_det = abs(np.linalg.det(np.column_stack([fp[1] - fp[0],
                                                       fp[2] - fp[0]])))
-        total += fine_det * float(w @ (va - vb) ** 2)
-    assert abs(got - math.sqrt(total)) < 1e-10
+        l2 += fine_det * float(w @ dv**2)
+        h1 += fine_det * float(w @ np.sum(dg**2, axis=1))
+    assert abs(diff_norm(a, b, "L2") - math.sqrt(l2)) < 1e-10
+    assert abs(diff_norm(b, a, "H1") - math.sqrt(h1)) < 1e-10
 
 
 def test_diff_norm_integrates_the_bubble_exactly(square_meshes):

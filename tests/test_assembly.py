@@ -5,10 +5,6 @@ hand; the divergence and curl right-hand sides are checked against
 quadrature identities and polynomial fields that make them vanish.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -285,7 +281,7 @@ def test_matrix_read_validates(tmp_path):
         asm.read_matrix(p)
 
 
-# -- kernel backends -----------------------------------------------------------------
+# -- element kernels -----------------------------------------------------------------
 
 
 def _random_kernel_inputs(seed=0, nq=6, nloc=10, nt=7):
@@ -301,59 +297,40 @@ def _random_kernel_inputs(seed=0, nq=6, nloc=10, nt=7):
     return det, inv_t, gref, vals, vals_p, w, fq, coeffs
 
 
-@pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba backend not active")
-def test_numba_and_numpy_kernels_agree():
+def _loop_kernels(det, inv_t, gref, vals, vals_p, w, fq, coeffs):
+    """The five kernels as a plain loop over elements and quadrature points."""
+    nt = len(det)
+    nq, nloc = vals.shape
+    nloc_p = vals_p.shape[1]
+    stiff = np.zeros((nt, nloc, nloc))
+    mass = np.zeros((nt, nloc, nloc))
+    div = np.zeros((nt, nloc_p, 2 * nloc))
+    load = np.zeros((nt, nloc))
+    grads = np.zeros((nt, nq, 2))
+    for t in range(nt):
+        scale = abs(det[t])
+        for q in range(nq):
+            g = gref[q] @ inv_t[t].T  # (nloc, 2) physical gradients
+            wq = scale * w[q]
+            stiff[t] += wq * g @ g.T
+            mass[t] += wq * np.outer(vals[q], vals[q])
+            div[t, :, :nloc] -= wq * np.outer(vals_p[q], g[:, 0])
+            div[t, :, nloc:] -= wq * np.outer(vals_p[q], g[:, 1])
+            load[t] += wq * fq[t, q] * vals[q]
+            grads[t, q] = coeffs[t] @ g
+    return stiff, mass, div, load, grads
+
+
+def test_kernels_match_per_point_loop():
     det, inv_t, gref, vals, vals_p, w, fq, coeffs = _random_kernel_inputs()
-    pairs = [
-        (kernels._stiffness_nb, kernels._stiffness_np, (det, inv_t, gref, w)),
-        (kernels._mass_nb, kernels._mass_np, (det, vals, w)),
-        (kernels._divergence_nb, kernels._divergence_np,
-         (det, inv_t, gref, vals_p, w)),
-        (kernels._load_nb, kernels._load_np, (det, vals, fq, w)),
-        (kernels._grads_at_quad_nb, kernels._grads_at_quad_np,
-         (det, inv_t, gref, coeffs)),
-    ]
-    for nb, np_, args in pairs:
-        a, b = nb(*args), np_(*args)
+    got = (
+        kernels.element_stiffness(det, inv_t, gref, w),
+        kernels.element_mass(det, vals, w),
+        kernels.element_divergence(det, inv_t, gref, vals_p, w),
+        kernels.element_load(det, vals, fq, w),
+        kernels.field_grads_at_quad(det, inv_t, gref, coeffs),
+    )
+    want = _loop_kernels(det, inv_t, gref, vals, vals_p, w, fq, coeffs)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
         assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, BIHARM_KERNELS="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from biharm import kernels; print(kernels.backend_name())"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    env = dict(os.environ, BIHARM_KERNELS="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c", "from biharm import kernels"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode != 0
-    assert "BIHARM_KERNELS" in out.stderr
-
-
-def test_numpy_backend_assembles_same_stiffness(tmp_path):
-    """The two backends assemble identical matrices up to roundoff."""
-    script = (
-        "import numpy as np\n"
-        "from biharm import meshing as msh, spaces as sp, assembly as asm\n"
-        "_, m0 = msh.builtin_domain('lshape')\n"
-        "mesh = msh.refine_hierarchy(m0, 1, {0: 0.2})[1]\n"
-        "a = asm.assemble_stiffness(sp.build_space(mesh, 2)).toarray()\n"
-        f"np.save(r'{tmp_path}/a.npy', a)\n"
-    )
-    for backend in ("numpy", "numba") if kernels.USE_NUMBA else ("numpy",):
-        env = dict(os.environ, BIHARM_KERNELS=backend)
-        r = subprocess.run([sys.executable, "-c", script], env=env,
-                           capture_output=True, text=True)
-        assert r.returncode == 0, r.stderr
-        got = np.load(tmp_path / "a.npy")
-        if backend == "numpy":
-            ref = got
-    assert np.allclose(ref, got, rtol=1e-13, atol=1e-14)

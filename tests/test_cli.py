@@ -129,13 +129,18 @@ def test_run_experiment_poisson_reports_and_timings():
     assert all(set(step) == {"poisson_w"} for step in steps)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_experiment_isolates_failed_kappa_columns(monkeypatch, jobs):
+@pytest.mark.parametrize(
+    "jobs,error",
+    [(1, ArithmeticError), (2, ArithmeticError),
+     (1, MemoryError), (2, MemoryError)],
+    ids=["1", "2", "1-MemoryError", "2-MemoryError"])
+def test_run_experiment_isolates_failed_kappa_columns(monkeypatch, jobs,
+                                                      error):
     real = cli._run_column
 
     def flaky(config, root, kappa):
         if kappa == 0.25:
-            raise ArithmeticError("injected failure")
+            raise error("injected failure")
         return real(config, root, kappa)
 
     monkeypatch.setattr(cli, "_run_column", flaky)
@@ -144,6 +149,15 @@ def test_run_experiment_isolates_failed_kappa_columns(monkeypatch, jobs):
     assert result.failures == {0.25: "injected failure"}
     assert set(result.reports[("w", "H1")]) == {0.5}
     assert set(result.timings) == {0.5}
+
+
+def test_run_experiment_propagates_bad_input(monkeypatch):
+    def broken(config, root, kappa):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(cli, "_run_column", broken)
+    with pytest.raises(ValueError, match="bad input"):
+        run_experiment(tiny_config(kappas=(0.5, 0.25)), jobs=1)
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +247,24 @@ def test_comparison_of_identical_configs_is_zero():
         assert set(diffs) == set(COMPARE_NAMES)
         assert all(value == pytest.approx(0.0, abs=1e-13)
                    for value in diffs.values())
+
+
+def test_comparison_isolates_failed_kappa_columns(monkeypatch):
+    real = cli._full_run
+    calls = []
+
+    def flaky(config, root, meshes):
+        calls.append(config.algorithm)
+        if len(calls) > 2:  # both runs of the first column succeed
+            raise MemoryError("injected failure")
+        return real(config, root, meshes)
+
+    monkeypatch.setattr(cli, "_full_run", flaky)
+    a = tiny_config(algorithm="sp", kappas=(0.5, 0.25))
+    result = run_comparison(a, tiny_config(algorithm="sp",
+                                           kappas=(0.5, 0.25)))
+    assert result.failures == {0.25: "injected failure"}
+    assert set(result.rows) == {0.5}
 
 
 def test_comparison_psp_vs_sp_writes_artifacts(tmp_path):

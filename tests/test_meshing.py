@@ -375,3 +375,12 @@ def test_refinement_invariants_hold_for_any_kappa(kappa, levels):
     check_conforming(mesh)
     assert float(mesh.areas().sum()) == pytest.approx(3.0, rel=1e-12)
     assert mesh.min_angle() > 0.0
+
+
+def test_halton_reproduces_scipy_sequence():
+    from scipy.stats import qmc
+
+    ref = qmc.Halton(d=2, scramble=False).random(1 << 14)
+    assert np.array_equal(msh._halton(0, 1 << 14), ref)
+    assert np.array_equal(msh._halton(300, 100), ref[300:400])
+
