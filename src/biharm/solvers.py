@@ -1,4 +1,4 @@
-"""Sparse direct solvers and the decoupled biharmonic pipelines.
+"""Sparse solvers and the decoupled biharmonic pipelines.
 
 The clamped biharmonic problem for the stream function phi is split
 into standard second-order solves:
@@ -9,10 +9,12 @@ into standard second-order solves:
   side (w, curl v) assembled from the discrete w, then the same final
   Poisson solve.
 
-The Stokes system uses the Mini element for k = 1 and Taylor-Hood
-P_k / P_{k-1} for k >= 2.  Zero pressure mean is enforced through a
-single Lagrange-multiplier row containing the pressure load vector,
-so each level costs one global sparse LU per solve.
+Every solve on a level runs on one sparse LU of the scalar stiffness
+matrix.  The Stokes system (Mini for k = 1, Taylor-Hood P_k / P_{k-1}
+for k >= 2) applies it to both velocity components and solves for the
+pressure by conjugate gradients on the Schur complement.  For k >= 2
+the Poisson space is the velocity space, so one factorization serves
+the whole level; Mini factors its P1 Poisson space separately.
 """
 
 import contextlib
@@ -32,7 +34,6 @@ from .assembly import (
     assemble_stiffness,
     assemble_stokes_rhs_analytic,
     assemble_stokes_rhs_discrete_curl,
-    assemble_vector_stiffness,
     vector_boundary_dofs,
 )
 from .meshing import builtin_domain, quasi_random_interior, refine_hierarchy
@@ -42,7 +43,8 @@ __all__ = [
     "StokesSolution",
     "LevelRecord",
     "BiharmonicRun",
-    "solve_spd",
+    "SpdFactor",
+    "stiffness_factor",
     "stokes_spaces",
     "solve_stokes",
     "solve_poisson",
@@ -57,7 +59,7 @@ __all__ = [
 class StokesSolution:
     u: Field
     p: Field
-    multiplier: float
+    iterations: int
     residual_norm: float
 
 
@@ -92,30 +94,10 @@ def _ones(x, y):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def solve_spd(a, b):
-    """Direct sparse solve with a relative-residual guarantee.
-
-    Intended for symmetric positive definite systems (after Dirichlet
-    elimination).  Raises if the factorization hits a zero pivot or the
-    relative residual exceeds 1e-10.
-    """
-    a = sps.csc_matrix(a)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ValueError("matrix/vector sizes do not match")
-    lu = _factor(a)
-    x = lu.solve(b)
-    bnorm = float(np.linalg.norm(b))
-    rel = float(np.linalg.norm(a @ x - b)) / (bnorm if bnorm > 0.0 else 1.0)
-    if rel >= 1e-10:
-        raise ArithmeticError(f"direct solve residual too large: {rel:.3e}")
-    return x
-
-
 def _factor(a, **options):
-    """Sparse LU with singularity diagnostics shared by all solves."""
+    """Sparse LU; SuperLU rejects an exactly zero pivot itself."""
     try:
-        lu = spla.splu(a, **options)
+        return spla.splu(a, **options)
     except RuntimeError as exc:
         diag = a.diagonal()
         idx = int(np.argmin(np.abs(diag)))
@@ -123,11 +105,43 @@ def _factor(a, **options):
             f"sparse factorization failed ({exc}); "
             f"smallest diagonal magnitude at dof {idx}"
         ) from exc
-    du = lu.U.diagonal()
-    if np.any(du == 0.0):
-        idx = int(np.argmax(du == 0.0))
-        raise ArithmeticError(f"numerically singular matrix (zero pivot {idx})")
-    return lu
+
+
+class SpdFactor:
+    """One sparse LU of a symmetric positive definite matrix, solved often.
+
+    The matrix is factored once in minimum-degree order on A + A^T with
+    diagonal pivots, which an SPD matrix never needs to exchange.  Each
+    ``solve`` takes one right-hand side or a block of columns and raises
+    when the relative residual reaches 1e-10.
+    """
+
+    def __init__(self, a):
+        self.matrix = sps.csc_matrix(a)
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("matrix is not square")
+        self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.matrix.shape[0]:
+            raise ValueError("matrix/vector sizes do not match")
+        x = self._lu.solve(b)
+        bnorm = float(np.linalg.norm(b))
+        rel = (float(np.linalg.norm(self.matrix @ x - b))
+               / (bnorm if bnorm > 0.0 else 1.0))
+        if rel >= 1e-10:
+            raise ArithmeticError(f"direct solve residual too large: {rel:.3e}")
+        return x
+
+
+def stiffness_factor(space):
+    """SpdFactor of the stiffness matrix with Dirichlet rows eliminated."""
+    a = assemble_stiffness(space)
+    a2, _ = apply_dirichlet(a, np.zeros(space.ndof), space.boundary_dofs)
+    return SpdFactor(a2)
 
 
 def stokes_spaces(mesh, k):
@@ -139,226 +153,91 @@ def stokes_spaces(mesh, k):
     raise ValueError(f"unsupported polynomial order k={k}")
 
 
-def solve_stokes(vspace, pspace, rhs, check=True):
-    """Solve the Stokes saddle-point system with zero-mean pressure.
+def solve_stokes(vspace, pspace, rhs, factor=None):
+    """Solve the Stokes system with zero-mean pressure.
 
-    The block system [[A, B^T], [B, 0]] is augmented by one Lagrange
-    multiplier coupling to the pressure load vector m (m_i = integral
-    of q_i), which pins int p = 0 without changing u.  Velocity
-    Dirichlet rows are eliminated symmetrically before the global LU.
+    With A the scalar stiffness of ``vspace`` (Dirichlet rows
+    eliminated; ``factor`` is its SpdFactor, built here when omitted)
+    acting on both velocity components, and B the divergence with its
+    boundary-velocity columns zeroed, the pressure solves
+    B A^-1 B^T p = B A^-1 f by conjugate gradients preconditioned with
+    the diagonal of the pressure mass matrix.  The CG residual is B u
+    for the velocity u = A^-1 (f - B^T p), and CG stops once it falls
+    below 1e-12 |f| (not relative to B A^-1 f, which psp's discrete
+    curl load makes nearly zero).  The Schur complement is
+    singular on constants only, so p is shifted to zero mean against
+    the pressure load m (m_i = integral of q_i) before u is recovered.
+    The result must meet the gates of the multiplier-bordered system
+    [[A, B^T, 0], [B, 0, m], [0, m^T, 0]], whose multiplier is zero:
+    a 1e-10 relative residual, zero pressure mean and zero divergence.
     """
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces use different meshes")
-    nv2 = 2 * vspace.ndof
+    nv = vspace.ndof
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (nv2,):
+    if rhs.shape != (2 * nv,):
         raise ValueError("rhs length does not match the vector velocity space")
-    a = assemble_vector_stiffness(vspace)
-    b = assemble_divergence(vspace, pspace)
+    if factor is None:
+        factor = stiffness_factor(vspace)
+    keep = np.ones(2 * nv)
+    keep[vector_boundary_dofs(vspace)] = 0.0
+    b = (assemble_divergence(vspace, pspace) @ sps.diags(keep)).tocsr()
+    bt = b.T.tocsr()
+    f = rhs * keep
+    mass_p = assemble_mass(pspace)
     mvec = assemble_load(pspace, _ones)
-    mcol = sps.csr_matrix(mvec[:, None])
-    k = sps.bmat([[a, b.T, None], [b, None, mcol], [None, mcol.T, None]],
-                 format="csr")
-    full_rhs = np.concatenate([rhs, np.zeros(pspace.ndof + 1)])
-    bdofs = vector_boundary_dofs(vspace)
-    k2, rhs2 = apply_dirichlet(k, full_rhs, bdofs)
-    del k
-    coords = np.concatenate([vspace.dof_coords, vspace.dof_coords,
-                             pspace.dof_coords], axis=0)
-    x = _solve_bordered(k2, rhs2, nv2, pspace.ndof, mvec, coords)
-    xu = x[:nv2].copy()
-    xu[bdofs] = 0.0
-    xp = x[nv2:nv2 + pspace.ndof].copy()
-    lam = float(x[-1])
-    residual = float(np.linalg.norm(k2 @ x - rhs2))
-    sol = StokesSolution(Field(vspace, 2, xu), Field(pspace, 1, xp),
-                         lam, residual)
-    if check:
-        mass_p = assemble_mass(pspace)
-        pnorm = float(np.sqrt(xp @ (mass_p @ xp)))
-        mean = abs(float(mvec @ xp))
-        floor = 1e-13 * (1.0 + float(np.linalg.norm(rhs)))
-        if mean > 1e-10 * pnorm + floor:
-            raise ArithmeticError(f"pressure mean {mean:.3e} not zero")
-        unorm = float(np.sqrt(xu @ (a @ xu)))
-        div = float(np.max(np.abs(b @ xu))) if pspace.ndof else 0.0
-        if div > 1e-9 * unorm + floor:
-            raise ArithmeticError(f"divergence residual {div:.3e} too large")
-    return sol
 
+    # velocity vectors are component-major; the factor solves both
+    # components at once as the two columns of an (nv, 2) block
+    def a_inv(v):
+        return factor.solve(v.reshape(2, nv).T).T.ravel()
 
-# Systems above this size are factored in nested-dissection order; below
-# it the default ordering is fine and cheaper to set up.
-_ND_THRESHOLD = 20000
-# Above this size the factor itself is stored in single precision and
-# its digits recovered by double-precision refinement, halving the peak
-# factorization memory.
-_F32_THRESHOLD = 150000
+    def a_mul(v):
+        return (factor.matrix @ v.reshape(2, nv).T).T.ravel()
 
-
-# Candidate split fractions for the bisection, in preference order; the
-# first smallest edge cut wins, so ties favor the balanced middle cut.
-_ND_FRACS = (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65)
-
-
-def _nd_permutation(a, coords, leaf=64):
-    """Fill-reducing order: geometric nested dissection on dof positions.
-
-    Recursive coordinate bisection with graph separators ordered last,
-    batched over all blocks at each depth via integer sort keys.  Each
-    block tries both axes and several split fractions and keeps the cut
-    crossed by the fewest edges (a plain median cut lands inside the
-    dense cluster of a graded corner), then takes the smaller side's
-    endpoints of the crossing edges as the separator.  On fine 2D
-    meshes this gives several-fold lower LU fill than the default
-    column ordering, which the saddle-point block structure defeats.
-    """
-    n = a.shape[0]
-    coo = a.tocoo()
-    off = coo.row != coo.col
-    row = coo.row[off].astype(np.int64)
-    col = coo.col[off].astype(np.int64)
-    x, y = coords[:, 0], coords[:, 1]
-    key = np.zeros(n, dtype=np.int64)
-    block = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    for _ in range(31):
-        act = np.nonzero(active)[0]
-        if not len(act):
-            break
-        ids, bc = np.unique(block[act], return_inverse=True)
-        sizes = np.bincount(bc, minlength=len(ids))
-        small = sizes <= leaf
-        if small.any():
-            active[act[small[bc]]] = False
-            act = np.nonzero(active)[0]
-            if not len(act):
-                break
-            ids, bc = np.unique(block[act], return_inverse=True)
-            sizes = np.bincount(bc, minlength=len(ids))
-        nb = len(ids)
-        keep = active[row] & active[col] & (block[row] == block[col])
-        row, col = row[keep], col[keep]
-        bidx = np.full(n, -1, dtype=np.int64)
-        bidx[act] = bc
-        eb = bidx[row]
-
-        best_cuts = np.full(nb, np.iinfo(np.int64).max, dtype=np.int64)
-        best_axis = np.zeros(nb, dtype=np.int8)
-        best_rank = np.maximum(sizes // 2, 1)
-        ranks = np.empty((2, len(act)), dtype=np.int64)
-        rnk = np.empty(n, dtype=np.int64)
-        for axis, coord in enumerate((x, y)):
-            order = np.lexsort((coord[act], bc))
-            starts = np.searchsorted(bc[order], np.arange(nb))
-            ranks[axis, order] = np.arange(len(act)) - starts[bc[order]]
-            rnk[act] = ranks[axis]
-            elo = np.minimum(rnk[row], rnk[col])
-            ehi = np.maximum(rnk[row], rnk[col])
-            for frac in _ND_FRACS:
-                cut = np.clip((frac * sizes).astype(np.int64), 1, sizes - 1)
-                crossing = (elo < cut[eb]) & (ehi >= cut[eb])
-                counts = np.bincount(eb[crossing], minlength=nb)
-                better = counts < best_cuts
-                best_cuts[better] = counts[better]
-                best_axis[better] = axis
-                best_rank[better] = cut[better]
-        rank = np.where(best_axis[bc] == 0, ranks[0], ranks[1])
-        side = np.zeros(n, dtype=np.int8)
-        side[act] = (rank >= best_rank[bc]).astype(np.int8)
-        cross = side[row] != side[col]
-        left = np.unique(row[cross & (side[row] == 0)])
-        right = np.unique(row[cross & (side[row] == 1)])
-        nleft = np.bincount(bidx[left], minlength=nb)
-        nright = np.bincount(bidx[right], minlength=nb)
-        take_left = nleft <= nright
-        sep = np.concatenate([left[take_left[bidx[left]]],
-                              right[~take_left[bidx[right]]]])
-        digit = np.zeros(n, dtype=np.int8)
-        digit[act] = side[act]
-        digit[sep] = 2
-        key = key * 4 + digit
-        block = block * 2 + side
-        active[sep] = False
-    return np.argsort(key, kind="stable")
-
-
-def _solve_bordered(k2, rhs2, nv2, npres, mvec, coords):
-    """Solve the multiplier-bordered saddle system by block elimination.
-
-    The multiplier row/column is dense in the pressure block; handing it
-    to the LU directly inflates the fill severalfold and exhausts memory
-    on fine meshes.  The core block is factored with one pressure dof
-    pinned instead -- the divergence rows sum to zero for a velocity
-    space with zero trace, so the dropped row is implied by the others --
-    and the pressure is then shifted to exact zero m-weighted mean,
-    which is the unique solution selected by the multiplier row.  The
-    multiplier itself follows from summing the pressure rows:
-    lam * sum(m) = sum(pressure rhs).  The bordered system's residual is
-    verified afterwards at the direct-solve gate.
-    """
-    n = nv2 + npres + 1
-    core = k2[:n - 1, :n - 1].tocsr()
-    pin = np.array([nv2 + npres - 1])
-    k_pin, b_pin = apply_dirichlet(core, rhs2[:n - 1], pin)
-    del core
-    if n - 1 > _ND_THRESHOLD:
-        perm = _nd_permutation(k_pin, coords)
-        k_perm = k_pin[perm][:, perm].tocsc()
-        del k_pin
-        # Graded meshes scale the divergence columns over many orders of
-        # magnitude; symmetric equilibration keeps the pivots balanced.
-        d = 1.0 / np.sqrt(np.abs(k_perm).max(axis=0).toarray().ravel())
-        dmat = sps.diags(d)
-        ks = (dmat @ k_perm @ dmat).tocsc()
-        del k_perm
-        single = n - 1 > _F32_THRESHOLD
-        lu = _factor(ks.astype(np.float32) if single else ks,
-                     permc_spec="NATURAL", diag_pivot_thresh=1e-3,
-                     options={"SymmetricMode": True})
-
-        def lu_solve(v):
-            if single:
-                return lu.solve(v.astype(np.float32)).astype(np.float64)
-            return lu.solve(v)
-
-        bs = d * b_pin[perm]
-        zp = lu_solve(bs)
-        # Threshold pivoting (and the single-precision factor) trade
-        # digits for memory; refine with the same factor until the
-        # scaled pinned system meets the gate or stops improving.
-        bnorm = float(np.linalg.norm(bs))
-        prev = np.inf
-        for _ in range(25 if single else 4):
-            resid = bs - ks @ zp
-            rn = float(np.linalg.norm(resid))
-            if rn <= 1e-13 * max(bnorm, 1.0) or rn >= 0.5 * prev:
-                break
-            prev = rn
-            zp += lu_solve(resid)
-        y = np.empty_like(zp)
-        y[perm] = d * zp
-    else:
-        y = solve_spd(k_pin, b_pin)
-    total = float(mvec.sum())
-    lam = float(np.sum(rhs2[nv2:n - 1])) / total
-    p = y[nv2:]
-    p -= float(mvec @ p) / total
-    x = np.concatenate([y[:nv2], p, [lam]])
-    rnorm = float(np.linalg.norm(rhs2))
-    rel = float(np.linalg.norm(k2 @ x - rhs2)) / (rnorm if rnorm > 0 else 1.0)
-    if rel >= 1e-10:
+    npres = pspace.ndof
+    schur = spla.LinearOperator((npres, npres), dtype=float,
+                                matvec=lambda q: b @ a_inv(bt @ q))
+    steps = []
+    fnorm = float(np.linalg.norm(f))
+    xp, info = spla.cg(schur, b @ a_inv(f), rtol=0.0, atol=1e-12 * fnorm,
+                       maxiter=1000, M=sps.diags(1.0 / mass_p.diagonal()),
+                       callback=steps.append)
+    if info > 0:
         raise ArithmeticError(
-            f"bordered stokes solve residual too large: {rel:.3e}")
-    return x
+            f"pressure CG did not converge in {info} iterations")
+    xp = xp - float(mvec @ xp) / float(mvec.sum())
+    xu = a_inv(f - bt @ xp)
+
+    div = b @ xu
+    mean = float(mvec @ xp)
+    residual = float(np.sqrt(np.sum((a_mul(xu) + bt @ xp - f) ** 2)
+                             + div @ div + mean ** 2))
+    if residual >= 1e-10 * (fnorm if fnorm > 0.0 else 1.0):
+        raise ArithmeticError(
+            f"stokes solve residual too large: {residual:.3e}")
+    pnorm = float(np.sqrt(xp @ (mass_p @ xp)))
+    floor = 1e-13 * (1.0 + float(np.linalg.norm(rhs)))
+    if abs(mean) > 1e-10 * pnorm + floor:
+        raise ArithmeticError(f"pressure mean {abs(mean):.3e} not zero")
+    unorm = float(np.sqrt(xu @ a_mul(xu)))
+    divmax = float(np.max(np.abs(div))) if npres else 0.0
+    if divmax > 1e-9 * unorm + floor:
+        raise ArithmeticError(f"divergence residual {divmax:.3e} too large")
+    return StokesSolution(Field(vspace, 2, xu), Field(pspace, 1, xp),
+                          len(steps), residual)
 
 
-def solve_poisson(space, rhs):
-    """Homogeneous-Dirichlet Poisson solve for an assembled load vector."""
-    a = assemble_stiffness(space)
-    a2, b2 = apply_dirichlet(a, np.asarray(rhs, dtype=float),
-                             space.boundary_dofs)
-    x = solve_spd(a2, b2)
+def solve_poisson(space, rhs, factor=None):
+    """Homogeneous-Dirichlet Poisson solve for an assembled load vector.
+
+    ``factor`` is the space's stiffness_factor, built here when omitted.
+    """
+    if factor is None:
+        factor = stiffness_factor(space)
+    b = np.array(rhs, dtype=float)
+    b[space.boundary_dofs] = 0.0
+    x = factor.solve(b)
     x[space.boundary_dofs] = 0.0
     return Field(space, 1, x)
 
@@ -416,6 +295,13 @@ def _source_force(force):
     return f1, f2
 
 
+def _poisson_space(vspace, k):
+    """The level's P_k space: the velocity space itself unless Mini."""
+    if vspace.kind == "lagrange":
+        return vspace
+    return build_space(vspace.mesh, k)
+
+
 def run_sp(domain, f, F, k, levels, rules=None, meshes=None, validate=True):
     """Stokes-Poisson pipeline on a graded hierarchy.
 
@@ -434,16 +320,23 @@ def run_sp(domain, f, F, k, levels, rules=None, meshes=None, validate=True):
     records = []
     for mesh in meshes:
         vspace, pspace = stokes_spaces(mesh, k)
-        sspace = build_space(mesh, k)
+        sspace = _poisson_space(vspace, k)
         seconds = {}
         with _level_context(mesh.level):
             t0 = time.perf_counter()
+            factor = stiffness_factor(vspace)
             rhs = assemble_stokes_rhs_analytic(vspace, force)
-            sol = solve_stokes(vspace, pspace, rhs)
+            sol = solve_stokes(vspace, pspace, rhs, factor)
             seconds["stokes"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u))
+            if sspace is not vspace:
+                # Mini: free the velocity factor before the P1 one is built
+                del factor
+                factor = stiffness_factor(sspace)
+            phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u),
+                                factor)
             seconds["poisson_phi"] = time.perf_counter() - t0
+        del factor
         records.append(LevelRecord(mesh.level, sol.u, sol.p, phi,
                                    seconds=seconds))
     return BiharmonicRun("sp", k, records)
@@ -461,19 +354,25 @@ def run_psp(domain, f, k, levels, rules=None, meshes=None):
     records = []
     for mesh in meshes:
         vspace, pspace = stokes_spaces(mesh, k)
-        sspace = build_space(mesh, k)
+        sspace = _poisson_space(vspace, k)
         seconds = {}
         with _level_context(mesh.level):
             t0 = time.perf_counter()
-            w = solve_poisson(sspace, assemble_load(sspace, load))
+            sfactor = stiffness_factor(sspace)
+            w = solve_poisson(sspace, assemble_load(sspace, load), sfactor)
             seconds["poisson_w"] = time.perf_counter() - t0
             t0 = time.perf_counter()
+            vfactor = (sfactor if sspace is vspace
+                       else stiffness_factor(vspace))
             rhs = assemble_stokes_rhs_discrete_curl(vspace, w)
-            sol = solve_stokes(vspace, pspace, rhs)
+            sol = solve_stokes(vspace, pspace, rhs, vfactor)
+            del vfactor
             seconds["stokes"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u))
+            phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u),
+                                sfactor)
             seconds["poisson_phi"] = time.perf_counter() - t0
+        del sfactor
         records.append(LevelRecord(mesh.level, sol.u, sol.p, phi, w=w,
                                    seconds=seconds))
     return BiharmonicRun("psp", k, records)

@@ -1,8 +1,9 @@
-"""Direct solver, Stokes saddle system, and pipeline behavior."""
+"""Factor-once direct solver, Schur-complement Stokes solve, and pipelines."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 import biharm.solvers
 from biharm.assembly import (
@@ -13,6 +14,7 @@ from biharm.assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_stokes_rhs_analytic,
+    assemble_stokes_rhs_discrete_curl,
     assemble_vector_stiffness,
     vector_boundary_dofs,
 )
@@ -21,8 +23,8 @@ from biharm.solvers import (
     compare_runs,
     run_psp,
     run_sp,
+    SpdFactor,
     solve_poisson,
-    solve_spd,
     solve_stokes,
     stokes_spaces,
     validate_curl,
@@ -62,18 +64,18 @@ def lshape_meshes():
                             {0: GradingRule(0.2)})
 
 
-# -- solve_spd ----------------------------------------------------------------
+# -- SpdFactor ----------------------------------------------------------------
 
 
 def test_solve_spd_identity():
     b = np.array([3.0, -1.0, 0.5])
-    x = solve_spd(sps.identity(3, format="csr"), b)
+    x = SpdFactor(sps.identity(3, format="csr")).solve(b)
     np.testing.assert_allclose(x, b, rtol=0, atol=1e-14)
 
 
 def test_solve_spd_tridiagonal_hand_solution():
     a = sps.csr_matrix(np.array([[2.0, -1, 0], [-1, 2, -1], [0, -1, 2]]))
-    x = solve_spd(a, np.ones(3))
+    x = SpdFactor(a).solve(np.ones(3))
     np.testing.assert_allclose(x, [1.5, 2.0, 1.5], rtol=0, atol=1e-12)
 
 
@@ -82,19 +84,19 @@ def test_solve_spd_random_spd_residual():
     m = rng.normal(size=(10, 10))
     a = sps.csr_matrix(m.T @ m + np.eye(10))
     b = rng.normal(size=10)
-    x = solve_spd(a, b)
+    x = SpdFactor(a).solve(b)
     assert np.linalg.norm(a @ x - b) < 1e-10 * np.linalg.norm(b)
 
 
 def test_solve_spd_singular_rejected():
     a = sps.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ArithmeticError):
-        solve_spd(a, np.ones(2))
+        SpdFactor(a).solve(np.ones(2))
 
 
 def test_solve_spd_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        solve_spd(sps.identity(3, format="csr"), np.ones(4))
+        SpdFactor(sps.identity(3, format="csr")).solve(np.ones(4))
 
 
 # -- solve_stokes -------------------------------------------------------------
@@ -109,7 +111,6 @@ def test_gradient_force_gives_zero_velocity(square_meshes, k):
     sol = solve_stokes(vspace, pspace, rhs)
     assert np.max(np.abs(sol.u.coefficients)) < 1e-10
     assert np.max(np.abs(sol.p.coefficients - pspace.dof_coords[:, 0])) < 1e-9
-    assert abs(sol.multiplier) < 1e-10
 
 
 def test_zero_force_gives_zero_solution(square_meshes):
@@ -150,6 +151,85 @@ def test_stokes_mesh_mismatch_rejected(square_meshes):
     v2, p2b = stokes_spaces(square_meshes[2], 2)
     with pytest.raises(ValueError, match="rhs"):
         solve_stokes(v2, p2b, np.zeros(7))
+
+
+def _bordered_reference(vspace, pspace, rhs):
+    """u, p from the multiplier-bordered saddle system, solved directly."""
+    nv2 = 2 * vspace.ndof
+    mcol = sps.csr_matrix(assemble_load(pspace, fone)[:, None])
+    b = assemble_divergence(vspace, pspace)
+    k = sps.bmat([[assemble_vector_stiffness(vspace), b.T, None],
+                  [b, None, mcol], [None, mcol.T, None]], format="csr")
+    full = np.concatenate([rhs, np.zeros(pspace.ndof + 1)])
+    k2, rhs2 = apply_dirichlet(k, full, vector_boundary_dofs(vspace))
+    x = spla.spsolve(k2.tocsc(), rhs2)
+    return x[:nv2], x[nv2:nv2 + pspace.ndof]
+
+
+@pytest.mark.parametrize("load", ["analytic", "discrete_curl"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("domain", ["lshape", "square"])
+def test_schur_solve_matches_bordered_direct_solve(lshape_meshes,
+                                                   square_meshes, domain, k,
+                                                   load):
+    # the discrete-curl load is psp's Stokes right-hand side, for which
+    # B A^-1 f is nearly zero (on the symmetric level-1 square, to
+    # rounding): CG must stop on the divergence of u relative to f, not
+    # relative to its own starting residual
+    mesh = lshape_meshes[2] if domain == "lshape" else square_meshes[1]
+    vspace, pspace = stokes_spaces(mesh, k)
+    if load == "analytic":
+        rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
+    else:
+        sspace = build_space(mesh, k)
+        w = solve_poisson(sspace, assemble_load(sspace, fone))
+        rhs = assemble_stokes_rhs_discrete_curl(vspace, w)
+    u_ref, p_ref = _bordered_reference(vspace, pspace, rhs)
+    sol = solve_stokes(vspace, pspace, rhs)
+    np.testing.assert_allclose(sol.u.coefficients, u_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sol.p.coefficients, p_ref, rtol=0, atol=1e-10)
+
+
+def test_taylor_hood_iterations_do_not_grow_with_level():
+    # inf-sup stability on the graded mesh bounds the mass-preconditioned
+    # Schur complement's condition number independently of the level
+    meshes = refine_hierarchy(builtin_domain("lshape")[1], 6,
+                              {0: GradingRule(0.2)})
+    counts = []
+    for level in (4, 6):
+        vspace, pspace = stokes_spaces(meshes[level], 2)
+        rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
+        counts.append(solve_stokes(vspace, pspace, rhs).iterations)
+    assert 0 < counts[1] <= counts[0]
+
+
+class _CountingLinalg:
+    """scipy.sparse.linalg with a counter on splu."""
+
+    def __init__(self):
+        self.splu_calls = 0
+
+    def splu(self, *args, **kwargs):
+        self.splu_calls += 1
+        return spla.splu(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+@pytest.mark.parametrize("k, per_level", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("algorithm", ["sp", "psp"])
+def test_one_scalar_factor_per_level(monkeypatch, square_meshes, algorithm,
+                                     k, per_level):
+    # Taylor-Hood factors the P_k stiffness once per level for all three
+    # solves; Mini factors its P1+bubble velocity and P1 Poisson spaces
+    counting = _CountingLinalg()
+    monkeypatch.setattr(biharm.solvers, "spla", counting)
+    if algorithm == "sp":
+        run_sp("square", fone, FORCE_INT_X, k, 3, meshes=square_meshes)
+    else:
+        run_psp("square", fone, k, 3, meshes=square_meshes)
+    assert counting.splu_calls == per_level * len(square_meshes)
 
 
 def test_force_shift_by_pressure_gradient(lshape_meshes):
