@@ -41,7 +41,6 @@ __all__ = [
     "rate_table",
     "manufactured_error",
     "infsup_diagnostic",
-    "write_reports_csv",
     "markdown_table",
 ]
 
@@ -239,23 +238,6 @@ def infsup_diagnostic(vspace, pspace):
     if nonzero.size == 0:
         return 0.0
     return math.sqrt(float(nonzero[0]))
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def write_reports_csv(reports, path):
-    """CSV rows `quantity,norm,level,diff,rate` for a list of reports."""
-    lines = ["quantity,norm,level,diff,rate"]
-    for rep in reports:
-        for lev, d, r in rep.rows():
-            dtxt = "" if d is None else f"{d:.6e}"
-            rtxt = "" if r is None else f"{r:.6f}"
-            lines.append(f"{rep.quantity},{rep.norm},{lev},{dtxt},{rtxt}")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
 
 
 def markdown_table(reports_by_kappa, title):

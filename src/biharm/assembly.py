@@ -29,8 +29,6 @@ __all__ = [
     "apply_dirichlet",
     "vector_boundary_dofs",
     "is_symmetric",
-    "write_matrix",
-    "read_matrix",
 ]
 
 
@@ -203,32 +201,3 @@ def is_symmetric(A, tol=1e-12):
     scale = abs(A).max() or 1.0
     return top < tol * scale
 
-
-# -- text format -------------------------------------------------------------
-
-
-def write_matrix(A, path):
-    """Coordinate text dump: `nrows ncols nnz` then `i j value`, 0-based."""
-    coo = sps.csr_matrix(A).tocoo()
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{i} {j} {float(v)!r}")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
-
-
-def read_matrix(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    nr, nc, nnz = (int(x) for x in lines[0].split())
-    if len(lines) - 1 != nnz:
-        raise ValueError("entry count does not match header")
-    rows, cols, vals = [], [], []
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        rows.append(int(i))
-        cols.append(int(j))
-        vals.append(float(v))
-    return sps.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsr()

@@ -20,13 +20,11 @@ import configparser
 import os
 import re
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import diff_norm, markdown_table, rate_table
-from .assembly import assemble_load, assemble_stokes_rhs_analytic
 from .corners import beta0, solve_alpha0
 from .meshing import (
     GradingRule,
@@ -35,16 +33,8 @@ from .meshing import (
     refine_hierarchy,
     write_mesh,
 )
-from .solvers import (
-    compare_runs,
-    run_psp,
-    run_sp,
-    solve_poisson,
-    solve_stokes,
-    stokes_spaces,
-)
+from .solvers import compare_runs, run_psp, run_sp
 from .sources import parse_F_spec, parse_f_spec
-from .spaces import build_space
 
 __all__ = [
     "ExperimentConfig",
@@ -56,7 +46,7 @@ __all__ = [
     "main",
 ]
 
-ALGORITHMS = ("sp", "psp", "stokes_only", "poisson_only")
+ALGORITHMS = ("sp", "psp")
 NORMS = ("L2", "H1", "Linf")
 BUILTIN_DOMAINS = ("square", "lshape", "convex_11pi12")
 
@@ -64,8 +54,6 @@ BUILTIN_DOMAINS = ("square", "lshape", "convex_11pi12")
 QUANTITIES = {
     "sp": ("phi", "u", "p"),
     "psp": ("w", "phi", "u", "p"),
-    "stokes_only": ("u", "p"),
-    "poisson_only": ("w",),
 }
 
 CONFIG_HELP = """\
@@ -73,7 +61,7 @@ Config file schema (INI, one [experiment] section):
 
   [experiment]
   domain    = square | lshape | convex_11pi12 | path to a mesh file
-  algorithm = sp | psp | stokes_only | poisson_only
+  algorithm = sp | psp
   k         = 1 | 2 | 3          velocity degree (1 = Mini, 2/3 = Taylor-Hood)
   levels    = J >= 3             finest refinement level
   kappas    = 0.5, 0.1           grading factors in (0, 1/2]; 0.5 = uniform
@@ -145,10 +133,6 @@ class ExperimentConfig:
                     f"F must be curl_w for algorithm psp, got {self.F!r}"
                 )
             return "curl_w"
-        if self.algorithm == "poisson_only":
-            if self.F:
-                raise ValueError("F does not apply to algorithm poisson_only")
-            return ""
         if self.F == "curl_w":
             raise ValueError("F = curl_w requires algorithm psp")
         return self.F or "int_x"
@@ -236,11 +220,17 @@ def parse_config(path):
 
 
 def _root_mesh(domain):
-    """Builtin level-0 mesh, or one read from a mesh file."""
+    """Builtin level-0 mesh, or one read from a mesh file.
+
+    A mesh file holds one level without its ancestry, so the study
+    roots at it as level 0 with no parents.
+    """
     if domain in BUILTIN_DOMAINS:
         return builtin_domain(domain)[1]
     if os.path.exists(domain):
-        return read_mesh(domain)
+        mesh = read_mesh(domain)
+        return replace(
+            mesh, level=0, parent=np.full(len(mesh.triangles), -1))
     raise ValueError(
         f"domain must be one of {', '.join(BUILTIN_DOMAINS)} or a mesh "
         f"file path, got {domain!r}"
@@ -252,53 +242,9 @@ def _hierarchy(config, root, kappa):
     return refine_hierarchy(root, config.levels, rules)
 
 
-def _records_from_run(run):
-    records = []
-    for rec in run.records:
-        fields_ = {"phi": rec.phi, "u": rec.u, "p": rec.p}
-        if rec.w is not None:
-            fields_["w"] = rec.w
-        records.append({"level": rec.level, "fields": fields_,
-                        "seconds": rec.seconds})
-    return records
-
-
 def _run_column(config, root, kappa):
-    """All levels of one kappa column; returns per-level field records."""
-    meshes = _hierarchy(config, root, kappa)
-    if config.algorithm == "sp":
-        source = parse_F_spec(root.domain, config.f, config.F)
-        return _records_from_run(
-            run_sp(root.domain, None, source, config.k, config.levels,
-                   meshes=meshes))
-    if config.algorithm == "psp":
-        load = parse_f_spec(config.f)
-        return _records_from_run(
-            run_psp(root.domain, load, config.k, config.levels,
-                    meshes=meshes))
-    if config.algorithm == "stokes_only":
-        source = parse_F_spec(root.domain, config.f, config.F)
-        records = []
-        for mesh in meshes:
-            vspace, pspace = stokes_spaces(mesh, config.k)
-            start = time.perf_counter()
-            rhs = assemble_stokes_rhs_analytic(vspace, source.F)
-            sol = solve_stokes(vspace, pspace, rhs)
-            seconds = {"stokes": time.perf_counter() - start}
-            records.append({"level": mesh.level,
-                            "fields": {"u": sol.u, "p": sol.p},
-                            "seconds": seconds})
-        return records
-    load = parse_f_spec(config.f)
-    records = []
-    for mesh in meshes:
-        space = build_space(mesh, config.k)
-        start = time.perf_counter()
-        w = solve_poisson(space, assemble_load(space, load))
-        seconds = {"poisson_w": time.perf_counter() - start}
-        records.append({"level": mesh.level, "fields": {"w": w},
-                        "seconds": seconds})
-    return records
+    """All levels of one kappa column; returns its LevelRecords."""
+    return _full_run(config, root, _hierarchy(config, root, kappa)).records
 
 
 # Failures confined to one kappa column: numerical breakdown or running
@@ -348,6 +294,9 @@ def run_experiment(config, jobs=None):
                        for kappa in config.kappas}
             outcomes = {kappa: _outcome(fut) for kappa, fut in futures.items()}
     else:
+        # one column, or jobs=1, runs on the calling thread: in a
+        # one-worker pool the level-7 kite column peaked 17-25% higher
+        # in RSS
         outcomes = {}
         for kappa in config.kappas:
             try:
@@ -357,7 +306,7 @@ def run_experiment(config, jobs=None):
     for kappa, (ok, value) in outcomes.items():
         if ok:
             columns[kappa] = value
-            timings[kappa] = [rec["seconds"] for rec in value]
+            timings[kappa] = [rec.seconds for rec in value]
         else:
             failures[kappa] = value
 
@@ -369,10 +318,10 @@ def run_experiment(config, jobs=None):
                 if kappa not in columns:
                     continue
                 records = columns[kappa]
-                levels = [rec["level"] for rec in records[1:]]
+                levels = [rec.level for rec in records[1:]]
                 diffs = [
-                    diff_norm(records[i]["fields"][quantity],
-                              records[i - 1]["fields"][quantity], norm)
+                    diff_norm(getattr(records[i], quantity),
+                              getattr(records[i - 1], quantity), norm)
                     for i in range(1, len(records))
                 ]
                 by_kappa[kappa] = rate_table(quantity, norm, levels, diffs)
@@ -470,22 +419,15 @@ def run_comparison(config_a, config_b, out=None):
     """Level-by-level solution differences between two pipelines.
 
     The configs must agree except possibly in ``algorithm`` and ``F``
-    (and ``out``); both must run a full chain (sp or psp).  Each kappa
-    column shares one mesh hierarchy between the two runs.  Artifacts
-    (comparison.csv, comparison.md) go to ``out`` or config_a's out
-    directory; pass out="" to skip writing.
+    (and ``out``).  Each kappa column shares one mesh hierarchy between
+    the two runs.  Artifacts (comparison.csv, comparison.md) go to
+    ``out`` or config_a's out directory; pass out="" to skip writing.
     """
     for name in ("domain", "k", "levels", "kappas", "f", "norms", "seed"):
         va, vb = getattr(config_a, name), getattr(config_b, name)
         if va != vb:
             raise ValueError(
                 f"configs must agree on {name}: {va!r} != {vb!r}"
-            )
-    for config in (config_a, config_b):
-        if config.algorithm not in ("sp", "psp"):
-            raise ValueError(
-                "comparison requires algorithm sp or psp, got "
-                f"{config.algorithm!r}"
             )
     root = _root_mesh(config_a.domain)
     rows, failures = {}, {}
@@ -509,12 +451,11 @@ def run_comparison(config_a, config_b, out=None):
 
 
 def _full_run(config, root, meshes):
+    """The configured chain (sp or psp) on one mesh hierarchy."""
     if config.algorithm == "sp":
         source = parse_F_spec(root.domain, config.f, config.F)
-        return run_sp(root.domain, None, source, config.k, config.levels,
-                      meshes=meshes)
-    return run_psp(root.domain, parse_f_spec(config.f), config.k,
-                   config.levels, meshes=meshes)
+        return run_sp(meshes, source.f, source.F, config.k)
+    return run_psp(meshes, parse_f_spec(config.f), config.k)
 
 
 def _write_comparison(config_a, config_b, rows, failures, out):

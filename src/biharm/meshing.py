@@ -150,11 +150,6 @@ class Mesh:
             )
         return self._boundary_edges
 
-    @property
-    def boundary_points(self):
-        idx = sorted({i for e in self.boundary_edges for i in e})
-        return np.asarray(idx, dtype=np.int64)
-
     def children_of(self, t):
         """Triangle indices on this mesh whose parent is t (one level up)."""
         if self._children is None:

@@ -36,7 +36,7 @@ from .assembly import (
     assemble_stokes_rhs_discrete_curl,
     vector_boundary_dofs,
 )
-from .meshing import builtin_domain, quasi_random_interior, refine_hierarchy
+from .meshing import quasi_random_interior
 from .spaces import Field, build_space
 
 __all__ = [
@@ -85,10 +85,6 @@ class BiharmonicRun:
                 return rec
         raise KeyError(f"no record for level {level}")
 
-    @property
-    def meshes(self):
-        return [rec.phi.space.mesh for rec in self.records]
-
 
 def _ones(x, y):
     return np.ones_like(np.asarray(x, dtype=float))
@@ -98,6 +94,9 @@ def _factor(a, **options):
     """Sparse LU; SuperLU rejects an exactly zero pivot itself."""
     try:
         return spla.splu(a, **options)
+    except SystemError as exc:
+        # seen when SuperLU ran out of L/U storage ("Can't expand MemType 0")
+        raise MemoryError(f"sparse factorization failed ({exc})") from exc
     except RuntimeError as exc:
         diag = a.diagonal()
         idx = int(np.argmin(np.abs(diag)))
@@ -242,12 +241,6 @@ def solve_poisson(space, rhs, factor=None):
     return Field(space, 1, x)
 
 
-def _as_level0(domain):
-    if isinstance(domain, str):
-        return builtin_domain(domain)[1]
-    return domain
-
-
 @contextlib.contextmanager
 def _level_context(level):
     try:
@@ -284,17 +277,6 @@ def validate_curl(domain, f, F, n=100):
     return resid
 
 
-def _source_f(source):
-    return source.f if hasattr(source, "f") else source
-
-
-def _source_force(force):
-    if hasattr(force, "F"):
-        return force.F
-    f1, f2 = force
-    return f1, f2
-
-
 def _poisson_space(vspace, k):
     """The level's P_k space: the velocity space itself unless Mini."""
     if vspace.kind == "lagrange":
@@ -302,21 +284,14 @@ def _poisson_space(vspace, k):
     return build_space(vspace.mesh, k)
 
 
-def run_sp(domain, f, F, k, levels, rules=None, meshes=None, validate=True):
-    """Stokes-Poisson pipeline on a graded hierarchy.
+def run_sp(meshes, f, F, k):
+    """Stokes-Poisson pipeline on a nested mesh hierarchy.
 
-    ``F`` is the analytic Stokes body force (a pair of callables or an
-    AnalyticSource) with curl F = f; the identity is checked at
-    quasi-random interior points unless ``validate`` is off or f is
-    omitted.
+    ``F`` is the analytic Stokes body force, a pair of callables with
+    curl F = f; the identity is checked at quasi-random interior points
+    before any level is solved.
     """
-    if meshes is None:
-        meshes = refine_hierarchy(_as_level0(domain), levels, rules)
-    force = _source_force(F)
-    if f is None and hasattr(F, "f"):
-        f = F.f
-    if validate and f is not None:
-        validate_curl(meshes[0].domain, f, force)
+    validate_curl(meshes[0].domain, f, F)
     records = []
     for mesh in meshes:
         vspace, pspace = stokes_spaces(mesh, k)
@@ -325,7 +300,7 @@ def run_sp(domain, f, F, k, levels, rules=None, meshes=None, validate=True):
         with _level_context(mesh.level):
             t0 = time.perf_counter()
             factor = stiffness_factor(vspace)
-            rhs = assemble_stokes_rhs_analytic(vspace, force)
+            rhs = assemble_stokes_rhs_analytic(vspace, F)
             sol = solve_stokes(vspace, pspace, rhs, factor)
             seconds["stokes"] = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -342,15 +317,11 @@ def run_sp(domain, f, F, k, levels, rules=None, meshes=None, validate=True):
     return BiharmonicRun("sp", k, records)
 
 
-def run_psp(domain, f, k, levels, rules=None, meshes=None):
-    """Poisson-Stokes-Poisson pipeline on a graded hierarchy.
+def run_psp(meshes, f, k):
+    """Poisson-Stokes-Poisson pipeline on a nested mesh hierarchy.
 
-    ``f`` supplies the biharmonic load: a callable f(x, y) or an
-    AnalyticSource (its ``f`` is used).
+    ``f(x, y)`` is the biharmonic load.
     """
-    if meshes is None:
-        meshes = refine_hierarchy(_as_level0(domain), levels, rules)
-    load = _source_f(f)
     records = []
     for mesh in meshes:
         vspace, pspace = stokes_spaces(mesh, k)
@@ -359,7 +330,7 @@ def run_psp(domain, f, k, levels, rules=None, meshes=None):
         with _level_context(mesh.level):
             t0 = time.perf_counter()
             sfactor = stiffness_factor(sspace)
-            w = solve_poisson(sspace, assemble_load(sspace, load), sfactor)
+            w = solve_poisson(sspace, assemble_load(sspace, f), sfactor)
             seconds["poisson_w"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             vfactor = (sfactor if sspace is vspace

@@ -22,8 +22,6 @@ __all__ = [
     "evaluate",
     "gradient",
     "prolongate",
-    "write_field",
-    "read_field",
 ]
 
 _D_LAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # d lambda_i / d ref
@@ -373,30 +371,3 @@ def prolongate(coarse, fine_space):
         blocks.append(vals)
     return Field(fine_space, coarse.components, np.concatenate(blocks))
 
-
-# -- text format ------------------------------------------------------------
-
-
-def write_field(field, path):
-    kind = field.space.kind
-    lines = [f"field {field.space.ndof} {field.components} {field.space.degree} {kind}"]
-    lines += [repr(float(c)) for c in field.coefficients]
-    text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
-
-
-def read_field(path, space):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "field" or len(head) != 5:
-        raise ValueError("missing 'field <ndof> <components> <degree> <kind>' header")
-    ndof, comps, degree, kind = int(head[1]), int(head[2]), int(head[3]), head[4]
-    if ndof != space.ndof or degree != space.degree or kind != space.kind:
-        raise ValueError("field header does not match the target space")
-    coeffs = np.array([float(x) for x in lines[1:]])
-    if len(coeffs) != comps * ndof:
-        raise ValueError("coefficient count does not match header")
-    return Field(space, comps, coeffs)

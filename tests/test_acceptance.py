@@ -91,11 +91,11 @@ def _rates(domain, algorithm, k, kappa, levels):
     if key not in _REPORTS:
         meshes = _meshes(domain, kappa, levels)
         if algorithm == "sp":
-            run = run_sp(domain, None, _unit_source(meshes[0].domain), k,
-                         levels, meshes=meshes)
+            source = _unit_source(meshes[0].domain)
+            run = run_sp(meshes, source.f, source.F, k)
         else:
             f, _, _ = constant_load(1.0)
-            run = run_psp(domain, f, k, levels, meshes=meshes)
+            run = run_psp(meshes, f, k)
         _REPORTS[key] = _reports_from_run(run)
     return _REPORTS[key]
 
@@ -322,13 +322,13 @@ def test_criterion_09_force_representation_independence():
            lambda x, y: np.asarray(x, dtype=float)
            + 0.0 * np.asarray(y, dtype=float)))
 
-    run_x = run_sp("lshape", None, source_x, 2, 6, meshes=meshes)
-    run_shift = run_sp("lshape", None, shifted, 2, 4, meshes=meshes[:5])
+    run_x = run_sp(meshes, source_x.f, source_x.F, 2)
+    run_shift = run_sp(meshes[:5], shifted.f, shifted.F, 2)
     coeff_gap = max(
         float(np.max(np.abs(a.u.coefficients - b.u.coefficients)))
         for a, b in zip(run_x.records, run_shift.records))
 
-    run_y = run_sp("lshape", None, source_y, 2, 6, meshes=meshes)
+    run_y = run_sp(meshes, source_y.f, source_y.F, 2)
     l2 = [diff_norm(a.u, b.u, "L2")
           for a, b in zip(run_x.records, run_y.records)]
     ratios = [l2[i - 1] / l2[i] for i in range(1, len(l2))]
@@ -357,7 +357,7 @@ def test_criterion_10_manufactured_solution_oracle():
     meshes = _meshes("square", 0.5, 6)
     source = build_F_integral(meshes[0].domain, f_num, "integral_x",
                               antiderivative_x=g_num)
-    run = run_sp("square", None, source, 2, 6, meshes=meshes)
+    run = run_sp(meshes, source.f, source.F, 2)
     errors = [
         manufactured_error(run.record(j).phi, exact, "H1",
                            exact_grad=lambda x, y: (dx_num(x, y),

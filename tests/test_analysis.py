@@ -15,7 +15,6 @@ from biharm.analysis import (
     manufactured_error,
     markdown_table,
     rate_table,
-    write_reports_csv,
 )
 from biharm.assembly import assemble_load
 from biharm.meshing import builtin_domain, refine_hierarchy
@@ -292,26 +291,6 @@ def test_infsup_rejects_large_problems():
     mesh = refine_hierarchy(builtin_domain("square")[1], 5)[-1]
     with pytest.raises(ValueError, match="large"):
         infsup_diagnostic(build_space(mesh, 2), build_space(mesh, 1))
-
-
-# -- report serialization -----------------------------------------------------
-
-
-def test_reports_csv_golden(tmp_path):
-    reports = [
-        ConvergenceReport("phi", "H1", [1, 2, 3], [0.4, 0.1, 0.025],
-                          [None, 2.0, 2.0]),
-        ConvergenceReport("u", "L2", [1, 2], [0.5, None], [None, None]),
-    ]
-    path = tmp_path / "rates.csv"
-    text = write_reports_csv(reports, path)
-    assert path.read_text() == text
-    lines = text.strip().split("\n")
-    assert lines[0] == "quantity,norm,level,diff,rate"
-    assert lines[1] == "phi,H1,1,4.000000e-01,"
-    assert lines[2] == "phi,H1,2,1.000000e-01,2.000000"
-    assert lines[5] == "u,L2,2,,"
-    assert write_reports_csv(reports, path) == text  # byte-stable
 
 
 def test_markdown_table_layout():

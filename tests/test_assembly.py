@@ -257,30 +257,6 @@ def test_single_interior_dof_system():
     assert x[i] == pytest.approx(b2[i] / a.toarray()[i, i], rel=1e-14)
 
 
-# -- matrix dump --------------------------------------------------------------------
-
-
-def test_matrix_roundtrip(tmp_path):
-    _, m0 = msh.builtin_domain("lshape")
-    space = sp.build_space(m0, 2)
-    a = asm.assemble_stiffness(space)
-    p = tmp_path / "a.txt"
-    text = asm.write_matrix(a, p)
-    first = text.splitlines()[0].split()
-    assert [int(first[0]), int(first[1])] == [space.ndof, space.ndof]
-    assert int(first[2]) == a.nnz
-    back = asm.read_matrix(p)
-    assert abs(a - back).max() == 0.0
-    assert asm.write_matrix(back, tmp_path / "b.txt") == text
-
-
-def test_matrix_read_validates(tmp_path):
-    p = tmp_path / "m.txt"
-    p.write_text("2 2 3\n0 0 1.0\n")
-    with pytest.raises(ValueError, match="count"):
-        asm.read_matrix(p)
-
-
 # -- element kernels -----------------------------------------------------------------
 
 

@@ -1,12 +1,16 @@
 """Config parsing, experiment orchestration, artifacts, and the CLI."""
 
+import glob
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import biharm.cli as cli
+import biharm.solvers
 from biharm.cli import (
     ExperimentConfig,
     main,
@@ -17,6 +21,8 @@ from biharm.cli import (
 )
 
 COMPARE_NAMES = ("phi_h1", "phi_l2", "u_h1", "u_l2", "p_l2")
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "experiments")
 
 
 def write_config(path, **keys):
@@ -27,7 +33,7 @@ def write_config(path, **keys):
 
 
 def tiny_config(**overrides):
-    base = dict(domain="square", algorithm="poisson_only", k=1, levels=3,
+    base = dict(domain="square", algorithm="psp", k=1, levels=3,
                 out="")
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -49,7 +55,8 @@ def tiny_config(**overrides):
     (dict(domain=""), "domain"),
     (dict(algorithm="sp", F="curl_w"), "curl_w"),
     (dict(algorithm="psp", F="int_x"), "psp"),
-    (dict(algorithm="poisson_only", F="int_x"), "poisson_only"),
+    (dict(algorithm="poisson_only"), "poisson_only"),
+    (dict(algorithm="stokes_only"), "stokes_only"),
 ])
 def test_config_rejects_bad_fields(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -59,16 +66,12 @@ def test_config_rejects_bad_fields(overrides, fragment):
 def test_config_force_defaults_follow_algorithm():
     assert tiny_config(algorithm="psp").F == "curl_w"
     assert tiny_config(algorithm="sp").F == "int_x"
-    assert tiny_config(algorithm="stokes_only").F == "int_x"
-    assert tiny_config(algorithm="poisson_only").F == ""
     assert tiny_config(algorithm="sp", F="blend:0.3").F == "blend:0.3"
 
 
 def test_config_quantities_per_algorithm():
     assert tiny_config(algorithm="sp").quantities == ("phi", "u", "p")
     assert tiny_config(algorithm="psp").quantities == ("w", "phi", "u", "p")
-    assert tiny_config(algorithm="stokes_only").quantities == ("u", "p")
-    assert tiny_config(algorithm="poisson_only").quantities == ("w",)
 
 
 # -- parse_config -------------------------------------------------------------
@@ -110,6 +113,13 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(EXPERIMENTS, "*.ini"))), ids=os.path.basename)
+def test_checked_in_experiments_parse(path):
+    config = parse_config(path)
+    assert config.algorithm in cli.ALGORITHMS
+
+
 # -- run_experiment -----------------------------------------------------------
 
 
@@ -117,7 +127,9 @@ def test_run_experiment_poisson_reports_and_timings():
     config = tiny_config(norms=("H1", "L2"))
     result = run_experiment(config)
     assert result.paths == [] and result.failures == {}
-    assert set(result.reports) == {("w", "H1"), ("w", "L2")}
+    assert set(result.reports) == {(quantity, norm)
+                                   for quantity in ("w", "phi", "u", "p")
+                                   for norm in ("H1", "L2")}
     for norm, window in (("H1", (0.5, 1.5)), ("L2", (1.5, 2.5))):
         report = result.reports[("w", norm)][0.5]
         rows = list(report.rows())
@@ -126,7 +138,8 @@ def test_run_experiment_poisson_reports_and_timings():
         assert window[0] < rows[-1][2] < window[1]
     steps = result.timings[0.5]
     assert len(steps) == config.levels + 1
-    assert all(set(step) == {"poisson_w"} for step in steps)
+    assert all(set(step) == {"poisson_w", "stokes", "poisson_phi"}
+               for step in steps)
 
 
 @pytest.mark.parametrize(
@@ -151,6 +164,43 @@ def test_run_experiment_isolates_failed_kappa_columns(monkeypatch, jobs,
     assert set(result.timings) == {0.5}
 
 
+@pytest.mark.parametrize("kappas,jobs", [((0.5,), None), ((0.5, 0.25), 1)])
+def test_serial_studies_run_columns_on_calling_thread(monkeypatch, kappas,
+                                                      jobs):
+    real = cli._run_column
+    threads = []
+
+    def recording(config, root, kappa):
+        threads.append(threading.get_ident())
+        return real(config, root, kappa)
+
+    monkeypatch.setattr(cli, "_run_column", recording)
+    result = run_experiment(tiny_config(kappas=kappas), jobs=jobs)
+    assert result.failures == {}
+    assert threads == [threading.get_ident()] * len(kappas)
+
+
+class _OutOfMemoryLinalg:
+    """scipy.sparse.linalg whose splu fails as SuperLU does out of memory."""
+
+    def splu(self, *args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_superlu_out_of_memory_is_isolated_per_column(monkeypatch, jobs):
+    monkeypatch.setattr(biharm.solvers, "spla", _OutOfMemoryLinalg())
+    with pytest.raises(MemoryError, match="gstrf") as info:
+        biharm.solvers.SpdFactor(np.eye(3))
+    assert isinstance(info.value.__cause__, SystemError)
+    result = run_experiment(tiny_config(kappas=(0.5, 0.25)), jobs=jobs)
+    assert set(result.failures) == {0.5, 0.25}
+    assert all("gstrf" in message for message in result.failures.values())
+
+
 def test_run_experiment_propagates_bad_input(monkeypatch):
     def broken(config, root, kappa):
         raise ValueError("bad input")
@@ -161,18 +211,18 @@ def test_run_experiment_propagates_bad_input(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def stokes_artifacts(tmp_path_factory):
-    out = tmp_path_factory.mktemp("stokes") / "run1"
-    config = tiny_config(algorithm="stokes_only", kappas=(0.5, 0.25),
+def sp_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sp") / "run1"
+    config = tiny_config(algorithm="sp", kappas=(0.5, 0.25),
                          out=str(out))
     return config, run_experiment(config)
 
 
-def test_artifact_files_and_rate_csv_schema(stokes_artifacts):
-    config, result = stokes_artifacts
+def test_artifact_files_and_rate_csv_schema(sp_artifacts):
+    config, result = sp_artifacts
     names = sorted(os.path.basename(path) for path in result.paths)
-    assert names == ["rates_p.csv", "rates_u.csv", "summary.csv",
-                     "tables.md", "timing.csv"]
+    assert names == ["rates_p.csv", "rates_phi.csv", "rates_u.csv",
+                     "summary.csv", "tables.md", "timing.csv"]
     lines = open(os.path.join(config.out, "rates_u.csv")).read().splitlines()
     assert lines[0] == "quantity,norm,kappa,level,diff,rate"
     # 2 norms x 2 kappas x levels 1..3
@@ -183,30 +233,31 @@ def test_artifact_files_and_rate_csv_schema(stokes_artifacts):
     assert first[5] == ""  # no rate at the first refinement
 
 
-def test_rate_csvs_are_deterministic(stokes_artifacts, tmp_path):
-    config, _ = stokes_artifacts
-    rerun = tiny_config(algorithm="stokes_only", kappas=(0.5, 0.25),
+def test_rate_csvs_are_deterministic(sp_artifacts, tmp_path):
+    config, _ = sp_artifacts
+    rerun = tiny_config(algorithm="sp", kappas=(0.5, 0.25),
                         out=str(tmp_path / "run2"))
     run_experiment(rerun)
-    for name in ("rates_u.csv", "rates_p.csv"):
+    for name in ("rates_phi.csv", "rates_u.csv", "rates_p.csv"):
         first = open(os.path.join(config.out, name), "rb").read()
         second = open(os.path.join(rerun.out, name), "rb").read()
         assert first == second
 
 
-def test_summary_and_timing_schemas(stokes_artifacts):
-    config, _ = stokes_artifacts
+def test_summary_and_timing_schemas(sp_artifacts):
+    config, _ = sp_artifacts
     lines = open(os.path.join(config.out, "summary.csv")).read().splitlines()
     assert lines[0] == "quantity,norm,kappa,level,diff,rate,seconds"
-    # summary repeats the rate rows for both quantities, plus seconds
-    assert len(lines) == 1 + 2 * 2 * 2 * 3
+    # summary repeats the rate rows for all three quantities, plus seconds
+    assert len(lines) == 1 + 3 * 2 * 2 * 3
     assert all(float(line.split(",")[6]) >= 0.0 for line in lines[1:])
 
     lines = open(os.path.join(config.out, "timing.csv")).read().splitlines()
     assert lines[0] == "kappa,level,step,seconds"
-    # one stokes step per level (0..3) per kappa
-    assert len(lines) == 1 + 2 * (config.levels + 1)
-    assert {line.split(",")[2] for line in lines[1:]} == {"stokes"}
+    # stokes and poisson_phi steps per level (0..3) per kappa
+    assert len(lines) == 1 + 2 * 2 * (config.levels + 1)
+    assert ({line.split(",")[2] for line in lines[1:]}
+            == {"stokes", "poisson_phi"})
 
 
 def test_tables_markdown_lists_skipped_columns(monkeypatch, tmp_path):
@@ -232,7 +283,8 @@ def test_comparison_rejects_mismatched_and_partial_configs():
     a = tiny_config(algorithm="sp")
     with pytest.raises(ValueError, match="configs must agree on domain"):
         run_comparison(a, tiny_config(algorithm="sp", domain="lshape"))
-    with pytest.raises(ValueError, match="sp or psp"):
+    # a chain that stops short of phi is no config at all
+    with pytest.raises(ValueError, match="algorithm"):
         run_comparison(a, tiny_config(algorithm="stokes_only"))
 
 
@@ -281,6 +333,22 @@ def test_comparison_psp_vs_sp_writes_artifacts(tmp_path):
     assert (out / "comparison.md").exists()
 
 
+def test_study_rooted_on_a_written_mesh_file(tmp_path, capsys):
+    # the file holds a level-2 mesh; the study counts its levels from it
+    path = tmp_path / "lshape.mesh"
+    assert main(["mesh", "--domain", "lshape", "--levels", "2",
+                 "--kappa", "0.3", "--out", str(path)]) == 0
+    config = tiny_config(domain=str(path), algorithm="sp",
+                         out=str(tmp_path / "run"))
+    result = run_experiment(config)
+    assert result.failures == {}
+    assert result.reports[("phi", "H1")][0.5].levels == [1, 2, 3]
+    assert os.path.exists(os.path.join(config.out, "summary.csv"))
+    result = run_comparison(tiny_config(domain=str(path), algorithm="psp"),
+                            tiny_config(domain=str(path), algorithm="sp"))
+    assert [level for level, _ in result.rows[0.5]] == [1, 2, 3]
+
+
 # -- parse_omega --------------------------------------------------------------
 
 
@@ -322,7 +390,7 @@ def test_cli_mesh_writes_file(tmp_path, capsys):
 
 def test_cli_run_with_out_override(tmp_path, capsys):
     config = write_config(tmp_path / "tiny.ini", domain="square",
-                          algorithm="poisson_only", k=1, levels=3)
+                          algorithm="psp", k=1, levels=3)
     out = tmp_path / "elsewhere"
     assert main(["run", config, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out

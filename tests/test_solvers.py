@@ -226,9 +226,9 @@ def test_one_scalar_factor_per_level(monkeypatch, square_meshes, algorithm,
     counting = _CountingLinalg()
     monkeypatch.setattr(biharm.solvers, "spla", counting)
     if algorithm == "sp":
-        run_sp("square", fone, FORCE_INT_X, k, 3, meshes=square_meshes)
+        run_sp(square_meshes, fone, FORCE_INT_X, k)
     else:
-        run_psp("square", fone, k, 3, meshes=square_meshes)
+        run_psp(square_meshes, fone, k)
     assert counting.splu_calls == per_level * len(square_meshes)
 
 
@@ -252,27 +252,28 @@ def test_force_shift_by_pressure_gradient(lshape_meshes):
 
 
 def test_run_sp_zero_force(square_meshes):
-    run = run_sp("square", fzero, (fzero, fzero), 2, 2, meshes=square_meshes[:3])
+    run = run_sp(square_meshes[:3], fzero, (fzero, fzero), 2)
     for rec in run.records:
         assert np.max(np.abs(rec.phi.coefficients)) == 0.0
         assert np.max(np.abs(rec.u.coefficients)) == 0.0
 
 
 def test_run_psp_zero_load(square_meshes):
-    run = run_psp("square", fzero, 2, 2, meshes=square_meshes[:3])
+    run = run_psp(square_meshes[:3], fzero, 2)
     for rec in run.records:
         assert np.max(np.abs(rec.w.coefficients)) == 0.0
         assert np.max(np.abs(rec.u.coefficients)) == 0.0
         assert np.max(np.abs(rec.phi.coefficients)) == 0.0
 
 
-def test_run_sp_rejects_inconsistent_force():
+def test_run_sp_rejects_inconsistent_force(square_meshes):
     with pytest.raises(ValueError, match="curl"):
-        run_sp("square", fone, (fzero, lambda x, y: 2 * fx(x, y)), 2, 1)
+        run_sp(square_meshes[:2], fone, (fzero, lambda x, y: 2 * fx(x, y)),
+               2)
 
 
 def test_run_records_structure(square_meshes):
-    run = run_psp("square", fone, 2, 3, meshes=square_meshes)
+    run = run_psp(square_meshes, fone, 2)
     assert run.algorithm == "psp" and run.k == 2
     assert [rec.level for rec in run.records] == [0, 1, 2, 3]
     for rec in run.records:
@@ -281,25 +282,25 @@ def test_run_records_structure(square_meshes):
         sspace = rec.phi.space
         assert np.all(rec.phi.coefficients[sspace.boundary_dofs] == 0.0)
     # strictly nested hierarchy: each mesh points back to the previous
-    meshes = run.meshes
+    meshes = [rec.phi.space.mesh for rec in run.records]
     for coarse, fine in zip(meshes, meshes[1:]):
         assert fine.coarser is coarse
-    run2 = run_sp("square", fone, FORCE_INT_X, 2, 1)
+    run2 = run_sp(square_meshes[:2], fone, FORCE_INT_X, 2)
     assert set(run2.records[0].seconds) == {"stokes", "poisson_phi"}
     assert run2.records[0].w is None
 
 
-def test_solver_error_carries_level(monkeypatch):
+def test_solver_error_carries_level(monkeypatch, square_meshes):
     def boom(*args, **kwargs):
         raise ArithmeticError("synthetic failure")
 
     monkeypatch.setattr(biharm.solvers, "solve_stokes", boom)
     with pytest.raises(ArithmeticError, match="level 0"):
-        run_sp("square", fone, FORCE_INT_X, 2, 1)
+        run_sp(square_meshes[:2], fone, FORCE_INT_X, 2)
 
 
 def test_galerkin_orthogonality_of_poisson_steps(square_meshes):
-    run = run_psp("square", fone, 2, 2, meshes=square_meshes[:3])
+    run = run_psp(square_meshes[:3], fone, 2)
     rec = run.records[-1]
     sspace = rec.phi.space
     a = assemble_stiffness(sspace)
@@ -310,7 +311,7 @@ def test_galerkin_orthogonality_of_poisson_steps(square_meshes):
 
 
 def test_pressure_mean_zero_at_every_level(square_meshes):
-    run = run_psp("square", fone, 2, 3, meshes=square_meshes)
+    run = run_psp(square_meshes, fone, 2)
     for rec in run.records:
         pspace = rec.p.space
         mass_p = assemble_mass(pspace)
@@ -324,8 +325,8 @@ def test_square_symmetry_under_coordinate_swap(square_meshes, k):
     # f = 1 is invariant under (x, y) -> (y, x); so is the mesh, so the
     # discrete stream function must be symmetric to solver accuracy
     runs = [
-        run_psp("square", fone, k, 3, meshes=square_meshes),
-        run_sp("square", fone, FORCE_BLEND, k, 3, meshes=square_meshes),
+        run_psp(square_meshes, fone, k),
+        run_sp(square_meshes, fone, FORCE_BLEND, k),
     ]
     for run in runs:
         rec = run.records[-1]
@@ -341,17 +342,17 @@ def test_square_symmetry_under_coordinate_swap(square_meshes, k):
 
 
 def test_compare_run_with_itself_is_zero(square_meshes):
-    run = run_sp("square", fone, FORCE_INT_X, 2, 2, meshes=square_meshes[:3])
+    run = run_sp(square_meshes[:3], fone, FORCE_INT_X, 2)
     d = compare_runs(run, run, 2)
     assert all(v == 0.0 for v in d.values())
 
 
-def test_compare_runs_requires_matching_setup(square_meshes):
-    run1 = run_sp("square", fone, FORCE_INT_X, 2, 2, meshes=square_meshes[:3])
-    run3 = run_sp("square", fone, FORCE_INT_X, 3, 2, meshes=square_meshes[:3])
+def test_compare_runs_requires_matching_setup(square_meshes, lshape_meshes):
+    run1 = run_sp(square_meshes[:3], fone, FORCE_INT_X, 2)
+    run3 = run_sp(square_meshes[:3], fone, FORCE_INT_X, 3)
     with pytest.raises(ValueError, match="order"):
         compare_runs(run1, run3, 2)
-    other = run_sp("lshape", fone, FORCE_INT_X, 2, 2)
+    other = run_sp(lshape_meshes[:3], fone, FORCE_INT_X, 2)
     with pytest.raises(ValueError, match="mesh"):
         compare_runs(run1, other, 2)
     with pytest.raises(KeyError):
@@ -359,8 +360,8 @@ def test_compare_runs_requires_matching_setup(square_meshes):
 
 
 def test_sp_vs_psp_differences_shrink(square_meshes):
-    run_a = run_sp("square", fone, FORCE_INT_X, 2, 3, meshes=square_meshes)
-    run_b = run_psp("square", fone, 2, 3, meshes=square_meshes)
+    run_a = run_sp(square_meshes, fone, FORCE_INT_X, 2)
+    run_b = run_psp(square_meshes, fone, 2)
     diffs = [compare_runs(run_a, run_b, lev)["phi_h1"] for lev in (1, 2, 3)]
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] < 1e-4
@@ -370,8 +371,8 @@ def test_force_construction_independence_properties(square_meshes):
     # int_x vs int_y forces differ by grad(xy); the velocity gap is pure
     # discretization error and shrinks fast, while the pressure gap
     # converges to ||xy - mean(xy)|| = 2/3, a constant
-    run_a = run_sp("square", fone, FORCE_INT_X, 2, 3, meshes=square_meshes)
-    run_b = run_sp("square", fone, FORCE_INT_Y, 2, 3, meshes=square_meshes)
+    run_a = run_sp(square_meshes, fone, FORCE_INT_X, 2)
+    run_b = run_sp(square_meshes, fone, FORCE_INT_Y, 2)
     d = [compare_runs(run_a, run_b, lev) for lev in (1, 2, 3)]
     assert d[0]["u_l2"] / d[1]["u_l2"] > 4.0
     assert d[1]["u_l2"] / d[2]["u_l2"] > 4.0
@@ -387,7 +388,7 @@ def test_validate_curl_accepts_blend():
 
 
 def test_mini_pipeline_on_graded_lshape(lshape_meshes):
-    run = run_sp("lshape", fone, FORCE_INT_X, 1, 2, meshes=lshape_meshes[:3])
+    run = run_sp(lshape_meshes[:3], fone, FORCE_INT_X, 1)
     rec = run.records[-1]
     assert rec.u.space.kind == "lagrange_bubble"
     assert rec.p.space.degree == 1

@@ -112,8 +112,8 @@ def test_anchor_independence_of_velocity(unit_load):
     src_a = build_F_integral("square", f, "integral_x", antiderivative_x=gx)
     src_b = build_F_integral("square", f, "integral_x", antiderivative_x=gx,
                              c1=0.5)
-    run_a = run_sp("square", f, src_a, 2, 2, meshes=meshes)
-    run_b = run_sp("square", f, src_b, 2, 2, meshes=meshes)
+    run_a = run_sp(meshes, f, src_a.F, 2)
+    run_b = run_sp(meshes, f, src_b.F, 2)
     rec_a, rec_b = run_a.records[-1], run_b.records[-1]
     assert np.max(np.abs(rec_a.u.coefficients - rec_b.u.coefficients)) < 1e-9
     assert compare_runs(run_a, run_b, 2)["u_h1"] < 1e-9

@@ -270,30 +270,3 @@ def test_mini_field_prolongates_with_bubble_evaluation():
     # largest sample: midpoint of a center-child edge, barycentric
     # (1/4, 1/2, 1/4) in the coarse triangle, bubble value 1/32
     assert np.max(np.abs(up.coefficients)) == pytest.approx(1.0 / 32.0, abs=1e-15)
-
-
-# -- text format --------------------------------------------------------------
-
-
-def test_field_roundtrip(tmp_path):
-    _, mesh = msh.builtin_domain("lshape")
-    space = sp.build_space(mesh, 2)
-    u = sp.interpolate_vector(space, lambda x, y: np.sin(x), lambda x, y: y**2)
-    p = tmp_path / "f.txt"
-    d1 = sp.write_field(u, p)
-    back = sp.read_field(p, space)
-    assert back.components == 2
-    assert np.array_equal(back.coefficients, u.coefficients)
-    assert sp.write_field(back, tmp_path / "g.txt") == d1
-
-
-def test_field_read_validates_header(tmp_path):
-    _, mesh = msh.builtin_domain("square")
-    space = sp.build_space(mesh, 1)
-    p = tmp_path / "f.txt"
-    p.write_text("field 5 1 2 lagrange\n" + "0.0\n" * 5)
-    with pytest.raises(ValueError, match="match"):
-        sp.read_field(p, space)
-    p.write_text("coeffs 5 1\n")
-    with pytest.raises(ValueError, match="header"):
-        sp.read_field(p, space)
