@@ -28,7 +28,6 @@ __all__ = [
     "assemble_curl_rhs",
     "apply_dirichlet",
     "vector_boundary_dofs",
-    "is_symmetric",
 ]
 
 
@@ -193,11 +192,3 @@ def apply_dirichlet(A, b, dofs):
 def vector_boundary_dofs(space):
     """Boundary DOFs of both components in component-major layout."""
     return np.concatenate([space.boundary_dofs, space.boundary_dofs + space.ndof])
-
-
-def is_symmetric(A, tol=1e-12):
-    d = abs(A - A.T)
-    top = d.max() if d.nnz else 0.0
-    scale = abs(A).max() or 1.0
-    return top < tol * scale
-

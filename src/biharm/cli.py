@@ -17,6 +17,7 @@ are confined to summary.csv and timing.csv, which vary between runs.
 import argparse
 import concurrent.futures
 import configparser
+import functools
 import os
 import re
 import sys
@@ -34,7 +35,6 @@ from .meshing import (
     write_mesh,
 )
 from .solvers import compare_runs, run_psp, run_sp
-from .sources import parse_F_spec, parse_f_spec
 
 __all__ = [
     "ExperimentConfig",
@@ -43,6 +43,8 @@ __all__ = [
     "parse_config",
     "run_experiment",
     "run_comparison",
+    "parse_f_spec",
+    "parse_F_spec",
     "main",
 ]
 
@@ -71,11 +73,58 @@ Config file schema (INI, one [experiment] section):
                                  (defaults: curl_w for psp, int_x otherwise)
   norms     = H1, L2, Linf       difference norms (default H1, L2)
   out       = <directory>        output directory (default <config>.out)
-  seed      = <integer>          recorded for randomized diagnostics
 
 Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
 (adds a seconds column), timing.csv (per pipeline step), tables.md.
 """
+
+
+def _spec_number(spec, arg, default):
+    if not arg:
+        return default
+    try:
+        return float(arg)
+    except ValueError:
+        raise ValueError(f"spec {spec!r} needs a number after ':'") from None
+
+
+def _load_value(spec):
+    kind, _, arg = spec.partition(":")
+    if kind != "const":
+        raise ValueError(f"unsupported load spec {spec!r}")
+    return _spec_number(spec, arg, 1.0)
+
+
+def parse_f_spec(spec):
+    """Load spec -> callable f(x, y).  Supported: ``const:<value>``."""
+    value = _load_value(spec)
+    return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
+
+
+def parse_F_spec(f_spec, F_spec):
+    """Force spec -> pair (F1, F2) with curl F = f, or None for ``curl_w``.
+
+    For the load f = c: ``int_x`` is (0, c x), ``int_y`` is (-c y, 0)
+    and ``blend:<eta>`` is eta * int_y + (1 - eta) * int_x, eta in [0, 1].
+    """
+    if F_spec == "curl_w":
+        return None
+    c = _load_value(f_spec)
+    cx = lambda x, y: c * np.asarray(x, dtype=float)
+    cy = lambda x, y: c * np.asarray(y, dtype=float)
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    if F_spec == "int_x":
+        return zero, cx
+    if F_spec == "int_y":
+        return (lambda x, y: -cy(x, y)), zero
+    kind, _, arg = F_spec.partition(":")
+    if kind != "blend":
+        raise ValueError(f"unsupported force spec {F_spec!r}")
+    eta = _spec_number(F_spec, arg, 0.5)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"blend weight in {F_spec!r} must lie in [0, 1]")
+    return (lambda x, y: -eta * cy(x, y),
+            lambda x, y: (1.0 - eta) * cx(x, y))
 
 
 @dataclass
@@ -91,7 +140,6 @@ class ExperimentConfig:
     F: str = ""
     norms: tuple = ("H1", "L2")
     out: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         if not self.domain or not isinstance(self.domain, str):
@@ -123,8 +171,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"norms must be drawn from {', '.join(NORMS)}, got {norm!r}"
                 )
+        parse_f_spec(self.f)
         self.F = self._resolve_force()
-        self.seed = int(self.seed)
+        parse_F_spec(self.f, self.F)
 
     def _resolve_force(self):
         if self.algorithm == "psp":
@@ -178,7 +227,7 @@ def parse_config(path):
         raise ValueError(f"{path}: missing [experiment] section")
     section = parser["experiment"]
     known = {"domain", "algorithm", "k", "levels", "kappas", "f", "F",
-             "norms", "out", "seed"}
+             "norms", "out"}
     unknown = sorted(key for key in section if key not in known)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
@@ -215,7 +264,6 @@ def parse_config(path):
         F=section.get("F", "").strip(),
         norms=tuple(_split_list(section.get("norms", "H1, L2"))),
         out=section.get("out", stem + ".out").strip(),
-        seed=integer("seed", 0),
     )
 
 
@@ -244,7 +292,7 @@ def _hierarchy(config, root, kappa):
 
 def _run_column(config, root, kappa):
     """All levels of one kappa column; returns its LevelRecords."""
-    return _full_run(config, root, _hierarchy(config, root, kappa)).records
+    return _full_run(config, _hierarchy(config, root, kappa)).records
 
 
 # Failures confined to one kappa column: numerical breakdown or running
@@ -255,6 +303,14 @@ _COLUMN_ERRORS = (ArithmeticError, MemoryError)
 
 def _column_failure(exc):
     return str(exc) or type(exc).__name__
+
+
+def _guarded_column(config, root, kappa):
+    """(True, records) of one kappa column, or (False, why it failed)."""
+    try:
+        return True, _run_column(config, root, kappa)
+    except _COLUMN_ERRORS as exc:
+        return False, _column_failure(exc)
 
 
 def _fmt_kappa(kappa):
@@ -287,23 +343,17 @@ def run_experiment(config, jobs=None):
     root = _root_mesh(config.domain)
     if jobs is None:
         jobs = min(len(config.kappas), os.cpu_count() or 1)
-    columns, failures, timings = {}, {}, {}
+    column = functools.partial(_guarded_column, config, root)
     if jobs > 1 and len(config.kappas) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {kappa: pool.submit(_run_column, config, root, kappa)
-                       for kappa in config.kappas}
-            outcomes = {kappa: _outcome(fut) for kappa, fut in futures.items()}
+            outcomes = list(pool.map(column, config.kappas))
     else:
         # one column, or jobs=1, runs on the calling thread: in a
         # one-worker pool the level-7 kite column peaked 17-25% higher
         # in RSS
-        outcomes = {}
-        for kappa in config.kappas:
-            try:
-                outcomes[kappa] = (True, _run_column(config, root, kappa))
-            except _COLUMN_ERRORS as exc:
-                outcomes[kappa] = (False, _column_failure(exc))
-    for kappa, (ok, value) in outcomes.items():
+        outcomes = [column(kappa) for kappa in config.kappas]
+    columns, failures, timings = {}, {}, {}
+    for kappa, (ok, value) in zip(config.kappas, outcomes):
         if ok:
             columns[kappa] = value
             timings[kappa] = [rec.seconds for rec in value]
@@ -331,13 +381,6 @@ def run_experiment(config, jobs=None):
     if config.out:
         paths = _write_artifacts(config, reports, timings, failures)
     return ExperimentResult(config, reports, timings, failures, paths)
-
-
-def _outcome(future):
-    try:
-        return True, future.result()
-    except _COLUMN_ERRORS as exc:
-        return False, _column_failure(exc)
 
 
 def _rate_rows(config, reports, quantity):
@@ -423,7 +466,7 @@ def run_comparison(config_a, config_b, out=None):
     the two runs.  Artifacts (comparison.csv, comparison.md) go to
     ``out`` or config_a's out directory; pass out="" to skip writing.
     """
-    for name in ("domain", "k", "levels", "kappas", "f", "norms", "seed"):
+    for name in ("domain", "k", "levels", "kappas", "f", "norms"):
         va, vb = getattr(config_a, name), getattr(config_b, name)
         if va != vb:
             raise ValueError(
@@ -434,7 +477,7 @@ def run_comparison(config_a, config_b, out=None):
     for kappa in config_a.kappas:
         meshes = _hierarchy(config_a, root, kappa)
         try:
-            runs = [_full_run(config, root, meshes)
+            runs = [_full_run(config, meshes)
                     for config in (config_a, config_b)]
         except _COLUMN_ERRORS as exc:
             failures[kappa] = _column_failure(exc)
@@ -450,12 +493,12 @@ def run_comparison(config_a, config_b, out=None):
     return ComparisonResult(config_a, config_b, rows, failures, paths)
 
 
-def _full_run(config, root, meshes):
+def _full_run(config, meshes):
     """The configured chain (sp or psp) on one mesh hierarchy."""
+    f = parse_f_spec(config.f)
     if config.algorithm == "sp":
-        source = parse_F_spec(root.domain, config.f, config.F)
-        return run_sp(meshes, source.f, source.F, config.k)
-    return run_psp(meshes, parse_f_spec(config.f), config.k)
+        return run_sp(meshes, f, parse_F_spec(config.f, config.F), config.k)
+    return run_psp(meshes, f, config.k)
 
 
 def _write_comparison(config_a, config_b, rows, failures, out):

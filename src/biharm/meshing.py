@@ -24,17 +24,12 @@ __all__ = [
     "builtin_domain",
     "graded_refine",
     "refine_hierarchy",
-    "mesh_layers",
-    "locate_point",
     "polygon_contains",
     "polygon_boundary_distance",
     "quasi_random_interior",
     "write_mesh",
     "read_mesh",
 ]
-
-_BARY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GradingRule:
@@ -108,7 +103,6 @@ class Mesh:
     coarser: "Mesh | None" = None
     _edges: np.ndarray = field(default=None, repr=False)
     _boundary_edges: frozenset = field(default=None, repr=False)
-    _children: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=float)
@@ -149,15 +143,6 @@ class Mesh:
                 (int(a), int(b)) for a, b in uniq[counts == 1]
             )
         return self._boundary_edges
-
-    def children_of(self, t):
-        """Triangle indices on this mesh whose parent is t (one level up)."""
-        if self._children is None:
-            order = np.argsort(self.parent, kind="stable")
-            self._children = order.reshape(-1, 4) if self.level > 0 else None
-        if self._children is None:
-            raise ValueError("level-0 mesh has no parents")
-        return self._children[t]
 
     def corner_point(self, corner):
         """Point index of a domain corner on this mesh."""
@@ -371,91 +356,6 @@ def refine_hierarchy(mesh, levels, rules=None):
     for _ in range(levels):
         out.append(graded_refine(out[-1], rules))
     return out
-
-
-def mesh_layers(mesh, corner):
-    """Layer index per triangle, relative to one graded corner.
-
-    Only triangles whose level-0 ancestor touches the corner belong to a
-    layer; they get the level of their deepest corner-attached ancestor
-    (n for the triangles still touching the corner, 0 for the rest of the
-    original corner patch).  All other triangles get -1.
-    """
-    if corner not in mesh.domain.graded_corners:
-        raise ValueError(f"corner {corner} is not flagged for grading")
-    cp = mesh.corner_point(corner)
-    chain = []
-    m = mesh
-    while m is not None:
-        chain.append(m)
-        m = m.coarser
-    chain.reverse()  # level 0 first
-    if chain[0].level != 0:
-        raise ValueError("mesh hierarchy does not reach level 0")
-
-    layers = np.full(len(mesh.triangles), -1, dtype=np.int64)
-    attached_level = np.full(len(mesh.triangles), -1, dtype=np.int64)
-    # walk each triangle's ancestor chain once, vectorized level by level
-    idx = np.arange(len(mesh.triangles))
-    anc = idx.copy()
-    touch = np.zeros((len(chain), len(mesh.triangles)), dtype=bool)
-    for lev in range(len(chain) - 1, -1, -1):
-        m = chain[lev]
-        touch[lev] = np.any(m.triangles[anc] == cp, axis=1)
-        if lev > 0:
-            anc = m.parent[anc]
-    # deepest attached ancestor; require attachment at level 0
-    for lev in range(len(chain)):
-        attached_level[touch[lev]] = lev
-    layers = np.where(touch[0], attached_level, -1)
-    return layers
-
-
-def _barycentric(points, tri_pts, p):
-    d1 = tri_pts[1] - tri_pts[0]
-    d2 = tri_pts[2] - tri_pts[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    r = p - tri_pts[0]
-    l1 = (r[0] * d2[1] - r[1] * d2[0]) / det
-    l2 = (d1[0] * r[1] - d1[1] * r[0]) / det
-    return np.array([1.0 - l1 - l2, l1, l2])
-
-
-def locate_point(mesh, p):
-    """Containing triangle and barycentric coordinates of a point.
-
-    Descends from level 0 through the parent tree (cost proportional to
-    the level), so points can be located on fine meshes without scanning
-    all triangles.  Ties on shared edges go to the lowest triangle index.
-    """
-    p = np.asarray(p, dtype=float)
-    chain = []
-    m = mesh
-    while m is not None:
-        chain.append(m)
-        m = m.coarser
-    chain.reverse()
-    root = chain[0]
-    tri = -1
-    for t in range(len(root.triangles)):
-        bary = _barycentric(root.points, root.points[root.triangles[t]], p)
-        if np.all(bary >= -_BARY_TOL):
-            tri = t
-            break
-    if tri < 0:
-        raise ValueError(f"point {tuple(p)} lies outside the domain")
-    for m in chain[1:]:
-        best, best_bary, best_min = -1, None, -np.inf
-        for c in m.children_of(tri):
-            bary = _barycentric(m.points, m.points[m.triangles[c]], p)
-            worst = float(np.min(bary))
-            if worst > best_min + 1e-15:
-                best, best_bary, best_min = int(c), bary, worst
-        if best_min < -_BARY_TOL:
-            raise ValueError(f"point {tuple(p)} escaped the refinement tree")
-        tri = best
-    bary = _barycentric(mesh.points, mesh.points[mesh.triangles[tri]], p)
-    return tri, bary
 
 
 # -- text format ----------------------------------------------------------

@@ -11,8 +11,6 @@ x = s, y = t (1 - s) maps the unit square onto the reference triangle
 with Jacobian 1 - s), which stays positive at every order.
 """
 
-import math
-
 import numpy as np
 
 __all__ = ["triangle_rule", "physical_points"]

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from .analysis import field_norm
 from .assembly import (
     apply_dirichlet,
     assemble_curl_rhs,
@@ -365,28 +366,16 @@ def compare_runs(a, b, level):
             and np.array_equal(ma.triangles, mb.triangles)):
         raise ValueError("runs use different meshes at this level")
 
-    sspace = ra.phi.space
-    vspace = ra.u.space
-    pspace = ra.p.space
-    a_s = assemble_stiffness(sspace)
-    m_s = assemble_mass(sspace)
-    a_v = assemble_stiffness(vspace)
-    m_v = assemble_mass(vspace)
-    m_p = assemble_mass(pspace)
+    def delta(name):
+        fa, fb = getattr(ra, name), getattr(rb, name)
+        return Field(fa.space, fa.components,
+                     fa.coefficients - fb.coefficients)
 
-    def en(mat, d):
-        return float(np.sqrt(max(d @ (mat @ d), 0.0)))
-
-    dphi = ra.phi.coefficients - rb.phi.coefficients
-    dp = ra.p.coefficients - rb.p.coefficients
-    du = ra.u.coefficients - rb.u.coefficients
-    dux, duy = du[:vspace.ndof], du[vspace.ndof:]
+    dphi, du, dp = delta("phi"), delta("u"), delta("p")
     return {
-        "phi_h1": en(a_s, dphi),
-        "phi_l2": en(m_s, dphi),
-        "u_h1": float(np.sqrt(max(
-            dux @ (a_v @ dux) + duy @ (a_v @ duy), 0.0))),
-        "u_l2": float(np.sqrt(max(
-            dux @ (m_v @ dux) + duy @ (m_v @ duy), 0.0))),
-        "p_l2": en(m_p, dp),
+        "phi_h1": field_norm(dphi, "H1"),
+        "phi_l2": field_norm(dphi, "L2"),
+        "u_h1": field_norm(du, "H1"),
+        "u_l2": field_norm(du, "L2"),
+        "p_l2": field_norm(dp, "L2"),
     }

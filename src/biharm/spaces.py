@@ -18,7 +18,6 @@ __all__ = [
     "Field",
     "build_space",
     "interpolate",
-    "interpolate_vector",
     "evaluate",
     "gradient",
     "prolongate",
@@ -271,20 +270,6 @@ def interpolate(space, f):
     if space.kind == "lagrange_bubble":
         coeffs[len(space.mesh.points):] = 0.0
     return Field(space=space, components=1, coefficients=coeffs)
-
-
-def interpolate_vector(space, fx, fy):
-    u = interpolate(space, fx)
-    v = interpolate(space, fy)
-    return Field(
-        space=space,
-        components=2,
-        coefficients=np.concatenate([u.coefficients, v.coefficients]),
-    )
-
-
-def zero_field(space, components=1):
-    return Field(space, components, np.zeros(components * space.ndof))
 
 
 def evaluate(field, triangle, bary):

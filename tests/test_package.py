@@ -1,6 +1,9 @@
-"""The public surface of every biharm module."""
+"""The public surface of every biharm module, and imports that are used."""
 
+import ast
+import glob
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -10,6 +13,10 @@ import biharm
 MODULES = ["biharm"] + [f"biharm.{info.name}"
                         for info in pkgutil.iter_modules(biharm.__path__)]
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "biharm", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
@@ -17,3 +24,25 @@ def test_every_exported_name_exists(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert missing == []
+
+
+def _unused_imports(tree):
+    """Top-level imported names never loaded in the module or its __all__."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    return sorted(set(imported) - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_unused_imports(path):
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    assert _unused_imports(tree) == []
