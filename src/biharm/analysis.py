@@ -37,6 +37,7 @@ from .spaces import (
 __all__ = [
     "ConvergenceReport",
     "field_norm",
+    "lift_pairs",
     "diff_norm",
     "rate_table",
     "manufactured_error",
@@ -65,8 +66,10 @@ def _check_norm(norm):
         raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
 
 
-def _quad_order(space):
-    return max(2 * space.degree + 2, 2 * poly_degree(space))
+def _quad_order(space, norm):
+    """Exact for the squared field (L2) or its squared gradient (H1)."""
+    p = poly_degree(space)
+    return 2 * p if norm == "L2" else max(1, 2 * (p - 1))
 
 
 def _lagrange_nodes(space):
@@ -85,7 +88,7 @@ def field_norm(field, norm="L2"):
         _, idx = _lagrange_nodes(space)
         return max(float(np.max(np.abs(field.component(c)[idx])))
                    for c in range(field.components))
-    lam, w = triangle_rule(_quad_order(space))
+    lam, w = triangle_rule(_quad_order(space, norm))
     _, det, inv_t = jacobians(space.mesh)
     ed = space.element_dofs
     vals = basis_values(space, lam)
@@ -117,40 +120,54 @@ def _order_pair(a, b):
     raise ValueError("fields do not live on nested meshes")
 
 
-def _same_space(s, t):
-    return s.mesh is t.mesh and s.degree == t.degree and s.kind == t.kind
+def _lift(field, space):
+    """``field`` represented in ``space``, which must contain it."""
+    if (field.space.mesh is space.mesh and field.space.degree == space.degree
+            and field.space.kind == space.kind):
+        return field
+    return prolongate(field, space)
 
 
-def _coefficients_in(field, space):
-    """Coefficients of ``field`` in ``space``, which must contain it."""
-    if _same_space(field.space, space):
-        return field.coefficients
-    return prolongate(field, space).coefficients
+def lift_pairs(a, b, norms):
+    """Both fields in the space where each norm of a - b is taken.
+
+    Returns {norm: (fine, coarse)} for fields on nested meshes of one
+    hierarchy, with one lift per distinct space: for L2/H1 the Lagrange
+    space of the larger polynomial degree on the finer mesh (the Mini
+    bubble is cubic, so Mini goes to P3), for Linf the finer field's own
+    space.  Lagrange spaces on nested meshes are nested, so the lift is
+    exact.  ``diff_norm`` of a returned pair lifts nothing more.
+    """
+    if a.components != b.components:
+        raise ValueError("fields have different component counts")
+    fine, coarse = _order_pair(a, b)
+    lifted, out = {}, {}
+    for norm in norms:
+        _check_norm(norm)
+        if norm == "Linf":
+            spec = (fine.space.degree, fine.space.kind)
+        else:
+            spec = (max(poly_degree(fine.space), poly_degree(coarse.space)),
+                    "lagrange")
+        if spec not in lifted:
+            space = fine.space
+            if (space.degree, space.kind) != spec:
+                space = build_space(space.mesh, spec[0])
+            lifted[spec] = (_lift(fine, space), _lift(coarse, space))
+        out[norm] = lifted[spec]
+    return out
 
 
 def diff_norm(a, b, norm="L2"):
     """Norm of a - b for fields on nested meshes of the same hierarchy.
 
-    Both fields are represented exactly in one space S on the finer
-    mesh and the norm of their difference is taken there.  For L2/H1,
-    S is the Lagrange space of the larger polynomial degree of the two
-    (the Mini bubble is cubic, so Mini goes to P3); Lagrange spaces on
-    nested meshes are nested, so the prolongation is exact and no
-    representation error enters.  For Linf, S is the finer field's own
-    space, so the norm is sampled at its Lagrange nodes.
+    Both fields are lifted exactly into one space on the finer mesh (see
+    ``lift_pairs``) and the norm of their difference is taken there; for
+    Linf that samples the finer field's Lagrange nodes.
     """
-    _check_norm(norm)
-    if a.components != b.components:
-        raise ValueError("fields have different component counts")
-    fine, coarse = _order_pair(a, b)
-    target = fine.space
-    if norm != "Linf":
-        degree = max(poly_degree(fine.space), poly_degree(coarse.space))
-        if target.kind != "lagrange" or target.degree != degree:
-            target = build_space(target.mesh, degree)
-    delta = (_coefficients_in(fine, target)
-             - _coefficients_in(coarse, target))
-    return field_norm(Field(target, fine.components, delta), norm)
+    fine, coarse = lift_pairs(a, b, (norm,))[norm]
+    delta = fine.coefficients - coarse.coefficients
+    return field_norm(Field(fine.space, fine.components, delta), norm)
 
 
 def rate_table(quantity, norm, levels, diffs):

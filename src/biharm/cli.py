@@ -11,13 +11,15 @@ dumps a graded mesh to a text file.
 
 Rate CSVs (rates_<quantity>.csv, comparison.csv) are deterministic:
 rerunning a config reproduces them byte for byte.  Wall-clock seconds
-are confined to summary.csv and timing.csv, which vary between runs.
+are confined to summary.csv, timing.csv and levels.jsonl, which vary
+between runs.
 """
 
 import argparse
 import concurrent.futures
 import configparser
 import functools
+import json
 import os
 import re
 import sys
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import diff_norm, markdown_table, rate_table
+from .analysis import diff_norm, lift_pairs, markdown_table, rate_table
 from .corners import beta0, solve_alpha0
 from .meshing import (
     GradingRule,
@@ -75,7 +77,9 @@ Config file schema (INI, one [experiment] section):
   out       = <directory>        output directory (default <config>.out)
 
 Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
-(adds a seconds column), timing.csv (per pipeline step), tables.md.
+(adds a seconds column), timing.csv (per pipeline step), levels.jsonl
+(per level: Stokes CG iterations, gate residual, step seconds),
+tables.md.
 """
 
 
@@ -198,6 +202,7 @@ class ExperimentResult:
     config: ExperimentConfig
     reports: dict  # (quantity, norm) -> {kappa: ConvergenceReport}
     timings: dict  # kappa -> list over levels of {step: seconds}
+    stokes: dict  # kappa -> list over levels of (CG iterations, residual)
     failures: dict  # kappa -> error message for aborted columns
     paths: list
 
@@ -352,35 +357,40 @@ def run_experiment(config, jobs=None):
         # one-worker pool the level-7 kite column peaked 17-25% higher
         # in RSS
         outcomes = [column(kappa) for kappa in config.kappas]
-    columns, failures, timings = {}, {}, {}
+    columns, failures, timings, stokes = {}, {}, {}, {}
     for kappa, (ok, value) in zip(config.kappas, outcomes):
         if ok:
             columns[kappa] = value
             timings[kappa] = [rec.seconds for rec in value]
+            stokes[kappa] = [(rec.iterations, rec.residual_norm)
+                             for rec in value]
         else:
             failures[kappa] = value
 
-    reports = {}
+    reports = {(quantity, norm): {} for quantity in config.quantities
+               for norm in config.norms}
     for quantity in config.quantities:
-        for norm in config.norms:
-            by_kappa = {}
-            for kappa in config.kappas:
-                if kappa not in columns:
-                    continue
-                records = columns[kappa]
-                levels = [rec.level for rec in records[1:]]
-                diffs = [
-                    diff_norm(getattr(records[i], quantity),
-                              getattr(records[i - 1], quantity), norm)
-                    for i in range(1, len(records))
-                ]
-                by_kappa[kappa] = rate_table(quantity, norm, levels, diffs)
-            reports[(quantity, norm)] = by_kappa
+        for kappa in config.kappas:
+            if kappa not in columns:
+                continue
+            records = columns[kappa]
+            diffs = {norm: [] for norm in config.norms}
+            for fine, coarse in zip(records[1:], records):
+                # each level pair is lifted once and serves every norm
+                pairs = lift_pairs(getattr(fine, quantity),
+                                   getattr(coarse, quantity), config.norms)
+                for norm in config.norms:
+                    diffs[norm].append(diff_norm(*pairs[norm], norm))
+            levels = [rec.level for rec in records[1:]]
+            for norm in config.norms:
+                reports[(quantity, norm)][kappa] = rate_table(
+                    quantity, norm, levels, diffs[norm])
 
     paths = []
     if config.out:
-        paths = _write_artifacts(config, reports, timings, failures)
-    return ExperimentResult(config, reports, timings, failures, paths)
+        paths = _write_artifacts(config, reports, timings, stokes, failures)
+    return ExperimentResult(config, reports, timings, stokes, failures,
+                            paths)
 
 
 def _rate_rows(config, reports, quantity):
@@ -395,7 +405,7 @@ def _rate_rows(config, reports, quantity):
     return rows
 
 
-def _write_artifacts(config, reports, timings, failures):
+def _write_artifacts(config, reports, timings, stokes, failures):
     os.makedirs(config.out, exist_ok=True)
     paths = []
     for quantity in config.quantities:
@@ -430,6 +440,16 @@ def _write_artifacts(config, reports, timings, failures):
                              f"{secs:.6f}")
     paths.append(_write(os.path.join(config.out, "timing.csv"),
                         "\n".join(lines) + "\n"))
+
+    lines = []
+    for kappa in config.kappas:
+        for level, (steps, (iterations, residual)) in enumerate(
+                zip(timings.get(kappa, []), stokes.get(kappa, []))):
+            lines.append(json.dumps({
+                "kappa": kappa, "level": level, "iterations": iterations,
+                "residual_norm": residual, "seconds": steps}))
+    paths.append(_write(os.path.join(config.out, "levels.jsonl"),
+                        "".join(line + "\n" for line in lines)))
 
     paths.append(_write(os.path.join(config.out, "tables.md"),
                         _tables_markdown(config, reports, failures)))
@@ -468,7 +488,8 @@ def run_comparison(config_a, config_b, out=None):
     """
     for name in ("domain", "k", "levels", "kappas", "f", "norms"):
         va, vb = getattr(config_a, name), getattr(config_b, name)
-        if va != vb:
+        # loads agree by value: const:1 is const:1.0
+        if (_load_value(va) != _load_value(vb) if name == "f" else va != vb):
             raise ValueError(
                 f"configs must agree on {name}: {va!r} != {vb!r}"
             )

@@ -102,7 +102,7 @@ class Mesh:
     corner_vertex: np.ndarray # (npoints,) corner id or -1
     coarser: "Mesh | None" = None
     _edges: np.ndarray = field(default=None, repr=False)
-    _boundary_edges: frozenset = field(default=None, repr=False)
+    _boundary_edges: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=float)
@@ -122,26 +122,36 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
+    def _edge_table(self):
+        """Both edge arrays from one sort of the codes lo * npoints + hi.
+
+        The codes sort in the lexicographic order of the (lo, hi) pairs.
+        An edge with one incident triangle is a boundary edge; one with
+        more than two makes the triangulation non-manifold.
+        """
+        raw = self.triangles[:, [0, 1, 1, 2, 2, 0]]
+        lo = np.minimum(raw[:, 0::2], raw[:, 1::2]).ravel()
+        hi = np.maximum(raw[:, 0::2], raw[:, 1::2]).ravel()
+        npts = len(self.points)
+        codes, counts = np.unique(lo * npts + hi, return_counts=True)
+        if np.any(counts > 2):
+            raise ValueError("non-manifold edge: more than two incident triangles")
+        edges = np.column_stack([codes // npts, codes % npts])
+        self._edges = edges
+        self._boundary_edges = edges[counts == 1]
+
     @property
     def edges(self):
         """Unique undirected edges as sorted (lo, hi) index pairs, sorted."""
         if self._edges is None:
-            raw = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-            raw = np.sort(raw, axis=1)
-            self._edges = np.unique(raw, axis=0)
+            self._edge_table()
         return self._edges
 
     @property
     def boundary_edges(self):
-        """Edges incident to exactly one triangle, as a frozenset of pairs."""
+        """Edges incident to exactly one triangle, as sorted (lo, hi) rows."""
         if self._boundary_edges is None:
-            raw = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-            uniq, counts = np.unique(raw, axis=0, return_counts=True)
-            if np.any(counts > 2):
-                raise ValueError("non-manifold edge: more than two incident triangles")
-            self._boundary_edges = frozenset(
-                (int(a), int(b)) for a, b in uniq[counts == 1]
-            )
+            self._edge_table()
         return self._boundary_edges
 
     def corner_point(self, corner):

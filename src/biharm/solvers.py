@@ -13,8 +13,10 @@ Every solve on a level runs on one sparse LU of the scalar stiffness
 matrix.  The Stokes system (Mini for k = 1, Taylor-Hood P_k / P_{k-1}
 for k >= 2) applies it to both velocity components and solves for the
 pressure by conjugate gradients on the Schur complement.  For k >= 2
-the Poisson space is the velocity space, so one factorization serves
-the whole level; Mini factors its P1 Poisson space separately.
+the Poisson space is the velocity space; for Mini the P1+bubble
+stiffness is the P1 stiffness plus a diagonal bubble block, so the
+velocity solves reuse the P1 factor.  Either way one factorization
+serves every solve of the level.
 """
 
 import contextlib
@@ -71,6 +73,8 @@ class LevelRecord:
     p: Field
     phi: Field
     w: Field = None
+    iterations: int = 0         # Stokes pressure CG steps
+    residual_norm: float = 0.0  # Stokes full-system gate residual
     seconds: dict = dc_field(default_factory=dict)
 
 
@@ -111,24 +115,38 @@ class SpdFactor:
     """One sparse LU of a symmetric positive definite matrix, solved often.
 
     The matrix is factored once in minimum-degree order on A + A^T with
-    diagonal pivots, which an SPD matrix never needs to exchange.  Each
+    diagonal pivots, which an SPD matrix never needs to exchange.  Given
+    ``lead``, the SpdFactor of the leading block of ``a``, nothing new
+    is factored: the trailing rows are taken as decoupled and diagonal
+    (the Mini bubbles, whose gradients are orthogonal to those of P1 on
+    every triangle), solved by that factor and a division.  Each
     ``solve`` takes one right-hand side or a block of columns and raises
-    when the relative residual reaches 1e-10.
+    when the relative residual against ``a`` reaches 1e-10, so coupling
+    that ``lead`` ignores fails loudly.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, lead=None):
         self.matrix = sps.csc_matrix(a)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("matrix is not square")
-        self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
+        if lead is None:
+            self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+            self._nlead = self.matrix.shape[0]
+        else:
+            self._lu = lead._lu
+            self._nlead = lead.matrix.shape[0]
+        self._tail = self.matrix.diagonal()[self._nlead:]
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.matrix.shape[0]:
             raise ValueError("matrix/vector sizes do not match")
-        x = self._lu.solve(b)
+        n = self._nlead
+        x = np.empty_like(b)
+        x[:n] = self._lu.solve(b[:n])
+        x[n:] = b[n:] / self._tail.reshape((-1,) + (1,) * (b.ndim - 1))
         bnorm = float(np.linalg.norm(b))
         rel = (float(np.linalg.norm(self.matrix @ x - b))
                / (bnorm if bnorm > 0.0 else 1.0))
@@ -137,11 +155,15 @@ class SpdFactor:
         return x
 
 
-def stiffness_factor(space):
-    """SpdFactor of the stiffness matrix with Dirichlet rows eliminated."""
+def stiffness_factor(space, lead=None):
+    """SpdFactor of the stiffness matrix with Dirichlet rows eliminated.
+
+    ``lead`` is passed on to SpdFactor: for a Mini space, the P1
+    stiffness factor of the same mesh.
+    """
     a = assemble_stiffness(space)
     a2, _ = apply_dirichlet(a, np.zeros(space.ndof), space.boundary_dofs)
-    return SpdFactor(a2)
+    return SpdFactor(a2, lead)
 
 
 def stokes_spaces(mesh, k):
@@ -278,11 +300,19 @@ def validate_curl(domain, f, F, n=100):
     return resid
 
 
-def _poisson_space(vspace, k):
-    """The level's P_k space: the velocity space itself unless Mini."""
+def _level_factors(vspace, k):
+    """The level's P_k Poisson space, its factor and the velocity factor.
+
+    One splu serves the level: for k >= 2 the Poisson space is the
+    velocity space, and for Mini the velocity factor reuses the P1
+    factor and divides by the bubble diagonal.
+    """
     if vspace.kind == "lagrange":
-        return vspace
-    return build_space(vspace.mesh, k)
+        factor = stiffness_factor(vspace)
+        return vspace, factor, factor
+    sspace = build_space(vspace.mesh, k)
+    sfactor = stiffness_factor(sspace)
+    return sspace, sfactor, stiffness_factor(vspace, sfactor)
 
 
 def run_sp(meshes, f, F, k):
@@ -296,24 +326,22 @@ def run_sp(meshes, f, F, k):
     records = []
     for mesh in meshes:
         vspace, pspace = stokes_spaces(mesh, k)
-        sspace = _poisson_space(vspace, k)
         seconds = {}
         with _level_context(mesh.level):
             t0 = time.perf_counter()
-            factor = stiffness_factor(vspace)
+            sspace, sfactor, vfactor = _level_factors(vspace, k)
             rhs = assemble_stokes_rhs_analytic(vspace, F)
-            sol = solve_stokes(vspace, pspace, rhs, factor)
+            sol = solve_stokes(vspace, pspace, rhs, vfactor)
+            del vfactor
             seconds["stokes"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            if sspace is not vspace:
-                # Mini: free the velocity factor before the P1 one is built
-                del factor
-                factor = stiffness_factor(sspace)
             phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u),
-                                factor)
+                                sfactor)
             seconds["poisson_phi"] = time.perf_counter() - t0
-        del factor
+        del sfactor
         records.append(LevelRecord(mesh.level, sol.u, sol.p, phi,
+                                   iterations=sol.iterations,
+                                   residual_norm=sol.residual_norm,
                                    seconds=seconds))
     return BiharmonicRun("sp", k, records)
 
@@ -326,16 +354,13 @@ def run_psp(meshes, f, k):
     records = []
     for mesh in meshes:
         vspace, pspace = stokes_spaces(mesh, k)
-        sspace = _poisson_space(vspace, k)
         seconds = {}
         with _level_context(mesh.level):
             t0 = time.perf_counter()
-            sfactor = stiffness_factor(sspace)
+            sspace, sfactor, vfactor = _level_factors(vspace, k)
             w = solve_poisson(sspace, assemble_load(sspace, f), sfactor)
             seconds["poisson_w"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            vfactor = (sfactor if sspace is vspace
-                       else stiffness_factor(vspace))
             rhs = assemble_stokes_rhs_discrete_curl(vspace, w)
             sol = solve_stokes(vspace, pspace, rhs, vfactor)
             del vfactor
@@ -346,6 +371,8 @@ def run_psp(meshes, f, k):
             seconds["poisson_phi"] = time.perf_counter() - t0
         del sfactor
         records.append(LevelRecord(mesh.level, sol.u, sol.p, phi, w=w,
+                                   iterations=sol.iterations,
+                                   residual_norm=sol.residual_norm,
                                    seconds=seconds))
     return BiharmonicRun("psp", k, records)
 

@@ -62,15 +62,11 @@ class Field:
         return self.coefficients[c * n : (c + 1) * n]
 
 
-def _edge_codes(mesh):
-    edges = mesh.edges
-    return edges, edges[:, 0] * len(mesh.points) + edges[:, 1]
-
-
 def _edge_index(mesh, u, v):
-    _, code = _edge_codes(mesh)
-    a, b = np.minimum(u, v), np.maximum(u, v)
-    return np.searchsorted(code, a * len(mesh.points) + b)
+    """Row of edge {u, v} in ``mesh.edges``, by its packed code."""
+    n = len(mesh.points)
+    code = mesh.edges[:, 0] * n + mesh.edges[:, 1]
+    return np.searchsorted(code, np.minimum(u, v) * n + np.maximum(u, v))
 
 
 def build_space(mesh, degree, kind="lagrange"):
@@ -124,7 +120,7 @@ def build_space(mesh, degree, kind="lagrange"):
             enodes[1::2] = mesh.points[lo] + 2.0 * (mesh.points[hi] - mesh.points[lo]) / 3.0
             dof_coords = np.vstack([mesh.points, enodes, centroids])
 
-    bedges = np.array(sorted(mesh.boundary_edges), dtype=np.int64)
+    bedges = mesh.boundary_edges
     bdofs = [bedges.ravel()]
     if kind == "lagrange" and degree >= 2:
         per_edge = degree - 1

@@ -12,6 +12,7 @@ from biharm.analysis import (
     diff_norm,
     field_norm,
     infsup_diagnostic,
+    lift_pairs,
     manufactured_error,
     markdown_table,
     rate_table,
@@ -209,6 +210,27 @@ def test_diff_norm_triangle_inequality(square_meshes):
         ab, bc, ac = (diff_norm(a, b, norm), diff_norm(b, c, norm),
                       diff_norm(a, c, norm))
         assert ac <= ab + bc + 1e-12
+
+
+@pytest.mark.parametrize("kind, shared", [("lagrange", True),
+                                          ("lagrange_bubble", False)])
+def test_lift_pairs_lifts_once_per_space(square_meshes, kind, shared):
+    # L2 and H1 share the P_max lift; Linf shares it unless the finer
+    # field is Mini, whose Linf space is its own
+    rng = np.random.default_rng(7)
+    fspace = build_space(square_meshes[2], 1, kind)
+    a = Field(fspace, 2, rng.normal(size=2 * fspace.ndof))
+    cspace = build_space(square_meshes[1], 1, kind)
+    b = Field(cspace, 2, rng.normal(size=2 * cspace.ndof))
+    pairs = lift_pairs(b, a, ("H1", "L2", "Linf"))
+    assert pairs["H1"] is pairs["L2"]
+    assert (pairs["Linf"] is pairs["L2"]) == shared
+    fine, coarse = pairs["L2"]
+    assert fine.space.kind == coarse.space.kind == "lagrange"
+    assert fine.space.degree == (1 if shared else 3)
+    assert pairs["Linf"][0] is a and pairs["Linf"][1].space is fspace
+    for norm, (fine, coarse) in pairs.items():
+        assert diff_norm(fine, coarse, norm) == diff_norm(a, b, norm)
 
 
 def test_diff_norm_rejects_unrelated_meshes(square_meshes):

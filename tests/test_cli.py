@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, artifacts, and the CLI."""
 
 import glob
+import json
 import math
 import os
 import threading
@@ -225,8 +226,8 @@ def sp_artifacts(tmp_path_factory):
 def test_artifact_files_and_rate_csv_schema(sp_artifacts):
     config, result = sp_artifacts
     names = sorted(os.path.basename(path) for path in result.paths)
-    assert names == ["rates_p.csv", "rates_phi.csv", "rates_u.csv",
-                     "summary.csv", "tables.md", "timing.csv"]
+    assert names == ["levels.jsonl", "rates_p.csv", "rates_phi.csv",
+                     "rates_u.csv", "summary.csv", "tables.md", "timing.csv"]
     lines = open(os.path.join(config.out, "rates_u.csv")).read().splitlines()
     assert lines[0] == "quantity,norm,kappa,level,diff,rate"
     # 2 norms x 2 kappas x levels 1..3
@@ -262,6 +263,24 @@ def test_summary_and_timing_schemas(sp_artifacts):
     assert len(lines) == 1 + 2 * 2 * (config.levels + 1)
     assert ({line.split(",")[2] for line in lines[1:]}
             == {"stokes", "poisson_phi"})
+
+
+def test_levels_jsonl_records_each_level(sp_artifacts):
+    config, result = sp_artifacts
+    lines = open(os.path.join(config.out, "levels.jsonl")).read().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [(row["kappa"], row["level"]) for row in rows] == [
+        (kappa, level) for kappa in (0.5, 0.25)
+        for level in range(config.levels + 1)]
+    for row in rows:
+        assert set(row) == {"kappa", "level", "iterations", "residual_norm",
+                            "seconds"}
+        assert set(row["seconds"]) == {"stokes", "poisson_phi"}
+        assert row["iterations"] >= 1
+        assert 0.0 <= row["residual_norm"] < 1e-10
+    iterations, residual = result.stokes[0.25][-1]
+    assert rows[-1]["iterations"] == iterations
+    assert rows[-1]["residual_norm"] == residual
 
 
 def test_tables_markdown_lists_skipped_columns(monkeypatch, tmp_path):
@@ -303,6 +322,16 @@ def test_comparison_of_identical_configs_is_zero():
         assert set(diffs) == set(COMPARE_NAMES)
         assert all(value == pytest.approx(0.0, abs=1e-13)
                    for value in diffs.values())
+
+
+def test_comparison_compares_load_values_not_spellings():
+    # const:1 and const:1.0 are the same load; const:2 is another
+    a = tiny_config(algorithm="sp", f="const:1")
+    result = run_comparison(a, tiny_config(algorithm="sp", f="const:1.0"))
+    assert all(value == pytest.approx(0.0, abs=1e-13)
+               for _, diffs in result.rows[0.5] for value in diffs.values())
+    with pytest.raises(ValueError, match="configs must agree on f"):
+        run_comparison(a, tiny_config(algorithm="sp", f="const:2"))
 
 
 def test_comparison_isolates_failed_kappa_columns(monkeypatch):

@@ -145,6 +145,36 @@ def test_refine_counts_and_euler(name):
 
 
 @pytest.mark.parametrize("name", ["square", "lshape", "convex_11pi12"])
+def test_edge_table_matches_row_unique(name):
+    # the packed-code sort gives the lexicographic order of the pairs
+    _, mesh = msh.builtin_domain(name)
+    rules = {0: 0.2} if mesh.domain.graded_corners else None
+    mesh = msh.refine_hierarchy(mesh, 3, rules)[-1]
+    raw = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    uniq, counts = np.unique(raw, axis=0, return_counts=True)
+    assert mesh.edges.dtype == np.int64
+    assert np.array_equal(mesh.edges, uniq)
+    assert np.array_equal(mesh.boundary_edges, uniq[counts == 1])
+
+
+@pytest.mark.parametrize("attr", ["edges", "boundary_edges"])
+def test_non_manifold_edge_rejected(attr):
+    # three triangles share the edge (0, 1)
+    _, base = msh.builtin_domain("square")
+    mesh = msh.Mesh(
+        domain=base.domain,
+        points=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                         (0.5, 2.0)]),
+        triangles=np.array([(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+        level=0,
+        parent=np.full(3, -1),
+        corner_vertex=np.full(5, -1),
+    )
+    with pytest.raises(ValueError, match="non-manifold"):
+        getattr(mesh, attr)
+
+
+@pytest.mark.parametrize("name", ["square", "lshape", "convex_11pi12"])
 def test_refine_conserves_area(name):
     domain, mesh = msh.builtin_domain(name)
     rules = {0: 0.15} if domain.graded_corners else None

@@ -26,6 +26,7 @@ from biharm.solvers import (
     SpdFactor,
     solve_poisson,
     solve_stokes,
+    stiffness_factor,
     stokes_spaces,
     validate_curl,
 )
@@ -97,6 +98,42 @@ def test_solve_spd_singular_rejected():
 def test_solve_spd_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         SpdFactor(sps.identity(3, format="csr")).solve(np.ones(4))
+
+
+def test_mini_stiffness_is_p1_block_plus_bubble_diagonal(lshape_meshes):
+    # on every triangle the bubble gradient is orthogonal to the P1 ones
+    mesh = lshape_meshes[3]
+    nv = len(mesh.points)
+    a = assemble_stiffness(build_space(mesh, 1, "lagrange_bubble")).tocoo()
+    coupled = (a.row >= nv) != (a.col >= nv)
+    bubble_off = (a.row >= nv) & (a.col >= nv) & (a.row != a.col)
+    assert np.all(a.data[coupled | bubble_off] == 0.0)
+    p1 = assemble_stiffness(build_space(mesh, 1))
+    block = a.tocsr()[:nv, :nv]
+    assert abs(block - p1).max() < 1e-13 * abs(p1).max()
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_mini_velocity_solve_reuses_p1_factor(lshape_meshes, columns):
+    mesh = lshape_meshes[3]
+    p1 = stiffness_factor(build_space(mesh, 1))
+    vspace = build_space(mesh, 1, "lagrange_bubble")
+    mini = stiffness_factor(vspace, p1)
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=(vspace.ndof, columns)).squeeze()
+    b[vspace.boundary_dofs] = 0.0
+    exact = spla.spsolve(mini.matrix, b)
+    x = mini.solve(b)
+    assert np.max(np.abs(x - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+def test_lead_factor_gate_rejects_coupling():
+    # a trailing row that is not decoupled breaks the solve's residual gate
+    a = sps.csr_matrix(np.array([[2.0, 0.0, 0.5], [0.0, 2.0, 0.0],
+                                 [0.5, 0.0, 1.0]]))
+    lead = SpdFactor(a[:2, :2])
+    with pytest.raises(ArithmeticError, match="residual"):
+        SpdFactor(a, lead).solve(np.ones(3))
 
 
 # -- solve_stokes -------------------------------------------------------------
@@ -217,12 +254,13 @@ class _CountingLinalg:
         return getattr(spla, name)
 
 
-@pytest.mark.parametrize("k, per_level", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("k, per_level", [(1, 1), (2, 1)])
 @pytest.mark.parametrize("algorithm", ["sp", "psp"])
 def test_one_scalar_factor_per_level(monkeypatch, square_meshes, algorithm,
                                      k, per_level):
     # Taylor-Hood factors the P_k stiffness once per level for all three
-    # solves; Mini factors its P1+bubble velocity and P1 Poisson spaces
+    # solves; Mini factors only its P1 stiffness, which the P1+bubble
+    # velocity solves reuse
     counting = _CountingLinalg()
     monkeypatch.setattr(biharm.solvers, "spla", counting)
     if algorithm == "sp":
