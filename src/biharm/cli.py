@@ -60,6 +60,10 @@ QUANTITIES = {
     "psp": ("w", "phi", "u", "p"),
 }
 
+# LevelRecord fields written to levels.jsonl: Stokes CG steps, its gate
+# residual, LU back-solves and stored L+U entries of the level's factor.
+SOLVER_FIELDS = ("iterations", "residual_norm", "lu_solves", "factor_nnz")
+
 CONFIG_HELP = """\
 Config file schema (INI, one [experiment] section):
 
@@ -78,8 +82,8 @@ Config file schema (INI, one [experiment] section):
 
 Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
 (adds a seconds column), timing.csv (per pipeline step), levels.jsonl
-(per level: Stokes CG iterations, gate residual, step seconds),
-tables.md.
+(per level: Stokes CG iterations, gate residual, LU back-solves, factor
+entries, step seconds), tables.md.
 """
 
 
@@ -202,7 +206,7 @@ class ExperimentResult:
     config: ExperimentConfig
     reports: dict  # (quantity, norm) -> {kappa: ConvergenceReport}
     timings: dict  # kappa -> list over levels of {step: seconds}
-    stokes: dict  # kappa -> list over levels of (CG iterations, residual)
+    solver: dict  # kappa -> list over levels of {solver health: value}
     failures: dict  # kappa -> error message for aborted columns
     paths: list
 
@@ -357,13 +361,13 @@ def run_experiment(config, jobs=None):
         # one-worker pool the level-7 kite column peaked 17-25% higher
         # in RSS
         outcomes = [column(kappa) for kappa in config.kappas]
-    columns, failures, timings, stokes = {}, {}, {}, {}
+    columns, failures, timings, solver = {}, {}, {}, {}
     for kappa, (ok, value) in zip(config.kappas, outcomes):
         if ok:
             columns[kappa] = value
             timings[kappa] = [rec.seconds for rec in value]
-            stokes[kappa] = [(rec.iterations, rec.residual_norm)
-                             for rec in value]
+            solver[kappa] = [{name: getattr(rec, name)
+                              for name in SOLVER_FIELDS} for rec in value]
         else:
             failures[kappa] = value
 
@@ -388,8 +392,8 @@ def run_experiment(config, jobs=None):
 
     paths = []
     if config.out:
-        paths = _write_artifacts(config, reports, timings, stokes, failures)
-    return ExperimentResult(config, reports, timings, stokes, failures,
+        paths = _write_artifacts(config, reports, timings, solver, failures)
+    return ExperimentResult(config, reports, timings, solver, failures,
                             paths)
 
 
@@ -405,7 +409,7 @@ def _rate_rows(config, reports, quantity):
     return rows
 
 
-def _write_artifacts(config, reports, timings, stokes, failures):
+def _write_artifacts(config, reports, timings, solver, failures):
     os.makedirs(config.out, exist_ok=True)
     paths = []
     for quantity in config.quantities:
@@ -443,11 +447,10 @@ def _write_artifacts(config, reports, timings, stokes, failures):
 
     lines = []
     for kappa in config.kappas:
-        for level, (steps, (iterations, residual)) in enumerate(
-                zip(timings.get(kappa, []), stokes.get(kappa, []))):
-            lines.append(json.dumps({
-                "kappa": kappa, "level": level, "iterations": iterations,
-                "residual_norm": residual, "seconds": steps}))
+        for level, (steps, health) in enumerate(
+                zip(timings.get(kappa, []), solver.get(kappa, []))):
+            lines.append(json.dumps({"kappa": kappa, "level": level,
+                                     **health, "seconds": steps}))
     paths.append(_write(os.path.join(config.out, "levels.jsonl"),
                         "".join(line + "\n" for line in lines)))
 

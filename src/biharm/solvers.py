@@ -17,6 +17,13 @@ the Poisson space is the velocity space; for Mini the P1+bubble
 stiffness is the P1 stiffness plus a diagonal bubble block, so the
 velocity solves reuse the P1 factor.  Either way one factorization
 serves every solve of the level.
+
+The pressure CG is preconditioned by a fixed Chebyshev semi-iteration
+on the consistent pressure mass matrix, whose Jacobi-scaled spectrum is
+bounded by that of one reference element, so it needs no factorization
+of its own.  Each level after the first starts the CG from the coarser
+level's pressure, prolongated exactly onto the finer mesh, and stops at
+1e-13 |f|.
 """
 
 import contextlib
@@ -37,10 +44,12 @@ from .assembly import (
     assemble_stiffness,
     assemble_stokes_rhs_analytic,
     assemble_stokes_rhs_discrete_curl,
+    poly_degree,
     vector_boundary_dofs,
 )
 from .meshing import quasi_random_interior
-from .spaces import Field, build_space
+from .quadrature import triangle_rule
+from .spaces import Field, basis_values, build_space, prolongate
 
 __all__ = [
     "StokesSolution",
@@ -49,6 +58,8 @@ __all__ = [
     "SpdFactor",
     "stiffness_factor",
     "stokes_spaces",
+    "mass_bounds",
+    "chebyshev_mass_inverse",
     "solve_stokes",
     "solve_poisson",
     "validate_curl",
@@ -75,6 +86,8 @@ class LevelRecord:
     w: Field = None
     iterations: int = 0         # Stokes pressure CG steps
     residual_norm: float = 0.0  # Stokes full-system gate residual
+    lu_solves: int = 0          # back-solves with the level's LU
+    factor_nnz: int = 0         # stored L+U entries of that LU
     seconds: dict = dc_field(default_factory=dict)
 
 
@@ -122,13 +135,18 @@ class SpdFactor:
     every triangle), solved by that factor and a division.  Each
     ``solve`` takes one right-hand side or a block of columns and raises
     when the relative residual against ``a`` reaches 1e-10, so coupling
-    that ``lead`` ignores fails loudly.
+    that ``lead`` ignores fails loudly.  ``solves`` counts the LU
+    back-solves, one per call; a factor built on ``lead`` counts its
+    calls on ``lead``, so the owner of an LU holds all of them.  No
+    factor refers to itself, so dropping the last name frees its LU at
+    once rather than at the next cyclic garbage collection.
     """
 
     def __init__(self, a, lead=None):
         self.matrix = sps.csc_matrix(a)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("matrix is not square")
+        self._lead = lead
         if lead is None:
             self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
                                diag_pivot_thresh=0.0,
@@ -138,6 +156,12 @@ class SpdFactor:
             self._lu = lead._lu
             self._nlead = lead.matrix.shape[0]
         self._tail = self.matrix.diagonal()[self._nlead:]
+        self.solves = 0
+
+    @property
+    def nnz(self):
+        """Stored L+U entries of the LU (shared with ``lead``)."""
+        return int(self._lu.nnz)
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
@@ -145,6 +169,7 @@ class SpdFactor:
             raise ValueError("matrix/vector sizes do not match")
         n = self._nlead
         x = np.empty_like(b)
+        (self._lead or self).solves += 1
         x[:n] = self._lu.solve(b[:n])
         x[n:] = b[n:] / self._tail.reshape((-1,) + (1,) * (b.ndim - 1))
         bnorm = float(np.linalg.norm(b))
@@ -175,18 +200,99 @@ def stokes_spaces(mesh, k):
     raise ValueError(f"unsupported polynomial order k={k}")
 
 
-def solve_stokes(vspace, pspace, rhs, factor=None):
+# Steps of the Chebyshev semi-iteration that applies the inverse
+# pressure mass matrix inside the Stokes CG preconditioner.
+CHEBYSHEV_STEPS = 3
+
+
+def mass_bounds(space):
+    """Extreme eigenvalues of D^-1 M on one reference element.
+
+    M is the element mass matrix of ``space`` and D its diagonal.  The
+    assembled mass matrix is a sum of element matrices that are each a
+    multiple of the reference one, so its Jacobi-scaled spectrum lies in
+    the same interval: [0.5, 2] for P1 and [0.3924, 2.0598] for P2
+    (Wathen, IMA J. Numer. Anal. 7, 1987).
+    """
+    lam, w = triangle_rule(2 * poly_degree(space))
+    vals = basis_values(space, lam)
+    m = np.einsum("qi,q,qj->ij", vals, w, vals)
+    scale = 1.0 / np.sqrt(np.diag(m))
+    eig = _jacobi_eigenvalues(m * np.outer(scale, scale))
+    return float(eig[0]), float(eig[-1])
+
+
+def _jacobi_eigenvalues(s):
+    """Ascending eigenvalues of a small symmetric matrix, by Jacobi rotations.
+
+    Cyclic sweeps converge quadratically, so ten reach rounding for the
+    at most 10 x 10 element matrices here.  Plain einsum keeps BLAS and
+    LAPACK out: a first ``numpy.linalg.eigvalsh`` call pages in their
+    code and raised a study's peak RSS by about 0.8 MB per thread.
+    """
+    n = len(s)
+    for _ in range(10):
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                theta = 0.5 * np.arctan2(2.0 * s[p, q], s[q, q] - s[p, p])
+                g = np.eye(n)
+                g[p, p] = g[q, q] = np.cos(theta)
+                g[p, q] = np.sin(theta)
+                g[q, p] = -g[p, q]
+                s = np.einsum("ji,jk,kl->il", g, s, g)
+    return np.sort(np.diag(s))
+
+
+def chebyshev_mass_inverse(mass, bounds):
+    """Approximate M^-1 as a fixed Jacobi-preconditioned Chebyshev polynomial.
+
+    ``bounds`` enclose the spectrum of D^-1 M (D = diag M).  The result
+    is the operator r -> x after CHEBYSHEV_STEPS steps of the Chebyshev
+    semi-iteration for M x = r from x = 0 (Saad, *Iterative Methods for
+    Sparse Linear Systems*, Alg. 12.1), which is D^-1/2 p(S) D^-1/2 for
+    S = D^-1/2 M D^-1/2 and one polynomial p positive on the bounds:
+    symmetric positive definite, so it is a valid CG preconditioner.
+    Its product with M has eigenvalues within 1/T(sigma) of 1, where T
+    is the Chebyshev polynomial of degree CHEBYSHEV_STEPS and sigma is
+    (hi + lo) / (hi - lo) (Wathen & Rees, ETNA 34, 2009).
+    """
+    dinv = 1.0 / mass.diagonal()
+    lo, hi = bounds
+    theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    sigma = theta / delta
+
+    def apply(r):
+        rho = 1.0 / sigma
+        d = dinv * r / theta
+        x = d.copy()
+        for _ in range(CHEBYSHEV_STEPS - 1):
+            r = r - mass @ d
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d = rho_next * rho * d + (2.0 * rho_next / delta) * (dinv * r)
+            rho = rho_next
+            x += d
+        return x
+
+    return spla.LinearOperator(mass.shape, matvec=apply, dtype=float)
+
+
+def solve_stokes(vspace, pspace, rhs, factor=None, p0=None):
     """Solve the Stokes system with zero-mean pressure.
 
     With A the scalar stiffness of ``vspace`` (Dirichlet rows
     eliminated; ``factor`` is its SpdFactor, built here when omitted)
     acting on both velocity components, and B the divergence with its
     boundary-velocity columns zeroed, the pressure solves
-    B A^-1 B^T p = B A^-1 f by conjugate gradients preconditioned with
-    the diagonal of the pressure mass matrix.  The CG residual is B u
-    for the velocity u = A^-1 (f - B^T p), and CG stops once it falls
-    below 1e-12 |f| (not relative to B A^-1 f, which psp's discrete
-    curl load makes nearly zero).  The Schur complement is
+    B A^-1 B^T p = B A^-1 f by conjugate gradients.  The preconditioner
+    is ``chebyshev_mass_inverse`` of the pressure mass matrix, with the
+    ``mass_bounds`` of ``pspace``; B A^-1 B^T is spectrally equivalent
+    to that matrix, so the step count stays flat under refinement.  CG
+    starts from zero, or from the exact prolongation onto ``pspace`` of
+    ``p0``, a pressure Field on the same or a coarser mesh of the
+    hierarchy (the pipelines pass the coarser level's pressure).  The CG
+    residual is B u for the velocity u = A^-1 (f - B^T p), and CG stops
+    once it falls below 1e-13 |f| (not relative to B A^-1 f, which psp's
+    discrete curl load makes nearly zero).  The Schur complement is
     singular on constants only, so p is shifted to zero mean against
     the pressure load m (m_i = integral of q_i) before u is recovered.
     The result must meet the gates of the multiplier-bordered system
@@ -222,8 +328,10 @@ def solve_stokes(vspace, pspace, rhs, factor=None):
                                 matvec=lambda q: b @ a_inv(bt @ q))
     steps = []
     fnorm = float(np.linalg.norm(f))
-    xp, info = spla.cg(schur, b @ a_inv(f), rtol=0.0, atol=1e-12 * fnorm,
-                       maxiter=1000, M=sps.diags(1.0 / mass_p.diagonal()),
+    x0 = None if p0 is None else prolongate(p0, pspace).coefficients
+    precond = chebyshev_mass_inverse(mass_p, mass_bounds(pspace))
+    xp, info = spla.cg(schur, b @ a_inv(f), x0=x0, rtol=0.0,
+                       atol=1e-13 * fnorm, maxiter=1000, M=precond,
                        callback=steps.append)
     if info > 0:
         raise ArithmeticError(
@@ -315,6 +423,14 @@ def _level_factors(vspace, k):
     return sspace, sfactor, stiffness_factor(vspace, sfactor)
 
 
+def _record(mesh, sol, phi, factor, seconds, w=None):
+    return LevelRecord(mesh.level, sol.u, sol.p, phi, w=w,
+                       iterations=sol.iterations,
+                       residual_norm=sol.residual_norm,
+                       lu_solves=factor.solves, factor_nnz=factor.nnz,
+                       seconds=seconds)
+
+
 def run_sp(meshes, f, F, k):
     """Stokes-Poisson pipeline on a nested mesh hierarchy.
 
@@ -331,18 +447,16 @@ def run_sp(meshes, f, F, k):
             t0 = time.perf_counter()
             sspace, sfactor, vfactor = _level_factors(vspace, k)
             rhs = assemble_stokes_rhs_analytic(vspace, F)
-            sol = solve_stokes(vspace, pspace, rhs, vfactor)
+            sol = solve_stokes(vspace, pspace, rhs, vfactor,
+                               records[-1].p if records else None)
             del vfactor
             seconds["stokes"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u),
                                 sfactor)
             seconds["poisson_phi"] = time.perf_counter() - t0
+        records.append(_record(mesh, sol, phi, sfactor, seconds))
         del sfactor
-        records.append(LevelRecord(mesh.level, sol.u, sol.p, phi,
-                                   iterations=sol.iterations,
-                                   residual_norm=sol.residual_norm,
-                                   seconds=seconds))
     return BiharmonicRun("sp", k, records)
 
 
@@ -362,18 +476,16 @@ def run_psp(meshes, f, k):
             seconds["poisson_w"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             rhs = assemble_stokes_rhs_discrete_curl(vspace, w)
-            sol = solve_stokes(vspace, pspace, rhs, vfactor)
+            sol = solve_stokes(vspace, pspace, rhs, vfactor,
+                               records[-1].p if records else None)
             del vfactor
             seconds["stokes"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u),
                                 sfactor)
             seconds["poisson_phi"] = time.perf_counter() - t0
+        records.append(_record(mesh, sol, phi, sfactor, seconds, w=w))
         del sfactor
-        records.append(LevelRecord(mesh.level, sol.u, sol.p, phi, w=w,
-                                   iterations=sol.iterations,
-                                   residual_norm=sol.residual_norm,
-                                   seconds=seconds))
     return BiharmonicRun("psp", k, records)
 
 

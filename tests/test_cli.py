@@ -12,6 +12,8 @@ import scipy.sparse.linalg as spla
 
 import biharm.cli as cli
 import biharm.solvers
+from biharm.solvers import stiffness_factor
+from biharm.spaces import build_space
 from biharm.cli import (
     ExperimentConfig,
     main,
@@ -272,15 +274,52 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
     assert [(row["kappa"], row["level"]) for row in rows] == [
         (kappa, level) for kappa in (0.5, 0.25)
         for level in range(config.levels + 1)]
+    meshes = cli._hierarchy(config, cli._root_mesh(config.domain), 0.25)
     for row in rows:
         assert set(row) == {"kappa", "level", "iterations", "residual_norm",
-                            "seconds"}
+                            "lu_solves", "factor_nnz", "seconds"}
         assert set(row["seconds"]) == {"stokes", "poisson_phi"}
         assert row["iterations"] >= 1
         assert 0.0 <= row["residual_norm"] < 1e-10
-    iterations, residual = result.stokes[0.25][-1]
-    assert rows[-1]["iterations"] == iterations
-    assert rows[-1]["residual_norm"] == residual
+        # one back-solve per CG step, one each for the Schur right-hand
+        # side, the velocity recovery and phi, and above level 0 one for
+        # the residual of the coarse-level start
+        assert row["lu_solves"] == row["iterations"] + 3 + (row["level"] > 0)
+        if row["kappa"] == 0.25:
+            # the level's one factor is the P1 factor Mini's solves reuse
+            space = build_space(meshes[row["level"]], config.k)
+            assert row["factor_nnz"] == stiffness_factor(space).nnz
+    assert [row["factor_nnz"] for row in rows[:config.levels + 1]] == sorted(
+        row["factor_nnz"] for row in rows[:config.levels + 1])
+    health = result.solver[0.25][-1]
+    assert set(health) == {"iterations", "residual_norm", "lu_solves",
+                           "factor_nnz"}
+    assert all(rows[-1][name] == value for name, value in health.items())
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+# Rate CSVs written by the diagonal-preconditioned Schur CG stopped at
+# 1e-12 |f|; every printed digit is converged, so a solver change that
+# moves one fails here.
+@pytest.mark.parametrize("case, algorithm, k, kappa", [
+    ("lshape_sp_k2", "sp", 2, 0.3),
+    ("lshape_sp_mini", "sp", 1, 0.3),
+    ("lshape_psp_k3", "psp", 3, 0.3),
+])
+def test_rate_csvs_match_golden_digits(tmp_path, case, algorithm, k, kappa):
+    config = ExperimentConfig(domain="lshape", algorithm=algorithm, k=k,
+                              levels=4, kappas=(kappa,),
+                              norms=("H1", "L2", "Linf"),
+                              out=str(tmp_path / case))
+    run_experiment(config)
+    golden = sorted(glob.glob(os.path.join(GOLDEN, case, "rates_*.csv")))
+    assert [os.path.basename(path) for path in golden] == [
+        f"rates_{quantity}.csv" for quantity in sorted(config.quantities)]
+    for path in golden:
+        written = os.path.join(config.out, os.path.basename(path))
+        assert open(written).read() == open(path).read(), path
 
 
 def test_tables_markdown_lists_skipped_columns(monkeypatch, tmp_path):

@@ -1,5 +1,8 @@
 """Factor-once direct solver, Schur-complement Stokes solve, and pipelines."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -20,7 +23,10 @@ from biharm.assembly import (
 )
 from biharm.meshing import GradingRule, builtin_domain, refine_hierarchy
 from biharm.solvers import (
+    CHEBYSHEV_STEPS,
+    chebyshev_mass_inverse,
     compare_runs,
+    mass_bounds,
     run_psp,
     run_sp,
     SpdFactor,
@@ -30,7 +36,8 @@ from biharm.solvers import (
     stokes_spaces,
     validate_curl,
 )
-from biharm.spaces import build_space
+from biharm.quadrature import triangle_rule
+from biharm.spaces import Field, basis_values, build_space, prolongate
 
 
 def fzero(x, y):
@@ -113,6 +120,22 @@ def test_mini_stiffness_is_p1_block_plus_bubble_diagonal(lshape_meshes):
     assert abs(block - p1).max() < 1e-13 * abs(p1).max()
 
 
+def test_factor_matrix_stores_no_zeros(lshape_meshes):
+    # the assembled Mini stiffness stores its zero bubble-vertex entries,
+    # but the sparse products of the Dirichlet elimination drop exact
+    # zeros, so the matrix every gate multiplies holds none of them
+    mesh = lshape_meshes[3]
+    vspace = build_space(mesh, 1, "lagrange_bubble")
+    assert np.any(assemble_stiffness(vspace).data == 0.0)
+    p1 = stiffness_factor(build_space(mesh, 1))
+    mini = stiffness_factor(vspace, p1)
+    nv = len(mesh.points)
+    assert mini.matrix[nv:, :nv].nnz == 0
+    assert mini.matrix[nv:, nv:].nnz == len(mesh.triangles)
+    for factor in (p1, mini, stiffness_factor(build_space(mesh, 2))):
+        assert np.all(factor.matrix.data != 0.0)
+
+
 @pytest.mark.parametrize("columns", [1, 2])
 def test_mini_velocity_solve_reuses_p1_factor(lshape_meshes, columns):
     mesh = lshape_meshes[3]
@@ -134,6 +157,25 @@ def test_lead_factor_gate_rejects_coupling():
     lead = SpdFactor(a[:2, :2])
     with pytest.raises(ArithmeticError, match="residual"):
         SpdFactor(a, lead).solve(np.ones(3))
+
+
+def test_factor_is_freed_without_cyclic_collection():
+    # a level's LU must go when its last name does, before the next level
+    # is factored; a reference cycle would hold it until gc runs
+    a = sps.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0],
+                                 [0.0, 0.0, 4.0]]))
+    gc.disable()
+    try:
+        lead = SpdFactor(a[:2, :2])
+        mini = SpdFactor(a, lead)
+        mini.solve(np.ones(3))
+        lead.solve(np.ones(2))
+        assert lead.solves == 2
+        refs = [weakref.ref(lead), weakref.ref(mini)]
+        del lead, mini
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 # -- solve_stokes -------------------------------------------------------------
@@ -190,6 +232,95 @@ def test_stokes_mesh_mismatch_rejected(square_meshes):
         solve_stokes(v2, p2b, np.zeros(7))
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_mass_bounds_are_reference_element_eigenvalues(square_meshes, degree):
+    # the Jacobi rotations agree with LAPACK on the element matrix
+    space = build_space(square_meshes[0], degree)
+    lam, w = triangle_rule(2 * degree)
+    vals = basis_values(space, lam)
+    m = vals.T @ (w[:, None] * vals)
+    d = np.sqrt(np.diag(m))
+    eig = np.linalg.eigvalsh(m / np.outer(d, d))
+    assert mass_bounds(space) == pytest.approx((eig[0], eig[-1]), rel=1e-13)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_mass_bounds_enclose_jacobi_scaled_mass_spectrum(lshape_meshes,
+                                                         degree):
+    # the reference element bounds D^-1 M of the assembled mass matrix
+    # on the graded mesh; for P1 both ends are attained
+    space = build_space(lshape_meshes[3], degree)
+    lo, hi = mass_bounds(space)
+    assert (lo, hi) == pytest.approx({1: (0.5, 2.0),
+                                      2: (0.3924, 2.0598)}[degree], abs=1e-4)
+    m = assemble_mass(space).toarray()
+    scale = 1.0 / np.sqrt(np.diag(m))
+    eig = np.linalg.eigvalsh(m * np.outer(scale, scale))
+    assert lo - 1e-12 <= eig[0] and eig[-1] <= hi + 1e-12
+    if degree == 1:
+        assert eig[0] == pytest.approx(lo) and eig[-1] == pytest.approx(hi)
+
+
+def _dense(operator):
+    return np.column_stack([operator.matvec(e)
+                            for e in np.eye(operator.shape[0])])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_chebyshev_mass_inverse_is_spd(lshape_meshes, degree):
+    space = build_space(lshape_meshes[3], degree)
+    mass = assemble_mass(space)
+    p = _dense(chebyshev_mass_inverse(mass, mass_bounds(space)))
+    assert np.max(np.abs(p - p.T)) <= 1e-13 * np.max(np.abs(p))
+    assert np.linalg.eigvalsh(0.5 * (p + p.T))[0] > 0.0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_chebyshev_mass_inverse_within_error_bound(lshape_meshes, degree):
+    # eigenvalues of P M lie within 1 / T_3(sigma) of 1
+    space = build_space(lshape_meshes[3], degree)
+    mass = assemble_mass(space)
+    lo, hi = mass_bounds(space)
+    p = _dense(chebyshev_mass_inverse(mass, (lo, hi)))
+    eig = np.linalg.eigvals(p @ mass.toarray())
+    assert np.max(np.abs(eig.imag)) < 1e-10
+    eps = 1.0 / np.cosh(CHEBYSHEV_STEPS * np.arccosh((hi + lo) / (hi - lo)))
+    assert eps < 0.13
+    assert np.max(np.abs(eig.real - 1.0)) <= eps + 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coarse_start_matches_cold_and_bordered_solves(lshape_meshes, k):
+    vcoarse, pcoarse = stokes_spaces(lshape_meshes[2], k)
+    coarse = solve_stokes(vcoarse, pcoarse, assemble_stokes_rhs_analytic(
+        vcoarse, FORCE_INT_X))
+    vspace, pspace = stokes_spaces(lshape_meshes[3], k)
+    rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
+    # the exact lift keeps the coarse pressure's zero mean
+    lift = prolongate(coarse.p, pspace).coefficients
+    assert abs(assemble_load(pspace, fone) @ lift) < 1e-14
+    warm = solve_stokes(vspace, pspace, rhs, p0=coarse.p)
+    cold = solve_stokes(vspace, pspace, rhs)
+    u_ref, p_ref = _bordered_reference(vspace, pspace, rhs)
+    for sol in (warm, cold):
+        np.testing.assert_allclose(sol.u.coefficients, u_ref, rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(sol.p.coefficients, p_ref, rtol=0,
+                                   atol=1e-10)
+    np.testing.assert_allclose(warm.p.coefficients, cold.p.coefficients,
+                               rtol=0, atol=1e-10)
+    assert warm.iterations < cold.iterations
+
+
+def test_coarse_start_must_come_from_a_coarser_level(lshape_meshes):
+    vspace, pspace = stokes_spaces(lshape_meshes[2], 2)
+    _, finer = stokes_spaces(lshape_meshes[3], 2)
+    rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
+    with pytest.raises(ValueError, match="descendant"):
+        solve_stokes(vspace, pspace, rhs,
+                     p0=Field(finer, 1, np.zeros(finer.ndof)))
+
+
 def _bordered_reference(vspace, pspace, rhs):
     """u, p from the multiplier-bordered saddle system, solved directly."""
     nv2 = 2 * vspace.ndof
@@ -232,12 +363,18 @@ def test_taylor_hood_iterations_do_not_grow_with_level():
     # Schur complement's condition number independently of the level
     meshes = refine_hierarchy(builtin_domain("lshape")[1], 6,
                               {0: GradingRule(0.2)})
-    counts = []
-    for level in (4, 6):
+    counts, solutions = [], {}
+    for level in (4, 5, 6):
         vspace, pspace = stokes_spaces(meshes[level], 2)
         rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
-        counts.append(solve_stokes(vspace, pspace, rhs).iterations)
-    assert 0 < counts[1] <= counts[0]
+        solutions[level] = solve_stokes(vspace, pspace, rhs)
+        counts.append(solutions[level].iterations)
+    assert 0 < counts[2] <= counts[0]
+    # the consistent-mass Chebyshev preconditioner takes 34 steps at
+    # level 6 and 24 from the level-5 pressure; the mass diagonal took 40
+    assert counts[2] <= 36
+    warm = solve_stokes(vspace, pspace, rhs, p0=solutions[5].p)
+    assert warm.iterations <= 28
 
 
 class _CountingLinalg:
