@@ -227,8 +227,8 @@ def _jacobi_eigenvalues(s):
 
     Cyclic sweeps converge quadratically, so ten reach rounding for the
     at most 10 x 10 element matrices here.  Plain einsum keeps BLAS and
-    LAPACK out: a first ``numpy.linalg.eigvalsh`` call pages in their
-    code and raised a study's peak RSS by about 0.8 MB per thread.
+    LAPACK out: a first ``numpy.linalg.eigvalsh`` or ``scipy.linalg.eigh``
+    call pages in their code and raised a study's peak RSS by 0.8-1 MB.
     """
     n = len(s)
     for _ in range(10):

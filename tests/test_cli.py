@@ -300,9 +300,10 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-# Rate CSVs written by the diagonal-preconditioned Schur CG stopped at
-# 1e-12 |f|; every printed digit is converged, so a solver change that
-# moves one fails here.
+# Level-4 rate CSVs of three small graded L-shape studies.  A solver
+# change that moves one of their printed digits fails here, as a CG stop
+# of 1e-11 |f| or looser does; a digit flip that only shows at finer
+# levels passes.
 @pytest.mark.parametrize("case, algorithm, k, kappa", [
     ("lshape_sp_k2", "sp", 2, 0.3),
     ("lshape_sp_mini", "sp", 1, 0.3),
