@@ -61,8 +61,10 @@ QUANTITIES = {
 }
 
 # LevelRecord fields written to levels.jsonl: Stokes CG steps, its gate
-# residual, LU back-solves and stored L+U entries of the level's factor.
-SOLVER_FIELDS = ("iterations", "residual_norm", "lu_solves", "factor_nnz")
+# residual, LU back-solves, their largest relative residual and stored
+# L+U entries of the level's factor.
+SOLVER_FIELDS = ("iterations", "residual_norm", "lu_solves",
+                 "lu_residual_max", "factor_nnz")
 
 CONFIG_HELP = """\
 Config file schema (INI, one [experiment] section):
@@ -82,8 +84,8 @@ Config file schema (INI, one [experiment] section):
 
 Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
 (adds a seconds column), timing.csv (per pipeline step), levels.jsonl
-(per level: Stokes CG iterations, gate residual, LU back-solves, factor
-entries, step seconds), tables.md.
+(per level: Stokes CG iterations, gate residual, LU back-solves and
+their largest residual, factor entries, step seconds), tables.md.
 """
 
 
@@ -354,6 +356,7 @@ def run_experiment(config, jobs=None):
         jobs = min(len(config.kappas), os.cpu_count() or 1)
     column = functools.partial(_guarded_column, config, root)
     if jobs > 1 and len(config.kappas) > 1:
+        # SuperLU holds the GIL, so the columns' splu calls run in turn
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(column, config.kappas))
     else:

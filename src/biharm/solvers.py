@@ -84,10 +84,11 @@ class LevelRecord:
     p: Field
     phi: Field
     w: Field = None
-    iterations: int = 0         # Stokes pressure CG steps
-    residual_norm: float = 0.0  # Stokes full-system gate residual
-    lu_solves: int = 0          # back-solves with the level's LU
-    factor_nnz: int = 0         # stored L+U entries of that LU
+    iterations: int = 0           # Stokes pressure CG steps
+    residual_norm: float = 0.0    # Stokes full-system gate residual
+    lu_solves: int = 0            # back-solves with the level's LU
+    lu_residual_max: float = 0.0  # largest relative residual of those
+    factor_nnz: int = 0           # stored L+U entries of that LU
     seconds: dict = dc_field(default_factory=dict)
 
 
@@ -128,18 +129,24 @@ class SpdFactor:
     """One sparse LU of a symmetric positive definite matrix, solved often.
 
     The matrix is factored once in minimum-degree order on A + A^T with
-    diagonal pivots, which an SPD matrix never needs to exchange.  Given
-    ``lead``, the SpdFactor of the leading block of ``a``, nothing new
-    is factored: the trailing rows are taken as decoupled and diagonal
-    (the Mini bubbles, whose gradients are orthogonal to those of P1 on
-    every triangle), solved by that factor and a division.  Each
-    ``solve`` takes one right-hand side or a block of columns and raises
-    when the relative residual against ``a`` reaches 1e-10, so coupling
-    that ``lead`` ignores fails loudly.  ``solves`` counts the LU
-    back-solves, one per call; a factor built on ``lead`` counts its
-    calls on ``lead``, so the owner of an LU holds all of them.  No
-    factor refers to itself, so dropping the last name frees its LU at
-    once rather than at the next cyclic garbage collection.
+    diagonal pivots, which an SPD matrix never needs to exchange, and
+    without relaxed supernodes (``relax=1``): on these finite-element
+    stiffnesses SuperLU's default relaxation mostly stores explicit
+    zeros (51 % more L+U entries on the graded level-7 kite P1
+    stiffness), which cost more to factor and back-solve than its dense
+    blocks save.  Given ``lead``, the SpdFactor of the leading block of
+    ``a``, nothing new is factored: the trailing rows are taken as
+    decoupled and diagonal (the Mini bubbles, whose gradients are
+    orthogonal to those of P1 on every triangle), solved by that factor
+    and a division.  Each ``solve`` takes one right-hand side or a block
+    of columns and raises when the relative residual against ``a``
+    reaches 1e-10, so coupling that ``lead`` ignores fails loudly.
+    ``solves`` counts the LU back-solves, one per call, and
+    ``residual_max`` keeps the largest relative residual the gate
+    measured; a factor built on ``lead`` records its calls on ``lead``,
+    so the owner of an LU holds all of them.  No factor refers to
+    itself, so dropping the last name frees its LU at once rather than
+    at the next cyclic garbage collection.
     """
 
     def __init__(self, a, lead=None):
@@ -149,7 +156,7 @@ class SpdFactor:
         self._lead = lead
         if lead is None:
             self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.0,
+                               diag_pivot_thresh=0.0, relax=1,
                                options={"SymmetricMode": True})
             self._nlead = self.matrix.shape[0]
         else:
@@ -157,6 +164,7 @@ class SpdFactor:
             self._nlead = lead.matrix.shape[0]
         self._tail = self.matrix.diagonal()[self._nlead:]
         self.solves = 0
+        self.residual_max = 0.0
 
     @property
     def nnz(self):
@@ -169,12 +177,14 @@ class SpdFactor:
             raise ValueError("matrix/vector sizes do not match")
         n = self._nlead
         x = np.empty_like(b)
-        (self._lead or self).solves += 1
+        owner = self._lead or self
+        owner.solves += 1
         x[:n] = self._lu.solve(b[:n])
         x[n:] = b[n:] / self._tail.reshape((-1,) + (1,) * (b.ndim - 1))
         bnorm = float(np.linalg.norm(b))
         rel = (float(np.linalg.norm(self.matrix @ x - b))
                / (bnorm if bnorm > 0.0 else 1.0))
+        owner.residual_max = max(owner.residual_max, rel)
         if rel >= 1e-10:
             raise ArithmeticError(f"direct solve residual too large: {rel:.3e}")
         return x
@@ -427,8 +437,9 @@ def _record(mesh, sol, phi, factor, seconds, w=None):
     return LevelRecord(mesh.level, sol.u, sol.p, phi, w=w,
                        iterations=sol.iterations,
                        residual_norm=sol.residual_norm,
-                       lu_solves=factor.solves, factor_nnz=factor.nnz,
-                       seconds=seconds)
+                       lu_solves=factor.solves,
+                       lu_residual_max=factor.residual_max,
+                       factor_nnz=factor.nnz, seconds=seconds)
 
 
 def run_sp(meshes, f, F, k):
@@ -446,6 +457,8 @@ def run_sp(meshes, f, F, k):
         with _level_context(mesh.level):
             t0 = time.perf_counter()
             sspace, sfactor, vfactor = _level_factors(vspace, k)
+            seconds["factor"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
             rhs = assemble_stokes_rhs_analytic(vspace, F)
             sol = solve_stokes(vspace, pspace, rhs, vfactor,
                                records[-1].p if records else None)
@@ -472,6 +485,8 @@ def run_psp(meshes, f, k):
         with _level_context(mesh.level):
             t0 = time.perf_counter()
             sspace, sfactor, vfactor = _level_factors(vspace, k)
+            seconds["factor"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
             w = solve_poisson(sspace, assemble_load(sspace, f), sfactor)
             seconds["poisson_w"] = time.perf_counter() - t0
             t0 = time.perf_counter()

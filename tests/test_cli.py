@@ -145,7 +145,7 @@ def test_run_experiment_poisson_reports_and_timings():
         assert window[0] < rows[-1][2] < window[1]
     steps = result.timings[0.5]
     assert len(steps) == config.levels + 1
-    assert all(set(step) == {"poisson_w", "stokes", "poisson_phi"}
+    assert all(set(step) == {"factor", "poisson_w", "stokes", "poisson_phi"}
                for step in steps)
 
 
@@ -261,10 +261,10 @@ def test_summary_and_timing_schemas(sp_artifacts):
 
     lines = open(os.path.join(config.out, "timing.csv")).read().splitlines()
     assert lines[0] == "kappa,level,step,seconds"
-    # stokes and poisson_phi steps per level (0..3) per kappa
-    assert len(lines) == 1 + 2 * 2 * (config.levels + 1)
+    # factor, stokes and poisson_phi steps per level (0..3) per kappa
+    assert len(lines) == 1 + 2 * 3 * (config.levels + 1)
     assert ({line.split(",")[2] for line in lines[1:]}
-            == {"stokes", "poisson_phi"})
+            == {"factor", "stokes", "poisson_phi"})
 
 
 def test_levels_jsonl_records_each_level(sp_artifacts):
@@ -277,10 +277,12 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
     meshes = cli._hierarchy(config, cli._root_mesh(config.domain), 0.25)
     for row in rows:
         assert set(row) == {"kappa", "level", "iterations", "residual_norm",
-                            "lu_solves", "factor_nnz", "seconds"}
-        assert set(row["seconds"]) == {"stokes", "poisson_phi"}
+                            "lu_solves", "lu_residual_max", "factor_nnz",
+                            "seconds"}
+        assert set(row["seconds"]) == {"factor", "stokes", "poisson_phi"}
         assert row["iterations"] >= 1
         assert 0.0 <= row["residual_norm"] < 1e-10
+        assert 0.0 <= row["lu_residual_max"] < 1e-10
         # one back-solve per CG step, one each for the Schur right-hand
         # side, the velocity recovery and phi, and above level 0 one for
         # the residual of the coarse-level start
@@ -293,7 +295,7 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
         row["factor_nnz"] for row in rows[:config.levels + 1])
     health = result.solver[0.25][-1]
     assert set(health) == {"iterations", "residual_norm", "lu_solves",
-                           "factor_nnz"}
+                           "lu_residual_max", "factor_nnz"}
     assert all(rows[-1][name] == value for name, value in health.items())
 
 
