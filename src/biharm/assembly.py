@@ -14,7 +14,7 @@ import scipy.sparse as sps
 
 from . import kernels
 from .quadrature import physical_points, triangle_rule
-from .spaces import basis_ref_grads, basis_values, jacobians
+from .spaces import basis_ref_grads, basis_values, call_on_points, jacobians
 
 __all__ = [
     "poly_degree",
@@ -40,20 +40,6 @@ def _scatter(local, rows, cols, shape):
     i = np.broadcast_to(rows[:, :, None], local.shape).ravel()
     j = np.broadcast_to(cols[:, None, :], local.shape).ravel()
     return sps.coo_matrix((local.ravel(), (i, j)), shape=shape).tocsr()
-
-
-def _values_on_quad(f, mesh, lam):
-    pts = physical_points(lam, mesh.points[mesh.triangles])
-    flat = pts.reshape(-1, 2)
-    try:
-        v = np.asarray(f(flat[:, 0], flat[:, 1]), dtype=float)
-        if v.ndim == 0:
-            v = np.full(len(flat), float(v))
-        if v.shape != (len(flat),):
-            raise ValueError
-    except (TypeError, ValueError):
-        v = np.array([float(f(x, y)) for x, y in flat])
-    return v.reshape(pts.shape[:2])
 
 
 def assemble_stiffness(space, order=None):
@@ -112,7 +98,8 @@ def assemble_load(space, f, order=None):
     lam, w = triangle_rule(order)
     vals = basis_values(space, lam)
     _, det, _ = jacobians(space.mesh)
-    fq = _values_on_quad(f, space.mesh, lam)
+    pts = physical_points(lam, space.mesh.points[space.mesh.triangles])
+    fq = call_on_points(f, pts.reshape(-1, 2)).reshape(pts.shape[:2])
     local = kernels.element_load(det, vals, fq, w)
     b = np.zeros(space.ndof)
     np.add.at(b, space.element_dofs.ravel(), local.ravel())

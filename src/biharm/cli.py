@@ -462,6 +462,13 @@ def _write_artifacts(config, reports, timings, solver, failures):
     return paths
 
 
+def _skipped_markdown(kappas, failures):
+    lines = ["### skipped kappa columns", ""]
+    lines += [f"- kappa={_fmt_kappa(kappa)}: {failures[kappa]}"
+              for kappa in kappas if kappa in failures]
+    return "\n".join(lines)
+
+
 def _tables_markdown(config, reports, failures):
     chunks = [f"# {config.domain} / {config.algorithm} / k={config.k}"]
     for quantity in config.quantities:
@@ -471,12 +478,7 @@ def _tables_markdown(config, reports, failures):
                 chunks.append(markdown_table(by_kappa,
                                              f"{quantity} in {norm}"))
     if failures:
-        lines = ["### skipped kappa columns", ""]
-        for kappa in config.kappas:
-            if kappa in failures:
-                lines.append(f"- kappa={_fmt_kappa(kappa)}: "
-                             f"{failures[kappa]}")
-        chunks.append("\n".join(lines))
+        chunks.append(_skipped_markdown(config.kappas, failures))
     return "\n\n".join(chunks) + "\n"
 
 
@@ -553,12 +555,7 @@ def _write_comparison(config_a, config_b, rows, failures, out):
             lines.append(f"| {level} | {cells} |")
         chunks.append("\n".join(lines))
     if failures:
-        lines = ["### skipped kappa columns", ""]
-        for kappa in config_a.kappas:
-            if kappa in failures:
-                lines.append(f"- kappa={_fmt_kappa(kappa)}: "
-                             f"{failures[kappa]}")
-        chunks.append("\n".join(lines))
+        chunks.append(_skipped_markdown(config_a.kappas, failures))
     paths.append(_write(os.path.join(out, "comparison.md"),
                         "\n\n".join(chunks) + "\n"))
     return paths

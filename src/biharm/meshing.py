@@ -24,9 +24,6 @@ __all__ = [
     "builtin_domain",
     "graded_refine",
     "refine_hierarchy",
-    "polygon_contains",
-    "polygon_boundary_distance",
-    "quasi_random_interior",
     "write_mesh",
     "read_mesh",
 ]
@@ -233,7 +230,7 @@ def builtin_domain(name):
         parent=np.full(len(tris), -1),
         corner_vertex=corner,
     )
-    _check_graded_edges(mesh)
+    _graded_point_index(mesh)  # rejects an edge joining two graded corners
     return domain, mesh
 
 
@@ -252,12 +249,16 @@ def make_domain(vertices, graded_corners, triangles=None):
         parent=np.full(len(tris), -1),
         corner_vertex=np.arange(n),
     )
-    _check_graded_edges(mesh)
+    _graded_point_index(mesh)  # rejects an edge joining two graded corners
     return domain, mesh
 
 
 def _graded_point_index(mesh, rules=None):
-    """Map from point index to kappa for flagged corners (rules override)."""
+    """Map from point index to kappa for flagged corners (rules override).
+
+    Raises when an edge joins two flagged corners, on which the grading
+    would be ambiguous.
+    """
     flagged = {}
     for c in mesh.domain.graded_corners:
         hits = np.nonzero(mesh.corner_vertex == c)[0]
@@ -274,21 +275,16 @@ def _graded_point_index(mesh, rules=None):
             if len(hits) != 1:
                 raise ValueError(f"corner {c} not present on mesh")
             flagged[int(hits[0])] = kappa
+    if flagged:
+        e = mesh.edges
+        both = np.isin(e[:, 0], list(flagged)) & np.isin(e[:, 1], list(flagged))
+        if np.any(both):
+            i = int(np.nonzero(both)[0][0])
+            raise ValueError(
+                f"edge {tuple(e[i])} joins two graded corners; "
+                "grading is ambiguous on such an edge"
+            )
     return flagged
-
-
-def _check_graded_edges(mesh):
-    flagged = _graded_point_index(mesh)
-    if not flagged:
-        return
-    e = mesh.edges
-    both = np.isin(e[:, 0], list(flagged)) & np.isin(e[:, 1], list(flagged))
-    if np.any(both):
-        i = int(np.nonzero(both)[0][0])
-        raise ValueError(
-            f"edge {tuple(e[i])} joins two graded corners; "
-            "grading is ambiguous on such an edge"
-        )
 
 
 def graded_refine(mesh, rules=None):
@@ -300,7 +296,6 @@ def graded_refine(mesh, rules=None):
     placed at kappa fractions from a graded corner endpoint and at the
     midpoint otherwise, so the refined mesh is conforming by construction.
     """
-    _check_graded_edges(mesh)
     flagged = _graded_point_index(mesh, rules)
     edges = mesh.edges
     npts = len(mesh.points)
@@ -313,9 +308,6 @@ def graded_refine(mesh, rules=None):
             kap[p] = k
         lo_graded = ~np.isnan(kap[lo])
         hi_graded = ~np.isnan(kap[hi])
-        if np.any(lo_graded & hi_graded):
-            i = int(np.nonzero(lo_graded & hi_graded)[0][0])
-            raise ValueError(f"edge {tuple(edges[i])} joins two graded corners")
         # node measured from the graded endpoint A: D = A + kappa (B - A)
         frac = np.where(lo_graded, kap[lo], frac)
         frac = np.where(hi_graded, 1.0 - kap[hi], frac)
@@ -395,26 +387,36 @@ def write_mesh(mesh, path):
 def read_mesh(path):
     """Rebuild a mesh from the text format (inverse of write_mesh)."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "mesh" or len(head) != 4:
-        raise ValueError("missing 'mesh <npoints> <ntriangles> <level>' header")
-    npts, ntri, level = int(head[1]), int(head[2]), int(head[3])
+        lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    n, head = lines[0] if lines else (1, [])
+    try:
+        if head[0] != "mesh" or len(head) != 4:
+            raise ValueError
+        npts, ntri, level = int(head[1]), int(head[2]), int(head[3])
+    except (IndexError, ValueError):
+        raise ValueError(f"line {n}: missing 'mesh <npoints> <ntriangles> "
+                         "<level>' header") from None
     points, corner, tris, parents, graded = [], [], [], [], {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "p":
-            points.append((float(parts[1]), float(parts[2])))
-            corner.append(int(parts[3]) if len(parts) > 3 else -1)
-        elif parts[0] == "t":
-            tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
-            parents.append(int(parts[4]) if len(parts) > 4 else -1)
-        elif parts[0] == "corner":
-            graded[int(parts[1])] = bool(int(parts[2]))
-        else:
-            raise ValueError(f"unrecognized line {ln!r}")
+    for n, parts in lines[1:]:
+        try:
+            if parts[0] == "p":
+                points.append((float(parts[1]), float(parts[2])))
+                corner.append(int(parts[3]) if len(parts) > 3 else -1)
+            elif parts[0] == "t":
+                tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                parents.append(int(parts[4]) if len(parts) > 4 else -1)
+            elif parts[0] == "corner":
+                graded[int(parts[1])] = bool(int(parts[2]))
+            else:
+                raise ValueError
+        except (IndexError, ValueError):
+            raise ValueError(
+                f"line {n}: cannot read {' '.join(parts)!r}") from None
     if len(points) != npts or len(tris) != ntri:
         raise ValueError("header counts do not match file body")
+    tris = np.asarray(tris)
+    if np.any((tris < 0) | (tris >= npts)):
+        raise ValueError("a triangle refers to a point that does not exist")
     corner = np.asarray(corner)
     ids = corner[corner >= 0]
     order = np.argsort(ids)
@@ -423,81 +425,8 @@ def read_mesh(path):
     return Mesh(
         domain=domain,
         points=np.asarray(points),
-        triangles=np.asarray(tris),
+        triangles=tris,
         level=level,
         parent=np.asarray(parents),
         corner_vertex=corner,
     )
-
-
-def polygon_contains(domain, pts):
-    """Crossing-number interior test; boundary points are unreliable."""
-    v = domain.vertices
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    j = len(v) - 1
-    for i in range(len(v)):
-        xi, yi = v[i]
-        xj, yj = v[j]
-        crosses = (yi > y) != (yj > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = (xj - xi) * (y - yi) / (yj - yi) + xi
-        inside ^= crosses & (x < xint)
-        j = i
-    return inside
-
-
-def polygon_boundary_distance(domain, pts):
-    """Distance from each point to the polygon boundary."""
-    v = domain.vertices
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    best = np.full(len(pts), np.inf)
-    for i in range(len(v)):
-        a = v[i]
-        b = v[(i + 1) % len(v)]
-        ab = b - a
-        t = np.clip(((pts - a) @ ab) / (ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
-    return best
-
-
-def _halton(start, n):
-    """Points start..start+n-1 of the unscrambled 2D Halton sequence.
-
-    Radical inverses in bases 2 and 3; point 0 is the origin, as in
-    ``scipy.stats.qmc.Halton(d=2, scramble=False)``.
-    """
-    index = np.arange(start, start + n)
-    out = np.zeros((n, 2))
-    for axis, base in enumerate((2, 3)):
-        q = index.copy()
-        scale = 1.0 / base
-        while q.any():
-            out[:, axis] += (q % base) * scale
-            scale /= base
-            q //= base
-    return out
-
-
-def quasi_random_interior(domain, n=100, margin=None):
-    """First n Halton points strictly inside the polygon.
-
-    Deterministic (unscrambled sequence); points keep a small safety
-    margin from the boundary so finite-difference stencils stay inside.
-    """
-    v = domain.vertices
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    diam = float(np.max(hi - lo))
-    if margin is None:
-        margin = 1e-3 * diam
-    out = []
-    for batch in range(64):
-        pts = lo + _halton(256 * batch, 256) * (hi - lo)
-        keep = polygon_contains(domain, pts)
-        keep &= polygon_boundary_distance(domain, pts) > margin
-        out.extend(pts[keep])
-        if len(out) >= n:
-            return np.asarray(out[:n])
-    raise ValueError("could not place enough interior sample points")

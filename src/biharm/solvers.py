@@ -47,9 +47,8 @@ from .assembly import (
     poly_degree,
     vector_boundary_dofs,
 )
-from .meshing import quasi_random_interior
-from .quadrature import triangle_rule
-from .spaces import Field, basis_values, build_space, prolongate
+from .quadrature import physical_points, triangle_rule
+from .spaces import Field, build_space, call_on_points, prolongate
 
 __all__ = [
     "StokesSolution",
@@ -221,36 +220,15 @@ def mass_bounds(space):
     M is the element mass matrix of ``space`` and D its diagonal.  The
     assembled mass matrix is a sum of element matrices that are each a
     multiple of the reference one, so its Jacobi-scaled spectrum lies in
-    the same interval: [0.5, 2] for P1 and [0.3924, 2.0598] for P2
-    (Wathen, IMA J. Numer. Anal. 7, 1987).
+    the same interval: [1/2, 2] for P1 and [(5 - sqrt 7) / 6,
+    (8 + sqrt 19) / 6] for P2 (Wathen, IMA J. Numer. Anal. 7, 1987).
     """
-    lam, w = triangle_rule(2 * poly_degree(space))
-    vals = basis_values(space, lam)
-    m = np.einsum("qi,q,qj->ij", vals, w, vals)
-    scale = 1.0 / np.sqrt(np.diag(m))
-    eig = _jacobi_eigenvalues(m * np.outer(scale, scale))
-    return float(eig[0]), float(eig[-1])
-
-
-def _jacobi_eigenvalues(s):
-    """Ascending eigenvalues of a small symmetric matrix, by Jacobi rotations.
-
-    Cyclic sweeps converge quadratically, so ten reach rounding for the
-    at most 10 x 10 element matrices here.  Plain einsum keeps BLAS and
-    LAPACK out: a first ``numpy.linalg.eigvalsh`` or ``scipy.linalg.eigh``
-    call pages in their code and raised a study's peak RSS by 0.8-1 MB.
-    """
-    n = len(s)
-    for _ in range(10):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                theta = 0.5 * np.arctan2(2.0 * s[p, q], s[q, q] - s[p, p])
-                g = np.eye(n)
-                g[p, p] = g[q, q] = np.cos(theta)
-                g[p, q] = np.sin(theta)
-                g[q, p] = -g[p, q]
-                s = np.einsum("ji,jk,kl->il", g, s, g)
-    return np.sort(np.diag(s))
+    degree = poly_degree(space)
+    if degree == 1:
+        return 0.5, 2.0
+    if degree == 2:
+        return (5.0 - np.sqrt(7.0)) / 6.0, (8.0 + np.sqrt(19.0)) / 6.0
+    raise ValueError(f"no mass bounds for a degree-{degree} pressure space")
 
 
 def chebyshev_mass_inverse(mass, bounds):
@@ -390,25 +368,23 @@ def _level_context(level):
         raise ArithmeticError(f"level {level}: {exc}") from exc
 
 
-def _eval_at(g, x, y):
-    out = np.asarray(g(x, y), dtype=float)
-    return np.broadcast_to(out, x.shape)
+def validate_curl(mesh, f, F):
+    """Check curl F = f by central differences at quadrature points.
 
-
-def validate_curl(domain, f, F, n=100):
-    """Check curl F = f by central differences at quasi-random points.
-
-    Samples ``n`` deterministic low-discrepancy interior points of the
-    polygon (step 1e-6); raises when the residual exceeds
+    Samples the seven points of the degree-5 rule in every triangle of
+    ``mesh`` (step 1e-6); raises when the residual exceeds
     1e-8 * (1 + max|f|).
     """
-    pts = quasi_random_interior(domain, n)
-    x, y = pts[:, 0], pts[:, 1]
+    lam, _ = triangle_rule(5)
+    pts = physical_points(lam, mesh.points[mesh.triangles]).reshape(-1, 2)
     h = 1e-6
+    dx, dy = np.array([h, 0.0]), np.array([0.0, h])
     f1, f2 = F
-    curl = (_eval_at(f2, x + h, y) - _eval_at(f2, x - h, y)) / (2 * h)
-    curl -= (_eval_at(f1, x, y + h) - _eval_at(f1, x, y - h)) / (2 * h)
-    fv = _eval_at(f, x, y)
+    curl = (call_on_points(f2, pts + dx)
+            - call_on_points(f2, pts - dx)) / (2 * h)
+    curl -= (call_on_points(f1, pts + dy)
+             - call_on_points(f1, pts - dy)) / (2 * h)
+    fv = call_on_points(f, pts)
     resid = float(np.max(np.abs(curl - fv)))
     tol = 1e-8 * (1.0 + float(np.max(np.abs(fv))))
     if resid >= tol:
@@ -446,10 +422,10 @@ def run_sp(meshes, f, F, k):
     """Stokes-Poisson pipeline on a nested mesh hierarchy.
 
     ``F`` is the analytic Stokes body force, a pair of callables with
-    curl F = f; the identity is checked at quasi-random interior points
-    before any level is solved.
+    curl F = f; the identity is checked at the quadrature points of the
+    first refinement before any level is solved.
     """
-    validate_curl(meshes[0].domain, f, F)
+    validate_curl(meshes[min(1, len(meshes) - 1)], f, F)
     records = []
     for mesh in meshes:
         vspace, pspace = stokes_spaces(mesh, k)

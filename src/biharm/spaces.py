@@ -248,7 +248,8 @@ def jacobians(mesh):
 # -- field construction and evaluation --------------------------------------
 
 
-def _call_on_points(f, pts):
+def call_on_points(f, pts):
+    """f(x, y) at the rows of ``pts``, point by point if f takes no arrays."""
     try:
         v = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
         if v.ndim == 0:
@@ -262,7 +263,7 @@ def _call_on_points(f, pts):
 
 def interpolate(space, f):
     """Nodal interpolation; bubble coefficients are set to 0."""
-    coeffs = _call_on_points(f, space.dof_coords)
+    coeffs = call_on_points(f, space.dof_coords)
     if space.kind == "lagrange_bubble":
         coeffs[len(space.mesh.points):] = 0.0
     return Field(space=space, components=1, coefficients=coeffs)

@@ -487,6 +487,20 @@ def test_cli_compare_subcommand(tmp_path, capsys):
     assert "kappa=0.5 j=3" in stdout
 
 
+@pytest.mark.parametrize("body,line", [("", 1), ("mesh 1 0 0\np 1\n", 2)],
+                         ids=["empty", "short-line"])
+def test_cli_rejects_malformed_mesh_file(tmp_path, capsys, body, line):
+    path = tmp_path / "bad.mesh"
+    path.write_text(body)
+    config = write_config(tmp_path / "bad.ini", domain=path, algorithm="sp",
+                          k=2, levels=3)
+    assert main(["run", config]) == 2
+    assert f"error: line {line}:" in capsys.readouterr().err
+    assert main(["mesh", "--domain", str(path),
+                 "--out", str(tmp_path / "out.mesh")]) == 2
+    assert f"error: line {line}:" in capsys.readouterr().err
+
+
 def test_cli_reports_errors_with_exit_code_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.ini")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -249,6 +249,17 @@ def test_edge_joining_two_graded_corners_rejected():
         msh.make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0, 1})
 
 
+def test_refining_a_mesh_with_two_adjacent_graded_corners_rejected():
+    # a mesh read from a file reaches graded_refine without a level-0 check
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    mesh = msh.Mesh(domain=msh.PolygonDomain(verts, {0, 1}),
+                    points=np.array(verts), triangles=np.array([(0, 1, 2)]),
+                    level=0, parent=np.array([-1]),
+                    corner_vertex=np.arange(3))
+    with pytest.raises(ValueError, match="graded corners"):
+        msh.graded_refine(mesh, {0: 0.3})
+
+
 def test_flagged_corner_without_rule_uses_midpoint():
     _, m0 = msh.builtin_domain("lshape")
     m1 = msh.graded_refine(m0, {})
@@ -428,6 +439,9 @@ def test_read_mesh_rejects_bad_header(tmp_path):
     p.write_text("mesh 3 1 0\np 0.0 0.0 0\np 1.0 0.0 1\n")
     with pytest.raises(ValueError, match="counts"):
         msh.read_mesh(p)
+    p.write_text("mesh 3 1 0\np 0 0 0\np 1 0 1\np 0 1 2\nt 0 1 3\n")
+    with pytest.raises(ValueError, match="point that does not exist"):
+        msh.read_mesh(p)
 
 
 def test_domain_validation():
@@ -453,12 +467,3 @@ def test_refinement_invariants_hold_for_any_kappa(kappa, levels):
     check_conforming(mesh)
     assert float(mesh.areas().sum()) == pytest.approx(3.0, rel=1e-12)
     assert mesh.min_angle() > 0.0
-
-
-def test_halton_reproduces_scipy_sequence():
-    from scipy.stats import qmc
-
-    ref = qmc.Halton(d=2, scramble=False).random(1 << 14)
-    assert np.array_equal(msh._halton(0, 1 << 14), ref)
-    assert np.array_equal(msh._halton(300, 100), ref[300:400])
-

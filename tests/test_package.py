@@ -1,8 +1,10 @@
 """The public surface of every biharm module, and imports that are used."""
 
 import ast
+import functools
 import glob
 import importlib
+import inspect
 import os
 import pkgutil
 
@@ -24,6 +26,36 @@ def test_every_exported_name_exists(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert missing == []
+
+
+@functools.lru_cache(maxsize=None)
+def _referenced_names(path):
+    """Names a file loads, imports or reads as an attribute."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_function_has_a_user(name):
+    # classes are exempt: the result dataclasses are exported as the
+    # return types of the functions that build them
+    module = importlib.import_module(name)
+    users = [path for path in SOURCES
+             + glob.glob(os.path.join(ROOT, "pipeline_bench", "*.py"))
+             if os.path.abspath(path) != os.path.abspath(module.__file__)]
+    unused = [attr for attr in getattr(module, "__all__", ())
+              if inspect.isfunction(getattr(module, attr))
+              and not any(attr in _referenced_names(path) for path in users)]
+    assert unused == []
 
 
 def _unused_imports(tree):

@@ -257,9 +257,9 @@ def test_stokes_mesh_mismatch_rejected(square_meshes):
         solve_stokes(v2, p2b, np.zeros(7))
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2])
 def test_mass_bounds_are_reference_element_eigenvalues(square_meshes, degree):
-    # the Jacobi rotations agree with LAPACK on the element matrix
+    # the closed forms agree with LAPACK on the element matrix
     space = build_space(square_meshes[0], degree)
     lam, w = triangle_rule(2 * degree)
     vals = basis_values(space, lam)
@@ -267,6 +267,8 @@ def test_mass_bounds_are_reference_element_eigenvalues(square_meshes, degree):
     d = np.sqrt(np.diag(m))
     eig = np.linalg.eigvalsh(m / np.outer(d, d))
     assert mass_bounds(space) == pytest.approx((eig[0], eig[-1]), rel=1e-13)
+    with pytest.raises(ValueError, match="degree-3"):
+        mass_bounds(build_space(square_meshes[0], 3))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -458,6 +460,19 @@ def test_run_sp_zero_force(square_meshes):
         assert np.max(np.abs(rec.u.coefficients)) == 0.0
 
 
+def test_run_sp_accepts_scalar_only_force(square_meshes):
+    # callables that take only floats are called point by point, in the
+    # curl check as in assembly, and give the vectorized force's solution
+    scalar = run_sp(square_meshes[:3], lambda x, y: 1.0,
+                    (lambda x, y: 0.0, lambda x, y: float(x)), 2)
+    vector = run_sp(square_meshes[:3], fone, FORCE_INT_X, 2)
+    for a, b in zip(scalar.records, vector.records):
+        assert a.iterations == b.iterations
+        for name in ("u", "p", "phi"):
+            assert np.array_equal(getattr(a, name).coefficients,
+                                  getattr(b, name).coefficients)
+
+
 def test_run_psp_zero_load(square_meshes):
     run = run_psp(square_meshes[:3], fzero, 2)
     for rec in run.records:
@@ -583,9 +598,8 @@ def test_force_construction_independence_properties(square_meshes):
     assert abs(p[2] - p[1]) < 0.01 * p[1]
 
 
-def test_validate_curl_accepts_blend():
-    domain = builtin_domain("lshape")[0]
-    resid = validate_curl(domain, fone, FORCE_BLEND)
+def test_validate_curl_accepts_blend(lshape_meshes):
+    resid = validate_curl(lshape_meshes[1], fone, FORCE_BLEND)
     assert resid < 1e-8 * 2.0
 
 

@@ -72,8 +72,8 @@ def test_polynomial_load_with_supplied_antiderivatives():
     f = lambda x, y: 6.0 * x * y
     F = (lambda x, y: -0.25 * 3.0 * x * y**2,
          lambda x, y: 0.75 * 3.0 * x**2 * y)
-    domain = builtin_domain("square")[0]
-    assert validate_curl(domain, f, F) < 1e-8 * 7.0
+    mesh = refine_hierarchy(builtin_domain("square")[1], 1)[1]
+    assert validate_curl(mesh, f, F) < 1e-8 * 7.0
 
 
 def test_inconsistent_antiderivative_rejected(unit_load):
