@@ -1,4 +1,4 @@
-"""Norms, inter-level differences, convergence rates, and diagnostics.
+"""Norms, inter-level differences, convergence rates, and rate tables.
 
 The convergence indicator compares solutions on successive nested
 meshes: R_j = log2(||v_{j-1} - v_{j-2}|| / ||v_j - v_{j-1}||).  The
@@ -12,19 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from . import kernels
-from .assembly import (
-    apply_dirichlet,
-    assemble_divergence,
-    assemble_mass,
-    assemble_vector_stiffness,
-    poly_degree,
-    vector_boundary_dofs,
-)
-from .quadrature import physical_points, triangle_rule
+from .assembly import poly_degree
+from .quadrature import triangle_rule
 from .spaces import (
     Field,
     basis_ref_grads,
@@ -40,8 +31,6 @@ __all__ = [
     "lift_pairs",
     "diff_norm",
     "rate_table",
-    "manufactured_error",
-    "infsup_diagnostic",
     "markdown_table",
 ]
 
@@ -72,21 +61,16 @@ def _quad_order(space, norm):
     return 2 * p if norm == "L2" else max(1, 2 * (p - 1))
 
 
-def _lagrange_nodes(space):
-    """DOF nodes that carry point values (bubbles excluded)."""
-    if space.kind == "lagrange_bubble":
-        n = len(space.mesh.points)
-        return space.dof_coords[:n], np.arange(n)
-    return space.dof_coords, np.arange(space.ndof)
-
-
 def field_norm(field, norm="L2"):
     """L2 norm, H1 seminorm, or nodal max of a field (components summed)."""
     _check_norm(norm)
     space = field.space
     if norm == "Linf":
-        _, idx = _lagrange_nodes(space)
-        return max(float(np.max(np.abs(field.component(c)[idx])))
+        # the DOFs that carry point values: all but the Mini bubbles
+        n = space.ndof
+        if space.kind == "lagrange_bubble":
+            n = len(space.mesh.points)
+        return max(float(np.max(np.abs(field.component(c)[:n])))
                    for c in range(field.components))
     lam, w = triangle_rule(_quad_order(space, norm))
     _, det, inv_t = jacobians(space.mesh)
@@ -188,73 +172,6 @@ def rate_table(quantity, norm, levels, diffs):
         ok = prev is not None and cur is not None and prev > 0.0 and cur > 0.0
         rates.append(math.log2(prev / cur) if ok else None)
     return ConvergenceReport(quantity, norm, levels, diffs, rates)
-
-
-def manufactured_error(field, exact, norm="L2", exact_grad=None):
-    """Norm of field - exact for an analytic reference solution."""
-    _check_norm(norm)
-    if field.components != 1:
-        raise ValueError("manufactured_error compares scalar fields")
-    space = field.space
-    mesh = space.mesh
-    if norm == "Linf":
-        nodes, idx = _lagrange_nodes(space)
-        return float(
-            np.max(np.abs(field.coefficients[idx] - exact(nodes[:, 0], nodes[:, 1])))
-        )
-    order = 2 * poly_degree(space) + 4
-    lam, w = triangle_rule(order)
-    pts = physical_points(lam, mesh.points[mesh.triangles])
-    _, det, inv_t = jacobians(mesh)
-    if norm == "L2":
-        vals = basis_values(space, lam)
-        vq = np.einsum("tl,ql->tq", field.coefficients[space.element_dofs], vals)
-        eq = exact(pts[..., 0], pts[..., 1])
-        return math.sqrt(
-            float(np.einsum("q,tq->", w, np.abs(det)[:, None] * (vq - eq) ** 2))
-        )
-    if exact_grad is None:
-        raise ValueError("H1 comparison needs the exact gradient")
-    gref = basis_ref_grads(space, lam)
-    g = kernels.field_grads_at_quad(det, inv_t, gref,
-                                    field.coefficients[space.element_dofs])
-    gx, gy = exact_grad(pts[..., 0], pts[..., 1])
-    d = g - np.stack(np.broadcast_arrays(gx, gy), axis=-1)
-    return math.sqrt(
-        float(np.einsum("q,tq->", w, np.abs(det)[:, None] * np.sum(d**2, axis=2)))
-    )
-
-
-def infsup_diagnostic(vspace, pspace):
-    """Discrete inf-sup constant of the velocity/pressure pair.
-
-    Dense eigensolve of the pressure Schur complement B A^-1 B^T against
-    the pressure mass matrix; the near-zero eigenvalue of the constant
-    pressure mode is discarded and the square root of the next smallest
-    is returned.  Guarded to small problems.
-    """
-    n = 2 * vspace.ndof + pspace.ndof
-    if n > 5000:
-        raise ValueError(f"problem too large for the dense diagnostic ({n} > 5000)")
-    a = assemble_vector_stiffness(vspace)
-    bdofs = vector_boundary_dofs(vspace)
-    a, _ = apply_dirichlet(a, np.zeros(2 * vspace.ndof), bdofs)
-    b = assemble_divergence(vspace, pspace).toarray()
-    b[:, bdofs] = 0.0
-    m = assemble_mass(pspace).toarray()
-    ainv_bt = spla.spsolve(a.tocsc(), b.T)
-    if ainv_bt.ndim == 1:
-        ainv_bt = ainv_bt[:, None]
-    schur = b @ ainv_bt
-    schur = 0.5 * (schur + schur.T)
-    evals = np.sort(scipy.linalg.eigh(schur, m, eigvals_only=True))
-    # drop the constant-pressure nullvector and any spurious pressure
-    # modes (exact zeros up to roundoff); keep the smallest nonzero
-    tol = 1e-10 * max(float(evals[-1]), 1.0)
-    nonzero = evals[evals > tol]
-    if nonzero.size == 0:
-        return 0.0
-    return math.sqrt(float(nonzero[0]))
 
 
 def markdown_table(reports_by_kappa, title):

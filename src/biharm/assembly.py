@@ -3,7 +3,8 @@
 All integrals are evaluated with triangle rules whose exactness degree
 covers the integrand (polynomial parts exactly; analytic data with the
 default order k+2, overridable).  Matrices are assembled from
-per-element blocks in element-index order into COO triplets and
+per-element blocks in element-index order into COO triplets with int32
+row and column indices, the index type of the compressed result, and
 compressed with duplicate summation, so assembly is deterministic.
 Matrices are scipy CSR; velocity vectors use component-major layout
 (all x-coefficients, then all y-coefficients).
@@ -19,7 +20,6 @@ from .spaces import basis_ref_grads, basis_values, call_on_points, jacobians
 __all__ = [
     "poly_degree",
     "assemble_stiffness",
-    "assemble_vector_stiffness",
     "assemble_mass",
     "assemble_divergence",
     "assemble_load",
@@ -37,8 +37,9 @@ def poly_degree(space):
 
 
 def _scatter(local, rows, cols, shape):
-    i = np.broadcast_to(rows[:, :, None], local.shape).ravel()
-    j = np.broadcast_to(cols[:, None, :], local.shape).ravel()
+    # int32 triplets: scipy would down-convert int64 ones in a copy
+    i = np.broadcast_to(rows.astype(np.int32)[:, :, None], local.shape).ravel()
+    j = np.broadcast_to(cols.astype(np.int32)[:, None, :], local.shape).ravel()
     return sps.coo_matrix((local.ravel(), (i, j)), shape=shape).tocsr()
 
 
@@ -52,12 +53,6 @@ def assemble_stiffness(space, order=None):
     local = kernels.element_stiffness(det, inv_t, gref, w)
     ed = space.element_dofs
     return _scatter(local, ed, ed, (space.ndof, space.ndof))
-
-
-def assemble_vector_stiffness(space, order=None):
-    """Block-diagonal two-component copy of the scalar stiffness."""
-    a = assemble_stiffness(space, order)
-    return sps.block_diag([a, a], format="csr")
 
 
 def assemble_mass(space, order=None):
@@ -161,19 +156,30 @@ def assemble_curl_rhs(space, u_field):
 
 
 def apply_dirichlet(A, b, dofs):
-    """Symmetric elimination: zero rows/cols, unit diagonal, zero rhs."""
-    n = A.shape[0]
+    """Symmetric elimination: zero rows/cols, unit diagonal, zero rhs.
+
+    Works in place on the CSR form of A (A itself when it is CSR) and
+    returns it with the eliminated load: one-byte masks zero every entry
+    in a row or column of ``dofs``, those rows get a unit diagonal, and
+    exact zeros are dropped.  The result has the entries of
+    D A D + (I - D), D the 0/1 diagonal that keeps the free DOFs,
+    without forming either product.
+    """
     if A.shape[0] != A.shape[1]:
         raise ValueError("apply_dirichlet needs a square system")
-    dofs = np.asarray(dofs, dtype=np.int64)
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    pin = np.zeros(n)
-    pin[dofs] = 1.0
-    d = sps.diags(keep)
-    a2 = (d @ A @ d + sps.diags(pin)).tocsr()
-    b2 = np.asarray(b, dtype=float) * keep
-    return a2, b2
+    A = A.tocsr()
+    pin = np.zeros(A.shape[0], dtype=bool)
+    pin[dofs] = True
+    zero = np.repeat(pin, np.diff(A.indptr))
+    zero |= pin[A.indices]
+    A.data[zero] = 0.0
+    del zero
+    # a pinned diagonal that A does not store is inserted, which scipy
+    # warns about (SparseEfficiencyWarning); assembled matrices store it
+    rows = np.flatnonzero(pin)
+    A[rows, rows] = 1.0
+    A.eliminate_zeros()
+    return A, np.asarray(b, dtype=float) * ~pin
 
 
 def vector_boundary_dofs(space):

@@ -61,10 +61,11 @@ QUANTITIES = {
 }
 
 # LevelRecord fields written to levels.jsonl: Stokes CG steps, its gate
-# residual, LU back-solves, their largest relative residual and stored
-# L+U entries of the level's factor.
+# residual, LU back-solves, their largest relative residual, stored
+# L+U entries of the level's factor and the process's peak RSS in MiB
+# when the level ended.
 SOLVER_FIELDS = ("iterations", "residual_norm", "lu_solves",
-                 "lu_residual_max", "factor_nnz")
+                 "lu_residual_max", "factor_nnz", "maxrss_mb")
 
 CONFIG_HELP = """\
 Config file schema (INI, one [experiment] section):
@@ -85,7 +86,8 @@ Config file schema (INI, one [experiment] section):
 Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
 (adds a seconds column), timing.csv (per pipeline step), levels.jsonl
 (per level: Stokes CG iterations, gate residual, LU back-solves and
-their largest residual, factor entries, step seconds), tables.md.
+their largest residual, factor entries, process peak RSS in MiB, step
+seconds), tables.md.
 """
 
 

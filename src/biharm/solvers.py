@@ -27,6 +27,7 @@ level's pressure, prolongated exactly onto the finer mesh, and stops at
 """
 
 import contextlib
+import resource
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -88,6 +89,7 @@ class LevelRecord:
     lu_solves: int = 0            # back-solves with the level's LU
     lu_residual_max: float = 0.0  # largest relative residual of those
     factor_nnz: int = 0           # stored L+U entries of that LU
+    maxrss_mb: float = 0.0        # process peak RSS (MiB) when it ended
     seconds: dict = dc_field(default_factory=dict)
 
 
@@ -195,9 +197,9 @@ def stiffness_factor(space, lead=None):
     ``lead`` is passed on to SpdFactor: for a Mini space, the P1
     stiffness factor of the same mesh.
     """
-    a = assemble_stiffness(space)
-    a2, _ = apply_dirichlet(a, np.zeros(space.ndof), space.boundary_dofs)
-    return SpdFactor(a2, lead)
+    a, _ = apply_dirichlet(assemble_stiffness(space), np.zeros(space.ndof),
+                           space.boundary_dofs)
+    return SpdFactor(a, lead)
 
 
 def stokes_spaces(mesh, k):
@@ -415,7 +417,11 @@ def _record(mesh, sol, phi, factor, seconds, w=None):
                        residual_norm=sol.residual_norm,
                        lu_solves=factor.solves,
                        lu_residual_max=factor.residual_max,
-                       factor_nnz=factor.nnz, seconds=seconds)
+                       factor_nnz=factor.nnz,
+                       # ru_maxrss is in KiB on Linux, for the whole process
+                       maxrss_mb=resource.getrusage(
+                           resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                       seconds=seconds)
 
 
 def run_sp(meshes, f, F, k):

@@ -12,6 +12,7 @@ DOFs.  Vector fields store two stacked component blocks.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sps
 
 __all__ = [
     "FeSpace",
@@ -310,14 +311,31 @@ def gradient(field, triangle, bary):
     return res[0] if scalar_in else res
 
 
+def _barycentric(mesh, tri, xy):
+    """Barycentric coordinates of the points ``xy`` in triangles ``tri``."""
+    corner = mesh.points[mesh.triangles[tri, 0]]
+    d1 = mesh.points[mesh.triangles[tri, 1]] - corner
+    d2 = mesh.points[mesh.triangles[tri, 2]] - corner
+    r = xy - corner
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
+    return np.column_stack([1.0 - l1 - l2, l1, l2])
+
+
 def prolongate(coarse, fine_space):
     """Represent a coarse field exactly on a space of the same or a finer mesh.
 
-    Fine Lagrange DOF values are the coarse field evaluated at the fine
-    DOF nodes, located through the refinement ancestry; this reproduces
-    the coarse function exactly whenever the fine space contains the
-    coarse one elementwise (P_k in P_m for k <= m, Mini in P3).  Fine
-    bubble coefficients are set to 0.
+    Each call builds one sparse transfer matrix P (fine DOFs x coarse
+    DOFs) and applies it to every component.  Row i of P holds the
+    coarse local basis, in local order, at fine DOF node i, evaluated in
+    the coarse triangle that the refinement ancestry assigns to the
+    lowest-numbered fine triangle at that node; rows of fine bubble DOFs
+    are empty, so bubble coefficients are 0.  This reproduces the coarse
+    function exactly whenever the fine space contains the coarse one
+    elementwise (P_k in P_m for k <= m, Mini in P3).  P is not kept
+    between calls: caching transfer operators on the meshes raised a
+    Mini study's peak memory by about half.
     """
     cmesh = coarse.space.mesh
     fmesh = fine_space.mesh
@@ -330,26 +348,19 @@ def prolongate(coarse, fine_space):
         m = m.coarser
 
     nt, nloc = fine_space.element_dofs.shape
+    nodes = fine_space.ndof
+    if fine_space.kind == "lagrange_bubble":
+        nodes = len(fmesh.points)
     rep = np.full(fine_space.ndof, nt, dtype=np.int64)
     np.minimum.at(rep, fine_space.element_dofs.ravel(),
                   np.repeat(np.arange(nt), nloc))
-    ctri = anc[rep]
+    ctri = anc[rep[:nodes]]
 
-    cp = cmesh.points[cmesh.triangles[ctri]]  # (ndof, 3, 2)
-    d1 = cp[:, 1] - cp[:, 0]
-    d2 = cp[:, 2] - cp[:, 0]
-    r = fine_space.dof_coords - cp[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-    lam = np.column_stack([1.0 - l1 - l2, l1, l2])
-
-    blocks = []
-    for c in range(coarse.components):
-        sub = Field(coarse.space, 1, coarse.component(c))
-        vals = evaluate(sub, ctri, lam)
-        if fine_space.kind == "lagrange_bubble":
-            vals[len(fmesh.points):] = 0.0
-        blocks.append(vals)
-    return Field(fine_space, coarse.components, np.concatenate(blocks))
-
+    vals = basis_values(coarse.space,
+                        _barycentric(cmesh, ctri, fine_space.dof_coords[:nodes]))
+    cols = coarse.space.element_dofs.astype(np.int32)[ctri]
+    indptr = np.minimum(np.arange(fine_space.ndof + 1, dtype=np.int32), nodes)
+    p = sps.csr_matrix((vals.ravel(), cols.ravel(), indptr * vals.shape[1]),
+                       shape=(fine_space.ndof, coarse.space.ndof))
+    return Field(fine_space, coarse.components, np.concatenate(
+        [p @ coarse.component(c) for c in range(coarse.components)]))

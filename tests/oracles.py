@@ -1,0 +1,97 @@
+"""Reference checks that only the tests use: errors against an exact
+solution and the discrete inf-sup constant of a Stokes pair."""
+
+import math
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
+
+from biharm import kernels
+from biharm.assembly import (
+    apply_dirichlet,
+    assemble_divergence,
+    assemble_mass,
+    assemble_stiffness,
+    poly_degree,
+    vector_boundary_dofs,
+)
+from biharm.quadrature import physical_points, triangle_rule
+from biharm.spaces import basis_ref_grads, basis_values, jacobians
+
+
+def assemble_vector_stiffness(space, order=None):
+    """Block-diagonal two-component copy of the scalar stiffness."""
+    a = assemble_stiffness(space, order)
+    return sps.block_diag([a, a], format="csr")
+
+
+def manufactured_error(field, exact, norm="L2", exact_grad=None):
+    """Norm of field - exact for an analytic reference solution."""
+    if norm not in ("L2", "H1", "Linf"):
+        raise ValueError(f"unknown norm {norm!r}")
+    if field.components != 1:
+        raise ValueError("manufactured_error compares scalar fields")
+    space = field.space
+    mesh = space.mesh
+    if norm == "Linf":
+        n = space.ndof
+        if space.kind == "lagrange_bubble":
+            n = len(mesh.points)
+        nodes = space.dof_coords[:n]
+        return float(np.max(np.abs(field.coefficients[:n]
+                                   - exact(nodes[:, 0], nodes[:, 1]))))
+    order = 2 * poly_degree(space) + 4
+    lam, w = triangle_rule(order)
+    pts = physical_points(lam, mesh.points[mesh.triangles])
+    _, det, inv_t = jacobians(mesh)
+    if norm == "L2":
+        vals = basis_values(space, lam)
+        vq = np.einsum("tl,ql->tq", field.coefficients[space.element_dofs], vals)
+        eq = exact(pts[..., 0], pts[..., 1])
+        return math.sqrt(
+            float(np.einsum("q,tq->", w, np.abs(det)[:, None] * (vq - eq) ** 2))
+        )
+    if exact_grad is None:
+        raise ValueError("H1 comparison needs the exact gradient")
+    gref = basis_ref_grads(space, lam)
+    g = kernels.field_grads_at_quad(det, inv_t, gref,
+                                    field.coefficients[space.element_dofs])
+    gx, gy = exact_grad(pts[..., 0], pts[..., 1])
+    d = g - np.stack(np.broadcast_arrays(gx, gy), axis=-1)
+    return math.sqrt(
+        float(np.einsum("q,tq->", w, np.abs(det)[:, None] * np.sum(d**2, axis=2)))
+    )
+
+
+def infsup_diagnostic(vspace, pspace):
+    """Discrete inf-sup constant of the velocity/pressure pair.
+
+    Dense eigensolve of the pressure Schur complement B A^-1 B^T against
+    the pressure mass matrix; the near-zero eigenvalue of the constant
+    pressure mode is discarded and the square root of the next smallest
+    is returned.  Guarded to small problems.
+    """
+    n = 2 * vspace.ndof + pspace.ndof
+    if n > 5000:
+        raise ValueError(f"problem too large for the dense diagnostic ({n} > 5000)")
+    a = assemble_vector_stiffness(vspace)
+    bdofs = vector_boundary_dofs(vspace)
+    a, _ = apply_dirichlet(a, np.zeros(2 * vspace.ndof), bdofs)
+    b = assemble_divergence(vspace, pspace).toarray()
+    b[:, bdofs] = 0.0
+    m = assemble_mass(pspace).toarray()
+    ainv_bt = spla.spsolve(a.tocsc(), b.T)
+    if ainv_bt.ndim == 1:
+        ainv_bt = ainv_bt[:, None]
+    schur = b @ ainv_bt
+    schur = 0.5 * (schur + schur.T)
+    evals = np.sort(scipy.linalg.eigh(schur, m, eigvals_only=True))
+    # drop the constant-pressure nullvector and any spurious pressure
+    # modes (exact zeros up to roundoff); keep the smallest nonzero
+    tol = 1e-10 * max(float(evals[-1]), 1.0)
+    nonzero = evals[evals > tol]
+    if nonzero.size == 0:
+        return 0.0
+    return math.sqrt(float(nonzero[0]))

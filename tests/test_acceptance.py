@@ -17,13 +17,15 @@ from pathlib import Path
 import numpy as np
 import sympy
 
-from biharm.analysis import diff_norm, manufactured_error, rate_table
+from biharm.analysis import diff_norm, rate_table
 from biharm.assembly import assemble_load
 from biharm.cli import parse_F_spec, parse_f_spec
 from biharm.corners import beta0, solve_alpha0
 from biharm.meshing import GradingRule, builtin_domain, refine_hierarchy
 from biharm.solvers import run_psp, run_sp, solve_poisson
 from biharm.spaces import build_space, interpolate
+
+from oracles import manufactured_error
 
 # reference corner exponents alpha0 by opening angle
 ALPHA0_REFERENCE = [

@@ -11,9 +11,7 @@ from biharm.analysis import (
     ConvergenceReport,
     diff_norm,
     field_norm,
-    infsup_diagnostic,
     lift_pairs,
-    manufactured_error,
     markdown_table,
     rate_table,
 )
@@ -28,6 +26,8 @@ from biharm.spaces import (
     gradient,
     interpolate,
 )
+
+from oracles import infsup_diagnostic, manufactured_error
 
 
 @pytest.fixture(scope="module")

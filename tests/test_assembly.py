@@ -16,6 +16,8 @@ from biharm import meshing as msh
 from biharm import spaces as sp
 from biharm.quadrature import triangle_rule
 
+from oracles import assemble_vector_stiffness
+
 
 def vector_field(space, fx, fy):
     return sp.Field(space, 2, np.concatenate(
@@ -69,12 +71,68 @@ def test_stiffness_quadrature_order_robust(square2):
 def test_vector_stiffness_blocks(square2):
     space = sp.build_space(square2, 2)
     a = asm.assemble_stiffness(space)
-    av = asm.assemble_vector_stiffness(space)
+    av = assemble_vector_stiffness(space)
     n = space.ndof
     assert av.shape == (2 * n, 2 * n)
     assert abs(av[:n, :n] - a).max() == 0.0
     assert abs(av[n:, n:] - a).max() == 0.0
     assert abs(av[:n, n:]).max() == 0.0 if av[:n, n:].nnz else True
+
+
+# -- int32 triplets ------------------------------------------------------------
+
+
+def _stiffness(degree, kind):
+    return lambda mesh: asm.assemble_stiffness(sp.build_space(mesh, degree, kind))
+
+
+def _mass(degree, kind):
+    return lambda mesh: asm.assemble_mass(sp.build_space(mesh, degree, kind))
+
+
+def _divergence(vdegree, vkind):
+    return lambda mesh: asm.assemble_divergence(
+        sp.build_space(mesh, vdegree, vkind), sp.build_space(mesh, 1))
+
+
+SCATTERED = {
+    **{f"stiffness-{d}-{k}": _stiffness(d, k) for d, k in
+       [(1, "lagrange"), (2, "lagrange"), (3, "lagrange"), (1, "lagrange_bubble")]},
+    **{f"mass-{d}-{k}": _mass(d, k) for d, k in
+       [(1, "lagrange"), (2, "lagrange"), (3, "lagrange"), (1, "lagrange_bubble")]},
+    "divergence-mini": _divergence(1, "lagrange_bubble"),
+    "divergence-p2p1": _divergence(2, "lagrange"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCATTERED))
+def test_scatter_int32_triplets_match_int64_build(square2, monkeypatch, name):
+    blocks, triplet_dtypes = [], []
+    scatter, coo_matrix = asm._scatter, sps.coo_matrix
+
+    def recording_scatter(local, rows, cols, shape):
+        blocks.append((local, rows, cols, shape))
+        return scatter(local, rows, cols, shape)
+
+    def recording_coo(arg, **kwargs):
+        triplet_dtypes.extend(idx.dtype for idx in arg[1])
+        return coo_matrix(arg, **kwargs)
+
+    monkeypatch.setattr(asm, "_scatter", recording_scatter)
+    monkeypatch.setattr(sps, "coo_matrix", recording_coo)
+    got = SCATTERED[name](square2)
+    monkeypatch.undo()
+    assert triplet_dtypes == [np.int32, np.int32]
+    assert got.indices.dtype == got.indptr.dtype == np.int32
+
+    (local, rows, cols, shape), = blocks
+    i = np.broadcast_to(rows.astype(np.int64)[:, :, None], local.shape).ravel()
+    j = np.broadcast_to(cols.astype(np.int64)[:, None, :], local.shape).ravel()
+    ref = sps.coo_matrix((local.ravel(), (i, j)), shape=shape).tocsr()
+    got.sort_indices()
+    ref.sort_indices()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
 
 
 # -- divergence ----------------------------------------------------------------
@@ -241,6 +299,32 @@ def test_apply_dirichlet_unit_rows(square2):
     assert np.all(b2[space.boundary_dofs] == 0.0)
     x = scipy.linalg.solve(dense, b2)
     assert np.all(x[space.boundary_dofs] == 0.0)
+
+
+def test_apply_dirichlet_masks_in_place_like_diagonal_products(square2):
+    space = sp.build_space(square2, 2)
+    a = asm.assemble_stiffness(space)
+    dofs = space.boundary_dofs
+    # one pinned DOF whose diagonal is not in the pattern, and one kept
+    # row with a stored exact zero
+    a[dofs[3], dofs[3]] = 0.0
+    a.eliminate_zeros()
+    free = np.setdiff1d(np.arange(space.ndof), dofs)[0]
+    a[free, free] = 0.0
+    assert a[dofs[3], dofs[3]] == 0.0 and a.has_canonical_format
+    keep = np.ones(space.ndof)
+    keep[dofs] = 0.0
+    d = sps.diags(keep)
+    expect = (d @ a @ d + sps.diags(1.0 - keep)).tocsr()
+    b = np.linspace(-1.0, 1.0, space.ndof)
+    with pytest.warns(sps.SparseEfficiencyWarning):
+        got, b2 = asm.apply_dirichlet(a, b, dofs)
+    assert got is a  # the CSR argument itself is eliminated in place
+    got.sort_indices()
+    expect.sort_indices()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(expect, attr)), attr
+    assert np.array_equal(b2, b * keep)
 
 
 def test_apply_dirichlet_requires_square():

@@ -278,7 +278,7 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
     for row in rows:
         assert set(row) == {"kappa", "level", "iterations", "residual_norm",
                             "lu_solves", "lu_residual_max", "factor_nnz",
-                            "seconds"}
+                            "maxrss_mb", "seconds"}
         assert set(row["seconds"]) == {"factor", "stokes", "poisson_phi"}
         assert row["iterations"] >= 1
         assert 0.0 <= row["residual_norm"] < 1e-10
@@ -293,9 +293,14 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
             assert row["factor_nnz"] == stiffness_factor(space).nnz
     assert [row["factor_nnz"] for row in rows[:config.levels + 1]] == sorted(
         row["factor_nnz"] for row in rows[:config.levels + 1])
+    # the process's peak RSS, read as each level ends: positive and
+    # non-decreasing along a column
+    for kappa in (0.5, 0.25):
+        rss = [row["maxrss_mb"] for row in rows if row["kappa"] == kappa]
+        assert rss[0] > 0.0 and rss == sorted(rss)
     health = result.solver[0.25][-1]
     assert set(health) == {"iterations", "residual_norm", "lu_solves",
-                           "lu_residual_max", "factor_nnz"}
+                           "lu_residual_max", "factor_nnz", "maxrss_mb"}
     assert all(rows[-1][name] == value for name, value in health.items())
 
 

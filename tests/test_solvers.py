@@ -18,7 +18,6 @@ from biharm.assembly import (
     assemble_stiffness,
     assemble_stokes_rhs_analytic,
     assemble_stokes_rhs_discrete_curl,
-    assemble_vector_stiffness,
     vector_boundary_dofs,
 )
 from biharm.meshing import GradingRule, builtin_domain, refine_hierarchy
@@ -38,6 +37,8 @@ from biharm.solvers import (
 )
 from biharm.quadrature import triangle_rule
 from biharm.spaces import Field, basis_values, build_space, prolongate
+
+from oracles import assemble_vector_stiffness
 
 
 def fzero(x, y):

@@ -257,6 +257,71 @@ def test_prolongation_requires_nested_meshes():
         sp.prolongate(u, sp.build_space(l0, 1))
 
 
+def _evaluate_at_fine_nodes(coarse, fine_space):
+    """Coarse field evaluated at each fine Lagrange node (bubbles 0), in
+    the coarse ancestor of the lowest-numbered fine triangle at it."""
+    fmesh, cmesh = fine_space.mesh, coarse.space.mesh
+    anc, m = np.arange(len(fmesh.triangles)), fmesh
+    while m is not cmesh:
+        anc, m = m.parent[anc], m.coarser
+    first = np.full(fine_space.ndof, len(fmesh.triangles))
+    for t, dofs in enumerate(fine_space.element_dofs):
+        first[dofs] = np.minimum(first[dofs], t)
+    nodes = fine_space.ndof
+    if fine_space.kind == "lagrange_bubble":
+        nodes = len(fmesh.points)
+    ctri = anc[first[:nodes]]
+    verts = cmesh.points[cmesh.triangles[ctri]]
+    d1, d2 = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
+    r = fine_space.dof_coords[:nodes] - verts[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
+    lam = np.column_stack([1.0 - l1 - l2, l1, l2])
+    out = np.zeros((coarse.components, fine_space.ndof))
+    for c in range(coarse.components):
+        sub = sp.Field(coarse.space, 1, coarse.component(c))
+        out[c, :nodes] = sp.evaluate(sub, ctri, lam)
+    return out.ravel()
+
+
+@pytest.mark.parametrize("same_mesh", [False, True])
+@pytest.mark.parametrize("coarse_spec,fine_spec", [
+    ((1, "lagrange"), (1, "lagrange")),
+    ((2, "lagrange"), (2, "lagrange")),
+    ((1, "lagrange_bubble"), (3, "lagrange")),
+    ((1, "lagrange_bubble"), (1, "lagrange_bubble")),
+    ((3, "lagrange"), (3, "lagrange")),
+])
+def test_prolongate_is_evaluation_at_fine_nodes(monkeypatch, same_mesh,
+                                                coarse_spec, fine_spec):
+    _, l0 = msh.builtin_domain("lshape")
+    hier = msh.refine_hierarchy(l0, 2, {0: 0.2})
+    coarse = sp.build_space(hier[2 if same_mesh else 0], *coarse_spec)
+    fine = sp.build_space(hier[2], *fine_spec)
+    rng = np.random.default_rng(7)
+    u = sp.Field(coarse, 2, rng.normal(size=2 * coarse.ndof))
+    calls = []
+    basis_values = sp.basis_values
+
+    def counting(space, lam):
+        calls.append(space)
+        return basis_values(space, lam)
+
+    monkeypatch.setattr(sp, "basis_values", counting)
+    got = sp.prolongate(u, fine).coefficients
+    # one transfer matrix serves both components
+    assert len(calls) == 1
+    monkeypatch.undo()
+    expect = _evaluate_at_fine_nodes(u, fine)
+    if coarse_spec[0] == 3:
+        # numpy sums the ten P3 terms pairwise, the matrix row in order
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(got - expect)) <= 1e-15 * scale
+    else:
+        assert np.array_equal(got, expect)
+
+
 def test_mini_field_prolongates_with_bubble_evaluation():
     _, s0 = msh.builtin_domain("square")
     hier = msh.refine_hierarchy(s0, 1)
