@@ -4,10 +4,10 @@
 factor, runs the configured pipeline on it, and writes rate tables
 (CSV and markdown) plus per-step wall times.  ``biharm compare a.ini
 b.ini`` runs two pipelines that differ only in algorithm or force
-construction on shared meshes and tabulates the norm differences of
-their solutions level by level.  ``biharm corner-exponents --omega r``
-prints the corner exponents for an opening angle; ``biharm mesh``
-dumps a graded mesh to a text file.
+construction on shared meshes and factors, and tabulates the norm
+differences of their solutions level by level.  ``biharm
+corner-exponents --omega r`` prints the corner exponents for an
+opening angle; ``biharm mesh`` dumps a graded mesh to a text file.
 
 Rate CSVs (rates_<quantity>.csv, comparison.csv) are deterministic:
 rerunning a config reproduces them byte for byte.  Wall-clock seconds
@@ -36,7 +36,7 @@ from .meshing import (
     refine_hierarchy,
     write_mesh,
 )
-from .solvers import compare_runs, run_psp, run_sp
+from .solvers import compare_runs, run_chains, run_psp, run_sp
 
 __all__ = [
     "ExperimentConfig",
@@ -303,9 +303,18 @@ def _hierarchy(config, root, kappa):
     return refine_hierarchy(root, config.levels, rules)
 
 
+def _chain(config):
+    """The configured chain as (f, F); F is None for psp."""
+    return parse_f_spec(config.f), parse_F_spec(config.f, config.F)
+
+
 def _run_column(config, root, kappa):
     """All levels of one kappa column; returns its LevelRecords."""
-    return _full_run(config, _hierarchy(config, root, kappa)).records
+    meshes = _hierarchy(config, root, kappa)
+    f, F = _chain(config)
+    run = (run_psp(meshes, f, config.k) if F is None
+           else run_sp(meshes, f, F, config.k))
+    return run.records
 
 
 # Failures confined to one kappa column: numerical breakdown or running
@@ -492,9 +501,10 @@ def run_comparison(config_a, config_b, out=None):
     """Level-by-level solution differences between two pipelines.
 
     The configs must agree except possibly in ``algorithm`` and ``F``
-    (and ``out``).  Each kappa column shares one mesh hierarchy between
-    the two runs.  Artifacts (comparison.csv, comparison.md) go to
-    ``out`` or config_a's out directory; pass out="" to skip writing.
+    (and ``out``).  Each kappa column runs both chains in one
+    ``run_chains`` call: one mesh hierarchy, one factor per level.
+    Artifacts (comparison.csv, comparison.md) go to ``out`` or
+    config_a's out directory; pass out="" to skip writing.
     """
     for name in ("domain", "k", "levels", "kappas", "f", "norms"):
         va, vb = getattr(config_a, name), getattr(config_b, name)
@@ -508,8 +518,8 @@ def run_comparison(config_a, config_b, out=None):
     for kappa in config_a.kappas:
         meshes = _hierarchy(config_a, root, kappa)
         try:
-            runs = [_full_run(config, meshes)
-                    for config in (config_a, config_b)]
+            runs = run_chains(meshes, config_a.k,
+                              [_chain(config_a), _chain(config_b)])
         except _COLUMN_ERRORS as exc:
             failures[kappa] = _column_failure(exc)
             continue
@@ -522,14 +532,6 @@ def run_comparison(config_a, config_b, out=None):
     paths = _write_comparison(config_a, config_b, rows, failures,
                               out) if out else []
     return ComparisonResult(config_a, config_b, rows, failures, paths)
-
-
-def _full_run(config, meshes):
-    """The configured chain (sp or psp) on one mesh hierarchy."""
-    f = parse_f_spec(config.f)
-    if config.algorithm == "sp":
-        return run_sp(meshes, f, parse_F_spec(config.f, config.F), config.k)
-    return run_psp(meshes, f, config.k)
 
 
 def _write_comparison(config_a, config_b, rows, failures, out):

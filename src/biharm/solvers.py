@@ -16,7 +16,7 @@ pressure by conjugate gradients on the Schur complement.  For k >= 2
 the Poisson space is the velocity space; for Mini the P1+bubble
 stiffness is the P1 stiffness plus a diagonal bubble block, so the
 velocity solves reuse the P1 factor.  Either way one factorization
-serves every solve of the level.
+serves every solve of the level, for every chain run on it.
 
 The pressure CG is preconditioned by a fixed Chebyshev semi-iteration
 on the consistent pressure mass matrix, whose Jacobi-scaled spectrum is
@@ -26,7 +26,6 @@ level's pressure, prolongated exactly onto the finer mesh, and stops at
 1e-13 |f|.
 """
 
-import contextlib
 import resource
 import time
 from dataclasses import dataclass, field as dc_field
@@ -63,6 +62,7 @@ __all__ = [
     "solve_stokes",
     "solve_poisson",
     "validate_curl",
+    "run_chains",
     "run_sp",
     "run_psp",
     "compare_runs",
@@ -362,14 +362,6 @@ def solve_poisson(space, rhs, factor=None):
     return Field(space, 1, x)
 
 
-@contextlib.contextmanager
-def _level_context(level):
-    try:
-        yield
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"level {level}: {exc}") from exc
-
-
 def validate_curl(mesh, f, F):
     """Check curl F = f by central differences at quadrature points.
 
@@ -411,79 +403,80 @@ def _level_factors(vspace, k):
     return sspace, sfactor, stiffness_factor(vspace, sfactor)
 
 
-def _record(mesh, sol, phi, factor, seconds, w=None):
-    return LevelRecord(mesh.level, sol.u, sol.p, phi, w=w,
-                       iterations=sol.iterations,
-                       residual_norm=sol.residual_norm,
-                       lu_solves=factor.solves,
-                       lu_residual_max=factor.residual_max,
-                       factor_nnz=factor.nnz,
-                       # ru_maxrss is in KiB on Linux, for the whole process
-                       maxrss_mb=resource.getrusage(
-                           resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                       seconds=seconds)
+def run_chains(meshes, k, chains):
+    """Run every chain on ``meshes`` with one factorization per level.
+
+    Each chain is ``(f, F)``: sp with the analytic force F, whose curl
+    F = f is checked on the first refinement before any level is
+    solved, or psp when F is None.  A level runs every chain's w (psp)
+    and Stokes solves, drops the velocity factor, then runs every phi
+    solve.  Each chain's CG starts from its own coarser pressure, so
+    each returned BiharmonicRun equals a run of its chain alone, except
+    that the records report the shared factor: its ``factor_nnz``, and
+    ``lu_solves``, ``lu_residual_max`` and ``seconds["factor"]`` over
+    all chains.
+    """
+    for f, F in chains:
+        if F is not None:
+            validate_curl(meshes[min(1, len(meshes) - 1)], f, F)
+    runs = [BiharmonicRun("psp" if F is None else "sp", k, [])
+            for _, F in chains]
+    for mesh in meshes:
+        vspace, pspace = stokes_spaces(mesh, k)
+        try:
+            t0 = time.perf_counter()
+            sspace, sfactor, vfactor = _level_factors(vspace, k)
+            seconds = [{"factor": time.perf_counter() - t0} for _ in chains]
+            ws, sols = [], []
+            for (f, F), run, secs in zip(chains, runs, seconds):
+                w = None
+                if F is None:
+                    t0 = time.perf_counter()
+                    w = solve_poisson(sspace, assemble_load(sspace, f),
+                                      sfactor)
+                    secs["poisson_w"] = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                rhs = (assemble_stokes_rhs_analytic(vspace, F) if w is None
+                       else assemble_stokes_rhs_discrete_curl(vspace, w))
+                ws.append(w)
+                sols.append(solve_stokes(
+                    vspace, pspace, rhs, vfactor,
+                    run.records[-1].p if run.records else None))
+                secs["stokes"] = time.perf_counter() - t0
+            del vfactor
+            phis = []
+            for sol, secs in zip(sols, seconds):
+                t0 = time.perf_counter()
+                phis.append(solve_poisson(
+                    sspace, assemble_curl_rhs(sspace, sol.u), sfactor))
+                secs["poisson_phi"] = time.perf_counter() - t0
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"level {mesh.level}: {exc}") from exc
+        # ru_maxrss is in KiB on Linux, for the whole process
+        maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        for run, w, sol, phi, secs in zip(runs, ws, sols, phis, seconds):
+            run.records.append(LevelRecord(
+                mesh.level, sol.u, sol.p, phi, w=w,
+                iterations=sol.iterations, residual_norm=sol.residual_norm,
+                lu_solves=sfactor.solves,
+                lu_residual_max=sfactor.residual_max,
+                factor_nnz=sfactor.nnz, maxrss_mb=maxrss_mb, seconds=secs))
+        del sfactor
+    return runs
 
 
 def run_sp(meshes, f, F, k):
-    """Stokes-Poisson pipeline on a nested mesh hierarchy.
+    """Stokes-Poisson pipeline: ``run_chains`` with the one chain (f, F).
 
     ``F`` is the analytic Stokes body force, a pair of callables with
-    curl F = f; the identity is checked at the quadrature points of the
-    first refinement before any level is solved.
+    curl F = f.
     """
-    validate_curl(meshes[min(1, len(meshes) - 1)], f, F)
-    records = []
-    for mesh in meshes:
-        vspace, pspace = stokes_spaces(mesh, k)
-        seconds = {}
-        with _level_context(mesh.level):
-            t0 = time.perf_counter()
-            sspace, sfactor, vfactor = _level_factors(vspace, k)
-            seconds["factor"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            rhs = assemble_stokes_rhs_analytic(vspace, F)
-            sol = solve_stokes(vspace, pspace, rhs, vfactor,
-                               records[-1].p if records else None)
-            del vfactor
-            seconds["stokes"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u),
-                                sfactor)
-            seconds["poisson_phi"] = time.perf_counter() - t0
-        records.append(_record(mesh, sol, phi, sfactor, seconds))
-        del sfactor
-    return BiharmonicRun("sp", k, records)
+    return run_chains(meshes, k, [(f, F)])[0]
 
 
 def run_psp(meshes, f, k):
-    """Poisson-Stokes-Poisson pipeline on a nested mesh hierarchy.
-
-    ``f(x, y)`` is the biharmonic load.
-    """
-    records = []
-    for mesh in meshes:
-        vspace, pspace = stokes_spaces(mesh, k)
-        seconds = {}
-        with _level_context(mesh.level):
-            t0 = time.perf_counter()
-            sspace, sfactor, vfactor = _level_factors(vspace, k)
-            seconds["factor"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            w = solve_poisson(sspace, assemble_load(sspace, f), sfactor)
-            seconds["poisson_w"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            rhs = assemble_stokes_rhs_discrete_curl(vspace, w)
-            sol = solve_stokes(vspace, pspace, rhs, vfactor,
-                               records[-1].p if records else None)
-            del vfactor
-            seconds["stokes"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            phi = solve_poisson(sspace, assemble_curl_rhs(sspace, sol.u),
-                                sfactor)
-            seconds["poisson_phi"] = time.perf_counter() - t0
-        records.append(_record(mesh, sol, phi, sfactor, seconds, w=w))
-        del sfactor
-    return BiharmonicRun("psp", k, records)
+    """Poisson-Stokes-Poisson pipeline for the biharmonic load ``f(x, y)``."""
+    return run_chains(meshes, k, [(f, None)])[0]
 
 
 def compare_runs(a, b, level):

@@ -1,5 +1,6 @@
-"""Reference checks that only the tests use: errors against an exact
-solution and the discrete inf-sup constant of a Stokes pair."""
+"""Reference checks that only the tests use: nodal interpolation and
+pointwise evaluation of fields, errors against an exact solution and
+the discrete inf-sup constant of a Stokes pair."""
 
 import math
 
@@ -18,7 +19,62 @@ from biharm.assembly import (
     vector_boundary_dofs,
 )
 from biharm.quadrature import physical_points, triangle_rule
-from biharm.spaces import basis_ref_grads, basis_values, jacobians
+from biharm.spaces import (
+    Field,
+    basis_ref_grads,
+    basis_values,
+    call_on_points,
+    jacobians,
+)
+
+
+def interpolate(space, f):
+    """Nodal interpolation; bubble coefficients are set to 0."""
+    coeffs = call_on_points(f, space.dof_coords)
+    if space.kind == "lagrange_bubble":
+        coeffs[len(space.mesh.points):] = 0.0
+    return Field(space=space, components=1, coefficients=coeffs)
+
+
+def evaluate(field, triangle, bary):
+    """Field value(s) at barycentric points of given triangles.
+
+    ``triangle`` may be a scalar index or an (n,) array matched with an
+    (n, 3) array of barycentric coordinates.  Vector fields return the
+    trailing axis of length 2.
+    """
+    scalar_in = np.isscalar(triangle) and np.asarray(bary).ndim == 1
+    tri = np.atleast_1d(np.asarray(triangle, dtype=np.int64))
+    lam = np.atleast_2d(np.asarray(bary, dtype=float))
+    if len(tri) == 1 and len(lam) > 1:
+        tri = np.full(len(lam), tri[0])
+    vals = basis_values(field.space, lam)  # (n, nloc)
+    dofs = field.space.element_dofs[tri]   # (n, nloc)
+    out = []
+    for c in range(field.components):
+        coef = field.component(c)[dofs]
+        out.append(np.sum(vals * coef, axis=1))
+    res = out[0] if field.components == 1 else np.stack(out, axis=-1)
+    return res[0] if scalar_in else res
+
+
+def gradient(field, triangle, bary):
+    """Physical gradient at barycentric points; trailing axis is (d/dx, d/dy)."""
+    scalar_in = np.isscalar(triangle) and np.asarray(bary).ndim == 1
+    tri = np.atleast_1d(np.asarray(triangle, dtype=np.int64))
+    lam = np.atleast_2d(np.asarray(bary, dtype=float))
+    if len(tri) == 1 and len(lam) > 1:
+        tri = np.full(len(lam), tri[0])
+    gref = basis_ref_grads(field.space, lam)  # (n, nloc, 2)
+    _, _, inv_t = jacobians(field.space.mesh)
+    gphys = np.einsum("nde,nle->nld", inv_t[tri], gref)
+    dofs = field.space.element_dofs[tri]
+    out = []
+    for c in range(field.components):
+        coef = field.component(c)[dofs]
+        out.append(np.einsum("nl,nld->nd", coef, gphys))
+    res = out[0] if field.components == 1 else np.stack(out, axis=-2)
+    return res[0] if scalar_in else res
 
 
 def assemble_vector_stiffness(space, order=None):

@@ -19,15 +19,15 @@ from biharm.assembly import assemble_load
 from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.quadrature import physical_points, triangle_rule
 from biharm.solvers import solve_poisson
-from biharm.spaces import (
-    Field,
-    build_space,
+from biharm.spaces import Field, build_space
+
+from oracles import (
     evaluate,
     gradient,
+    infsup_diagnostic,
     interpolate,
+    manufactured_error,
 )
-
-from oracles import infsup_diagnostic, manufactured_error
 
 
 @pytest.fixture(scope="module")

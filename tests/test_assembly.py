@@ -16,13 +16,13 @@ from biharm import meshing as msh
 from biharm import spaces as sp
 from biharm.quadrature import triangle_rule
 
-from oracles import assemble_vector_stiffness
+from oracles import assemble_vector_stiffness, interpolate
 
 
 def vector_field(space, fx, fy):
     return sp.Field(space, 2, np.concatenate(
-        [sp.interpolate(space, fx).coefficients,
-         sp.interpolate(space, fy).coefficients]))
+        [interpolate(space, fx).coefficients,
+         interpolate(space, fy).coefficients]))
 
 
 @pytest.fixture(scope="module")
@@ -209,14 +209,14 @@ def test_stokes_rhs_analytic_blocks(square2):
 
 def test_discrete_curl_matches_analytic(square2):
     vspace = sp.build_space(square2, 2)
-    w = sp.interpolate(vspace, lambda x, y: x)
+    w = interpolate(vspace, lambda x, y: x)
     got = asm.assemble_stokes_rhs_discrete_curl(vspace, w)
     expect = asm.assemble_stokes_rhs_analytic(
         vspace, (lambda x, y: 0.0, lambda x, y: -1.0),
         order=max(1, 2 * vspace.degree - 1),
     )
     assert np.allclose(got, expect, atol=1e-13)
-    w2 = sp.interpolate(vspace, lambda x, y: x**2 + y**2)
+    w2 = interpolate(vspace, lambda x, y: x**2 + y**2)
     got2 = asm.assemble_stokes_rhs_discrete_curl(vspace, w2)
     expect2 = asm.assemble_stokes_rhs_analytic(
         vspace, (lambda x, y: 2 * y, lambda x, y: -2 * x),

@@ -382,16 +382,16 @@ def test_comparison_compares_load_values_not_spellings():
 
 
 def test_comparison_isolates_failed_kappa_columns(monkeypatch):
-    real = cli._full_run
+    real = cli.run_chains
     calls = []
 
-    def flaky(config, meshes):
-        calls.append(config.algorithm)
-        if len(calls) > 2:  # both runs of the first column succeed
+    def flaky(meshes, k, chains):
+        calls.append(len(chains))
+        if len(calls) > 1:  # the first column's call succeeds
             raise MemoryError("injected failure")
-        return real(config, meshes)
+        return real(meshes, k, chains)
 
-    monkeypatch.setattr(cli, "_full_run", flaky)
+    monkeypatch.setattr(cli, "run_chains", flaky)
     a = tiny_config(algorithm="sp", kappas=(0.5, 0.25))
     result = run_comparison(a, tiny_config(algorithm="sp",
                                            kappas=(0.5, 0.25)))

