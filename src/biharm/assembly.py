@@ -2,12 +2,12 @@
 
 All integrals are evaluated with triangle rules whose exactness degree
 covers the integrand (polynomial parts exactly; analytic data with the
-default order k+2, overridable).  Matrices are assembled from
-per-element blocks in element-index order into COO triplets with int32
-row and column indices, the index type of the compressed result, and
-compressed with duplicate summation, so assembly is deterministic.
-Matrices are scipy CSR; velocity vectors use component-major layout
-(all x-coefficients, then all y-coefficients).
+default order k+2, overridable).  Matrices are summed from per-element
+blocks into int32-indexed CSR one block of SCATTER_ROWS rows at a time;
+each row takes its entries in element-index order, as one coo->csr of
+all triplets would, so the result is deterministic and the same to the
+bit.  Velocity vectors use component-major layout (all x-coefficients,
+then all y-coefficients).
 """
 
 import numpy as np
@@ -36,11 +36,36 @@ def poly_degree(space):
     return 3 if space.kind == "lagrange_bubble" else space.degree
 
 
-def _scatter(local, rows, cols, shape):
-    # int32 triplets: scipy would down-convert int64 ones in a copy
-    i = np.broadcast_to(rows.astype(np.int32)[:, :, None], local.shape).ravel()
-    j = np.broadcast_to(cols.astype(np.int32)[:, None, :], local.shape).ravel()
-    return sps.coo_matrix((local.ravel(), (i, j)), shape=shape).tocsr()
+# Rows that _scatter compresses at once: besides the element blocks, no
+# more than one row block's triplets exist.
+SCATTER_ROWS = 1 << 12
+
+
+def _scatter(element_block, rows, cols, shape):
+    """CSR sum of ``element_block()``, (nt, nrow, ncol), at (rows, cols).
+
+    Calling ``element_block`` here leaves ``_scatter`` its only reference,
+    so the element blocks are freed before the row blocks are joined.
+    """
+    local = element_block()
+    nt, nr, nc = local.shape
+    local = local.reshape(nt * nr, nc)
+    order = np.argsort(rows, axis=None, kind="stable")  # element order per row
+    cols = cols.astype(np.int32, copy=False)
+    starts = np.zeros(shape[0] + 1, dtype=np.int32)
+    starts[1:] = np.cumsum(np.bincount(rows.ravel(), minlength=shape[0]) * nc)
+    blocks = []
+    for r0 in range(0, shape[0], SCATTER_ROWS):
+        r1 = min(r0 + SCATTER_ROWS, shape[0])
+        sel = order[starts[r0] // nc:starts[r1] // nc]
+        blk = sps.csr_matrix(
+            (np.take(local, sel, axis=0).ravel(),
+             np.take(cols, sel // nr, axis=0).ravel(),
+             starts[r0:r1 + 1] - starts[r0]), shape=(r1 - r0, shape[1]))
+        blk.sum_duplicates()  # scipy's row sort and sums, as in coo->csr
+        blocks.append(blk.copy())  # compact: drops the triplets' slack
+    del local, order, sel, blk
+    return sps.vstack(blocks, format="csr")
 
 
 def assemble_stiffness(space, order=None):
@@ -49,10 +74,9 @@ def assemble_stiffness(space, order=None):
         order = max(1, 2 * (poly_degree(space) - 1))
     lam, w = triangle_rule(order)
     gref = basis_ref_grads(space, lam)
-    _, det, inv_t = jacobians(space.mesh)
-    local = kernels.element_stiffness(det, inv_t, gref, w)
     ed = space.element_dofs
-    return _scatter(local, ed, ed, (space.ndof, space.ndof))
+    return _scatter(lambda: kernels.element_stiffness(
+        *jacobians(space.mesh)[1:], gref, w), ed, ed, (space.ndof, space.ndof))
 
 
 def assemble_mass(space, order=None):
@@ -61,10 +85,9 @@ def assemble_mass(space, order=None):
         order = 2 * poly_degree(space)
     lam, w = triangle_rule(order)
     vals = basis_values(space, lam)
-    _, det, _ = jacobians(space.mesh)
-    local = kernels.element_mass(det, vals, w)
     ed = space.element_dofs
-    return _scatter(local, ed, ed, (space.ndof, space.ndof))
+    return _scatter(lambda: kernels.element_mass(
+        jacobians(space.mesh)[1], vals, w), ed, ed, (space.ndof, space.ndof))
 
 
 def assemble_divergence(vspace, pspace, order=None):
@@ -78,12 +101,12 @@ def assemble_divergence(vspace, pspace, order=None):
     lam, w = triangle_rule(order)
     gref_v = basis_ref_grads(vspace, lam)
     vals_p = basis_values(pspace, lam)
-    _, det, inv_t = jacobians(vspace.mesh)
-    local = kernels.element_divergence(det, inv_t, gref_v, vals_p, w)
     nv = vspace.ndof
-    ed_v = vspace.element_dofs
-    cols = np.hstack([ed_v, ed_v + nv])
-    return _scatter(local, pspace.element_dofs, cols, (pspace.ndof, 2 * nv))
+    cols = vspace.element_dofs.astype(np.int32)
+    cols = np.hstack([cols, cols + nv])  # component-major velocity columns
+    return _scatter(lambda: kernels.element_divergence(
+        *jacobians(vspace.mesh)[1:], gref_v, vals_p, w),
+        pspace.element_dofs, cols, (pspace.ndof, 2 * nv))
 
 
 def assemble_load(space, f, order=None):

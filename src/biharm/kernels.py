@@ -3,11 +3,12 @@
 On affine triangles every bilinear form factors into a geometry part,
 a few numbers per element, and a reference tensor that depends only on
 the basis and the quadrature rule (Kirby & Logg 2006, the tensor
-representation of FFC).  Each kernel contracts the two with one matrix
-product, so no per-quadrature-point physical gradients are formed:
+representation of FFC).  Each kernel contracts the two with matrix
+products, so no per-quadrature-point physical gradients are formed:
 
     stiffness   (nt x 4 metric |det| invT^T invT) @ (4 x nloc^2)
-    divergence  (2nt x 2 rows of -|det| invT)     @ (2 x nloc_p nloc_v)
+    divergence  (nt x 2 row d of -|det| invT)     @ (2 x nloc_v),
+                one product per pressure function and derivative d
     load        (nt x nq values |det| f)          @ (nq x nloc)
 
 Conventions: ``det`` are signed Jacobian determinants (2x triangle area),
@@ -45,12 +46,13 @@ def element_divergence(det, inv_t, gref_v, vals_p, w):
     nt = len(det)
     nloc_v, nloc_p = gref_v.shape[1], vals_p.shape[1]
     # ref[e, i, j] = sum_q w_q psi_i dphi_j/dx_e (reference)
-    ref = np.einsum("q,qi,qje->eij", w, vals_p, gref_v).reshape(
-        2, nloc_p * nloc_v)
+    ref = np.einsum("q,qi,qje->eij", w, vals_p, gref_v)
     geo = -np.abs(det)[:, None, None] * inv_t  # (nt, d, e)
-    blk = (geo.reshape(2 * nt, 2) @ ref).reshape(nt, 2, nloc_p, nloc_v)
-    # component-major velocity columns: derivative d goes with block d
-    return blk.transpose(0, 2, 1, 3).reshape(nt, nloc_p, 2 * nloc_v)
+    # written in place: component-major columns, derivative d in block d
+    out = np.empty((nt, nloc_p, 2, nloc_v))
+    for i, d in np.ndindex(nloc_p, 2):
+        np.matmul(geo[:, d], ref[:, i], out=out[:, i, d])
+    return out.reshape(nt, nloc_p, 2 * nloc_v)
 
 
 def element_load(det, vals, fq, w):

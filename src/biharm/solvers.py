@@ -75,6 +75,7 @@ class StokesSolution:
     p: Field
     iterations: int
     residual_norm: float
+    assembly_seconds: float  # assembling B, pressure mass and load
 
 
 @dataclass
@@ -297,13 +298,15 @@ def solve_stokes(vspace, pspace, rhs, factor=None, p0=None):
         raise ValueError("rhs length does not match the vector velocity space")
     if factor is None:
         factor = stiffness_factor(vspace)
+    t0 = time.perf_counter()
     keep = np.ones(2 * nv)
     keep[vector_boundary_dofs(vspace)] = 0.0
     b = (assemble_divergence(vspace, pspace) @ sps.diags(keep)).tocsr()
-    bt = b.T.tocsr()
+    bt = b.T  # a CSC view: its matvec sums each row of B^T in column order
     f = rhs * keep
     mass_p = assemble_mass(pspace)
     mvec = assemble_load(pspace, _ones)
+    assembly_seconds = time.perf_counter() - t0
 
     # velocity vectors are component-major; the factor solves both
     # components at once as the two columns of an (nv, 2) block
@@ -345,7 +348,7 @@ def solve_stokes(vspace, pspace, rhs, factor=None, p0=None):
     if divmax > 1e-9 * unorm + floor:
         raise ArithmeticError(f"divergence residual {divmax:.3e} too large")
     return StokesSolution(Field(vspace, 2, xu), Field(pspace, 1, xp),
-                          len(steps), residual)
+                          len(steps), residual, assembly_seconds)
 
 
 def solve_poisson(space, rhs, factor=None):
@@ -438,11 +441,14 @@ def run_chains(meshes, k, chains):
                 t0 = time.perf_counter()
                 rhs = (assemble_stokes_rhs_analytic(vspace, F) if w is None
                        else assemble_stokes_rhs_discrete_curl(vspace, w))
+                rhs_s = time.perf_counter() - t0
                 ws.append(w)
                 sols.append(solve_stokes(
                     vspace, pspace, rhs, vfactor,
                     run.records[-1].p if run.records else None))
-                secs["stokes"] = time.perf_counter() - t0
+                secs["stokes_assembly"] = rhs_s + sols[-1].assembly_seconds
+                secs["stokes"] = (time.perf_counter() - t0
+                                  - secs["stokes_assembly"])
             del vfactor
             phis = []
             for sol, secs in zip(sols, seconds):

@@ -271,19 +271,24 @@ def _barycentric(mesh, tri, xy):
     return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
+# Fine DOFs that prolongate transfers at once (one row block of P).
+TRANSFER_ROWS = 1 << 14
+
+
 def prolongate(coarse, fine_space):
     """Represent a coarse field exactly on a space of the same or a finer mesh.
 
-    Each call builds one sparse transfer matrix P (fine DOFs x coarse
-    DOFs) and applies it to every component.  Row i of P holds the
-    coarse local basis, in local order, at fine DOF node i, evaluated in
-    the coarse triangle that the refinement ancestry assigns to the
-    lowest-numbered fine triangle at that node; rows of fine bubble DOFs
-    are empty, so bubble coefficients are 0.  This reproduces the coarse
-    function exactly whenever the fine space contains the coarse one
-    elementwise (P_k in P_m for k <= m, Mini in P3).  P is not kept
-    between calls: caching transfer operators on the meshes raised a
-    Mini study's peak memory by about half.
+    Each call builds the sparse transfer matrix P (fine DOFs x coarse
+    DOFs) one block of TRANSFER_ROWS rows at a time and applies each
+    block to every component.  Row i of P holds the coarse local basis,
+    in local order, at fine DOF node i, evaluated in the coarse triangle
+    that the refinement ancestry assigns to the lowest-numbered fine
+    triangle at that node; rows of fine bubble DOFs are empty, so bubble
+    coefficients are 0.  This reproduces the coarse function exactly
+    whenever the fine space contains the coarse one elementwise (P_k in
+    P_m for k <= m, Mini in P3).  P is not kept between calls: caching
+    transfer operators on the meshes raised a Mini study's peak memory
+    by about half.
     """
     cmesh = coarse.space.mesh
     fmesh = fine_space.mesh
@@ -295,20 +300,24 @@ def prolongate(coarse, fine_space):
         anc = m.parent[anc]
         m = m.coarser
 
-    nt, nloc = fine_space.element_dofs.shape
+    nt = len(fine_space.element_dofs)
     nodes = fine_space.ndof
     if fine_space.kind == "lagrange_bubble":
         nodes = len(fmesh.points)
-    rep = np.full(fine_space.ndof, nt, dtype=np.int64)
-    np.minimum.at(rep, fine_space.element_dofs.ravel(),
-                  np.repeat(np.arange(nt), nloc))
-    ctri = anc[rep[:nodes]]
-
-    vals = basis_values(coarse.space,
-                        _barycentric(cmesh, ctri, fine_space.dof_coords[:nodes]))
-    cols = coarse.space.element_dofs.astype(np.int32)[ctri]
-    indptr = np.minimum(np.arange(fine_space.ndof + 1, dtype=np.int32), nodes)
-    p = sps.csr_matrix((vals.ravel(), cols.ravel(), indptr * vals.shape[1]),
-                       shape=(fine_space.ndof, coarse.space.ndof))
-    return Field(fine_space, coarse.components, np.concatenate(
-        [p @ coarse.component(c) for c in range(coarse.components)]))
+    rep = np.full(fine_space.ndof, nt, dtype=np.int32)
+    for dofs in fine_space.element_dofs.T:
+        np.minimum.at(rep, dofs, np.arange(nt, dtype=np.int32))
+    out = np.zeros((coarse.components, fine_space.ndof))
+    for r0 in range(0, nodes, TRANSFER_ROWS):
+        rows = slice(r0, min(r0 + TRANSFER_ROWS, nodes))
+        ctri = anc[rep[rows]]
+        vals = basis_values(coarse.space, _barycentric(
+            cmesh, ctri, fine_space.dof_coords[rows]))
+        cols = coarse.space.element_dofs[ctri].astype(np.int32)
+        p = sps.csr_matrix(
+            (vals.ravel(), cols.ravel(),
+             np.arange(0, vals.size + 1, vals.shape[1], dtype=np.int32)),
+            shape=(len(ctri), coarse.space.ndof))
+        for c in range(coarse.components):
+            out[c, rows] = p @ coarse.component(c)
+    return Field(fine_space, coarse.components, out.ravel())

@@ -1,6 +1,7 @@
 """Reference checks that only the tests use: nodal interpolation and
-pointwise evaluation of fields, errors against an exact solution and
-the discrete inf-sup constant of a Stokes pair."""
+pointwise evaluation of fields, errors against an exact solution, the
+discrete inf-sup constant of a Stokes pair and the one-shot sparse
+assembly that row-blocked assembly must reproduce."""
 
 import math
 
@@ -81,6 +82,19 @@ def assemble_vector_stiffness(space, order=None):
     """Block-diagonal two-component copy of the scalar stiffness."""
     a = assemble_stiffness(space, order)
     return sps.block_diag([a, a], format="csr")
+
+
+def one_shot_csr(local, rows, cols, shape, index_dtype=np.int32):
+    """Element blocks summed by one coo->csr of all their triplets.
+
+    ``local`` (nt, nrow, ncol) goes to ``rows`` (nt, nrow) and ``cols``
+    (nt, ncol); scipy sorts each row and sums its duplicates.
+    """
+    i = np.broadcast_to(rows.astype(index_dtype)[:, :, None],
+                        local.shape).ravel()
+    j = np.broadcast_to(cols.astype(index_dtype)[:, None, :],
+                        local.shape).ravel()
+    return sps.coo_matrix((local.ravel(), (i, j)), shape=shape).tocsr()
 
 
 def manufactured_error(field, exact, norm="L2", exact_grad=None):

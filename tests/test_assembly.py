@@ -16,7 +16,7 @@ from biharm import meshing as msh
 from biharm import spaces as sp
 from biharm.quadrature import triangle_rule
 
-from oracles import assemble_vector_stiffness, interpolate
+from oracles import assemble_vector_stiffness, interpolate, one_shot_csr
 
 
 def vector_field(space, fx, fy):
@@ -105,34 +105,70 @@ SCATTERED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCATTERED))
-def test_scatter_int32_triplets_match_int64_build(square2, monkeypatch, name):
-    blocks, triplet_dtypes = [], []
-    scatter, coo_matrix = asm._scatter, sps.coo_matrix
+def _record_blocks(monkeypatch):
+    """Element blocks and index maps of every _scatter call, in order."""
+    blocks = []
+    scatter = asm._scatter
 
-    def recording_scatter(local, rows, cols, shape):
+    def recording_scatter(element_block, rows, cols, shape):
+        local = element_block()
         blocks.append((local, rows, cols, shape))
-        return scatter(local, rows, cols, shape)
-
-    def recording_coo(arg, **kwargs):
-        triplet_dtypes.extend(idx.dtype for idx in arg[1])
-        return coo_matrix(arg, **kwargs)
+        return scatter(lambda: local, rows, cols, shape)
 
     monkeypatch.setattr(asm, "_scatter", recording_scatter)
-    monkeypatch.setattr(sps, "coo_matrix", recording_coo)
+    return blocks
+
+
+def _nblocks(shape):
+    return -(-shape[0] // asm.SCATTER_ROWS)
+
+
+@pytest.mark.parametrize("name", sorted(SCATTERED))
+def test_scatter_int32_triplets_match_int64_build(square2, monkeypatch, name):
+    blocks = _record_blocks(monkeypatch)
+    index_dtypes = []
+    csr_matrix = sps.csr_matrix
+
+    def recording_csr(arg, **kwargs):
+        index_dtypes.append((arg[1].dtype, arg[2].dtype))
+        return csr_matrix(arg, **kwargs)
+
+    monkeypatch.setattr(sps, "csr_matrix", recording_csr)
+    monkeypatch.setattr(asm, "SCATTER_ROWS", 4)
     got = SCATTERED[name](square2)
+    (local, rows, cols, shape), = blocks
+    # int32 triplets in every row block
+    assert _nblocks(shape) >= 3
+    assert index_dtypes == [(np.int32, np.int32)] * _nblocks(shape)
     monkeypatch.undo()
-    assert triplet_dtypes == [np.int32, np.int32]
     assert got.indices.dtype == got.indptr.dtype == np.int32
 
-    (local, rows, cols, shape), = blocks
-    i = np.broadcast_to(rows.astype(np.int64)[:, :, None], local.shape).ravel()
-    j = np.broadcast_to(cols.astype(np.int64)[:, None, :], local.shape).ravel()
-    ref = sps.coo_matrix((local.ravel(), (i, j)), shape=shape).tocsr()
+    ref = one_shot_csr(local, rows, cols, shape, np.int64)
     got.sort_indices()
     ref.sort_indices()
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
+@pytest.fixture(scope="module")
+def lshape3():
+    _, l0 = msh.builtin_domain("lshape")
+    return msh.refine_hierarchy(l0, 3, {0: 0.2})[3]
+
+
+@pytest.mark.parametrize("name", sorted(SCATTERED))
+def test_scatter_row_blocks_match_one_shot_build(lshape3, monkeypatch, name):
+    blocks = _record_blocks(monkeypatch)
+    monkeypatch.setattr(asm, "SCATTER_ROWS", 64)
+    got = SCATTERED[name](lshape3)
+    (local, rows, cols, shape), = blocks
+    assert _nblocks(shape) >= 3
+    ref = one_shot_csr(local, rows, cols, shape)
+    # same sort and duplicate sums per row: equal to the bit, no slack
+    for attr in ("data", "indices", "indptr"):
+        mine, theirs = getattr(got, attr), getattr(ref, attr)
+        assert mine.dtype == theirs.dtype, attr
+        assert mine.tobytes() == theirs.tobytes(), attr
 
 
 # -- divergence ----------------------------------------------------------------

@@ -145,7 +145,8 @@ def test_run_experiment_poisson_reports_and_timings():
         assert window[0] < rows[-1][2] < window[1]
     steps = result.timings[0.5]
     assert len(steps) == config.levels + 1
-    assert all(set(step) == {"factor", "poisson_w", "stokes", "poisson_phi"}
+    assert all(set(step) == {"factor", "poisson_w", "stokes_assembly",
+                             "stokes", "poisson_phi"}
                for step in steps)
 
 
@@ -261,10 +262,11 @@ def test_summary_and_timing_schemas(sp_artifacts):
 
     lines = open(os.path.join(config.out, "timing.csv")).read().splitlines()
     assert lines[0] == "kappa,level,step,seconds"
-    # factor, stokes and poisson_phi steps per level (0..3) per kappa
-    assert len(lines) == 1 + 2 * 3 * (config.levels + 1)
+    # factor, stokes_assembly, stokes and poisson_phi steps per level
+    # (0..3) per kappa
+    assert len(lines) == 1 + 2 * 4 * (config.levels + 1)
     assert ({line.split(",")[2] for line in lines[1:]}
-            == {"factor", "stokes", "poisson_phi"})
+            == {"factor", "stokes_assembly", "stokes", "poisson_phi"})
 
 
 def test_levels_jsonl_records_each_level(sp_artifacts):
@@ -279,7 +281,8 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
         assert set(row) == {"kappa", "level", "iterations", "residual_norm",
                             "lu_solves", "lu_residual_max", "factor_nnz",
                             "maxrss_mb", "seconds"}
-        assert set(row["seconds"]) == {"factor", "stokes", "poisson_phi"}
+        assert set(row["seconds"]) == {"factor", "stokes_assembly", "stokes",
+                                       "poisson_phi"}
         assert row["iterations"] >= 1
         assert 0.0 <= row["residual_norm"] < 1e-10
         assert 0.0 <= row["lu_residual_max"] < 1e-10

@@ -532,8 +532,8 @@ def test_run_records_structure(square_meshes):
     assert run.algorithm == "psp" and run.k == 2
     assert [rec.level for rec in run.records] == [0, 1, 2, 3]
     for rec in run.records:
-        assert set(rec.seconds) == {"factor", "poisson_w", "stokes",
-                                    "poisson_phi"}
+        assert set(rec.seconds) == {"factor", "poisson_w", "stokes_assembly",
+                                    "stokes", "poisson_phi"}
         assert all(t >= 0.0 for t in rec.seconds.values())
         sspace = rec.phi.space
         assert np.all(rec.phi.coefficients[sspace.boundary_dofs] == 0.0)
@@ -542,8 +542,8 @@ def test_run_records_structure(square_meshes):
     for coarse, fine in zip(meshes, meshes[1:]):
         assert fine.coarser is coarse
     run2 = run_sp(square_meshes[:2], fone, FORCE_INT_X, 2)
-    assert set(run2.records[0].seconds) == {"factor", "stokes",
-                                            "poisson_phi"}
+    assert set(run2.records[0].seconds) == {"factor", "stokes_assembly",
+                                            "stokes", "poisson_phi"}
     assert run2.records[0].w is None
 
 

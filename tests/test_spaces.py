@@ -310,10 +310,14 @@ def test_prolongate_is_evaluation_at_fine_nodes(monkeypatch, same_mesh,
         calls.append(space)
         return basis_values(space, lam)
 
+    nodes = fine.ndof
+    if fine.kind == "lagrange_bubble":
+        nodes = len(fine.mesh.points)
     monkeypatch.setattr(sp, "basis_values", counting)
+    monkeypatch.setattr(sp, "TRANSFER_ROWS", -(-nodes // 3))
     got = sp.prolongate(u, fine).coefficients
-    # one transfer matrix serves both components
-    assert len(calls) == 1
+    # three row blocks of the transfer, each serving both components
+    assert len(calls) == 3
     monkeypatch.undo()
     expect = _evaluate_at_fine_nodes(u, fine)
     if coarse_spec[0] == 3:
