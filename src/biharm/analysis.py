@@ -73,7 +73,7 @@ def field_norm(field, norm="L2"):
         return max(float(np.max(np.abs(field.component(c)[:n])))
                    for c in range(field.components))
     lam, w = triangle_rule(_quad_order(space, norm))
-    _, det, inv_t = jacobians(space.mesh)
+    det, inv_t = jacobians(space.mesh)
     ed = space.element_dofs
     vals = basis_values(space, lam)
     gref = basis_ref_grads(space, lam)

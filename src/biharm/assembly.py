@@ -1,13 +1,14 @@
 """Sparse matrices and load vectors for the Poisson and Stokes subproblems.
 
 All integrals are evaluated with triangle rules whose exactness degree
-covers the integrand (polynomial parts exactly; analytic data with the
-default order k+2, overridable).  Matrices are summed from per-element
-blocks into int32-indexed CSR one block of SCATTER_ROWS rows at a time;
-each row takes its entries in element-index order, as one coo->csr of
-all triplets would, so the result is deterministic and the same to the
-bit.  Velocity vectors use component-major layout (all x-coefficients,
-then all y-coefficients).
+covers the integrand: polynomial parts exactly, analytic data with the
+order k+2.  Matrices are summed from per-element blocks into
+int32-indexed CSR one block of SCATTER_ROWS rows at a time; each row
+takes its entries in element-index order, as one coo->csr of all
+triplets would, so the result is deterministic and the same to the
+bit.  Load vectors sum their element vectors in element order with
+``np.bincount``.  Velocity vectors use component-major layout (all
+x-coefficients, then all y-coefficients).
 """
 
 import numpy as np
@@ -68,74 +69,67 @@ def _scatter(element_block, rows, cols, shape):
     return sps.vstack(blocks, format="csr")
 
 
-def assemble_stiffness(space, order=None):
+def assemble_stiffness(space):
     """A_ij = int grad(phi_j) . grad(phi_i); symmetric CSR."""
-    if order is None:
-        order = max(1, 2 * (poly_degree(space) - 1))
-    lam, w = triangle_rule(order)
+    lam, w = triangle_rule(max(1, 2 * (poly_degree(space) - 1)))
     gref = basis_ref_grads(space, lam)
     ed = space.element_dofs
     return _scatter(lambda: kernels.element_stiffness(
-        *jacobians(space.mesh)[1:], gref, w), ed, ed, (space.ndof, space.ndof))
+        *jacobians(space.mesh), gref, w), ed, ed, (space.ndof, space.ndof))
 
 
-def assemble_mass(space, order=None):
+def assemble_mass(space):
     """M_ij = int phi_j phi_i; symmetric CSR."""
-    if order is None:
-        order = 2 * poly_degree(space)
-    lam, w = triangle_rule(order)
+    lam, w = triangle_rule(2 * poly_degree(space))
     vals = basis_values(space, lam)
     ed = space.element_dofs
     return _scatter(lambda: kernels.element_mass(
-        jacobians(space.mesh)[1], vals, w), ed, ed, (space.ndof, space.ndof))
+        jacobians(space.mesh)[0], vals, w), ed, ed, (space.ndof, space.ndof))
 
 
-def assemble_divergence(vspace, pspace, order=None):
+def assemble_divergence(vspace, pspace):
     """B with B[(q, v)] = -int (div v) q, shape npressure x 2 nvelocity."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces live on different meshes")
     if pspace.degree > vspace.degree:
         raise ValueError("pressure degree exceeds velocity degree")
-    if order is None:
-        order = max(1, poly_degree(vspace) - 1 + poly_degree(pspace))
-    lam, w = triangle_rule(order)
+    lam, w = triangle_rule(max(1, poly_degree(vspace) - 1 + poly_degree(pspace)))
     gref_v = basis_ref_grads(vspace, lam)
     vals_p = basis_values(pspace, lam)
     nv = vspace.ndof
     cols = vspace.element_dofs.astype(np.int32)
     cols = np.hstack([cols, cols + nv])  # component-major velocity columns
     return _scatter(lambda: kernels.element_divergence(
-        *jacobians(vspace.mesh)[1:], gref_v, vals_p, w),
+        *jacobians(vspace.mesh), gref_v, vals_p, w),
         pspace.element_dofs, cols, (pspace.ndof, 2 * nv))
 
 
-def assemble_load(space, f, order=None):
-    """b_i = int f phi_i with default order k + 2."""
-    if order is None:
-        order = poly_degree(space) + 2
-    lam, w = triangle_rule(order)
+def _sum_loads(space, local):
+    """Global load vector of the element vectors ``local`` (nt, nlocal)."""
+    return np.bincount(space.element_dofs.ravel(), local.ravel(),
+                       minlength=space.ndof)
+
+
+def assemble_load(space, f):
+    """b_i = int f phi_i with a rule of order k + 2."""
+    lam, w = triangle_rule(poly_degree(space) + 2)
     vals = basis_values(space, lam)
-    _, det, _ = jacobians(space.mesh)
+    det, _ = jacobians(space.mesh)
     pts = physical_points(lam, space.mesh.points[space.mesh.triangles])
     fq = call_on_points(f, pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    local = kernels.element_load(det, vals, fq, w)
-    b = np.zeros(space.ndof)
-    np.add.at(b, space.element_dofs.ravel(), local.ravel())
-    return b
+    return _sum_loads(space, kernels.element_load(det, vals, fq, w))
 
 
-def assemble_stokes_rhs_analytic(vspace, F, order=None):
+def assemble_stokes_rhs_analytic(vspace, F):
     """<F, v> for an analytic pair F = (f1, f2); stacked component blocks."""
     f1, f2 = F
-    return np.concatenate(
-        [assemble_load(vspace, f1, order), assemble_load(vspace, f2, order)]
-    )
+    return np.concatenate([assemble_load(vspace, f1), assemble_load(vspace, f2)])
 
 
 def _component_grads_at_quad(field, lam):
     space = field.space
     gref = basis_ref_grads(space, lam)
-    _, det, inv_t = jacobians(space.mesh)
+    det, inv_t = jacobians(space.mesh)
     ed = space.element_dofs
     return [
         kernels.field_grads_at_quad(det, inv_t, gref, field.component(c)[ed])
@@ -155,10 +149,7 @@ def assemble_stokes_rhs_discrete_curl(vspace, w_field):
     vals = basis_values(vspace, lam)
     b1 = kernels.element_load(det, vals, np.ascontiguousarray(gw[:, :, 1]), w)
     b2 = kernels.element_load(det, vals, np.ascontiguousarray(-gw[:, :, 0]), w)
-    out = np.zeros(2 * vspace.ndof)
-    np.add.at(out, vspace.element_dofs.ravel(), b1.ravel())
-    np.add.at(out[vspace.ndof:], vspace.element_dofs.ravel(), b2.ravel())
-    return out
+    return np.concatenate([_sum_loads(vspace, b1), _sum_loads(vspace, b2)])
 
 
 def assemble_curl_rhs(space, u_field):
@@ -172,21 +163,19 @@ def assemble_curl_rhs(space, u_field):
     (g1, g2), det = _component_grads_at_quad(u_field, lam)
     curl = np.ascontiguousarray(g2[:, :, 0] - g1[:, :, 1])
     vals = basis_values(space, lam)
-    local = kernels.element_load(det, vals, curl, w)
-    b = np.zeros(space.ndof)
-    np.add.at(b, space.element_dofs.ravel(), local.ravel())
-    return b
+    return _sum_loads(space, kernels.element_load(det, vals, curl, w))
 
 
-def apply_dirichlet(A, b, dofs):
-    """Symmetric elimination: zero rows/cols, unit diagonal, zero rhs.
+def apply_dirichlet(A, dofs):
+    """Symmetric elimination: zero rows/cols of ``dofs``, unit diagonal.
 
     Works in place on the CSR form of A (A itself when it is CSR) and
-    returns it with the eliminated load: one-byte masks zero every entry
-    in a row or column of ``dofs``, those rows get a unit diagonal, and
-    exact zeros are dropped.  The result has the entries of
-    D A D + (I - D), D the 0/1 diagonal that keeps the free DOFs,
-    without forming either product.
+    returns it: one-byte masks zero every entry in a row or column of
+    ``dofs``, those rows get a unit diagonal, and exact zeros are
+    dropped.  The result has the entries of D A D + (I - D), D the 0/1
+    diagonal that keeps the free DOFs, without forming either product.
+    Loads are eliminated by their users, which zero the rows of
+    ``dofs``.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError("apply_dirichlet needs a square system")
@@ -202,7 +191,7 @@ def apply_dirichlet(A, b, dofs):
     rows = np.flatnonzero(pin)
     A[rows, rows] = 1.0
     A.eliminate_zeros()
-    return A, np.asarray(b, dtype=float) * ~pin
+    return A
 
 
 def vector_boundary_dofs(space):

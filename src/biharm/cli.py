@@ -29,13 +29,7 @@ import numpy as np
 
 from .analysis import diff_norm, lift_pairs, markdown_table, rate_table
 from .corners import beta0, solve_alpha0
-from .meshing import (
-    GradingRule,
-    builtin_domain,
-    read_mesh,
-    refine_hierarchy,
-    write_mesh,
-)
+from .meshing import builtin_domain, read_mesh, refine_hierarchy, write_mesh
 from .solvers import compare_runs, run_chains, run_psp, run_sp
 
 __all__ = [
@@ -298,11 +292,6 @@ def _root_mesh(domain):
     )
 
 
-def _hierarchy(config, root, kappa):
-    rules = {c: GradingRule(kappa) for c in root.domain.graded_corners}
-    return refine_hierarchy(root, config.levels, rules)
-
-
 def _chain(config):
     """The configured chain as (f, F); F is None for psp."""
     return parse_f_spec(config.f), parse_F_spec(config.f, config.F)
@@ -310,7 +299,7 @@ def _chain(config):
 
 def _run_column(config, root, kappa):
     """All levels of one kappa column; returns its LevelRecords."""
-    meshes = _hierarchy(config, root, kappa)
+    meshes = refine_hierarchy(root, config.levels, kappa)
     f, F = _chain(config)
     run = (run_psp(meshes, f, config.k) if F is None
            else run_sp(meshes, f, F, config.k))
@@ -516,7 +505,7 @@ def run_comparison(config_a, config_b, out=None):
     root = _root_mesh(config_a.domain)
     rows, failures = {}, {}
     for kappa in config_a.kappas:
-        meshes = _hierarchy(config_a, root, kappa)
+        meshes = refine_hierarchy(root, config_a.levels, kappa)
         try:
             runs = run_chains(meshes, config_a.k,
                               [_chain(config_a), _chain(config_b)])
@@ -624,8 +613,7 @@ def _cmd_corner_exponents(args):
 
 def _cmd_mesh(args):
     root = _root_mesh(args.domain)
-    rules = {c: GradingRule(args.kappa) for c in root.domain.graded_corners}
-    meshes = refine_hierarchy(root, args.levels, rules)
+    meshes = refine_hierarchy(root, args.levels, args.kappa)
     write_mesh(meshes[-1], args.out)
     final = meshes[-1]
     print(f"wrote {args.out} ({len(final.points)} points, "

@@ -1,4 +1,4 @@
-"""Corner exponents and grading parameters for polygonal domains.
+"""Corner exponents for polygonal domains.
 
 At a corner of interior opening ``omega`` the regularity of the clamped
 biharmonic solution is governed by the smallest characteristic exponent
@@ -26,10 +26,6 @@ __all__ = [
     "solve_alpha0",
     "beta0",
     "characteristic_roots",
-    "grading_kappa",
-    "theta_for_optimal_h1",
-    "theta_for_optimal_l2",
-    "theta_prime",
 ]
 
 # Roots of the characteristic equation that hold for every opening angle
@@ -43,6 +39,9 @@ _TRIVIAL_RADIUS = 1e-6
 # around 1/2; starting the box below 0.5 keeps that pair away from the
 # contour (roots polished to Re <= 1/2 are filtered afterwards).
 _RE_MIN = 0.49
+# Right edge: it holds alpha0 of every opening above pi/6 (alpha0(pi/5)
+# is 6.73); for narrower openings the search finds no root and raises.
+_RE_MAX = 8.0
 _IM_MAX = 10.0
 _IM_MIN = -0.25  # keep real roots off the contour
 
@@ -219,8 +218,8 @@ def _validate_omega(omega):
         raise ValueError("opening angle pi is a straight edge, not a corner")
 
 
-def _real_roots(omega, cap):
-    """Real roots of g on (0.49, cap], secured by a dense factor-wise scan.
+def _real_roots(omega):
+    """Real roots of g on (0.49, 8], secured by a dense factor-wise scan.
 
     The characteristic function factors as f1*f2 with
     f1 = sin(z*omega) - z sin(omega) and f2 = sin(z*omega) + z sin(omega);
@@ -235,10 +234,10 @@ def _real_roots(omega, cap):
         lambda x: math.sin(x * omega) + x * s,
     )
     step = 5e-4
-    n = int((cap - _RE_MIN) / step) + 2
+    n = int((_RE_MAX - _RE_MIN) / step) + 2
     xs = [_RE_MIN + i * step for i in range(n)]
     roots = []
-    scale = max(1.0, (cap * abs(s)) ** 2)
+    scale = max(1.0, (_RE_MAX * abs(s)) ** 2)
     for f in factors:
         vals = [f(x) for x in xs]
         for i in range(len(xs) - 1):
@@ -269,16 +268,16 @@ def _real_roots(omega, cap):
     return roots
 
 
-def characteristic_roots(omega, cap=8.0):
+def characteristic_roots(omega):
     """All roots of sin^2(z*omega) = z^2 sin^2(omega) in the search window.
 
-    Returns the nontrivial roots with Re(z) in (1/2, cap] and |Im(z)| <= 10,
+    Returns the nontrivial roots with Re(z) in (1/2, 8] and |Im(z)| <= 10,
     normalized to the upper half plane, deduplicated, and sorted by
     (Re, Im).  Raises RuntimeError if the search cannot isolate the roots.
     """
     _validate_omega(omega)
-    found = _real_roots(omega, float(cap))
-    _subdivide(omega, (_RE_MIN, float(cap), _IM_MIN, _IM_MAX), found)
+    found = _real_roots(omega)
+    _subdivide(omega, (_RE_MIN, _RE_MAX, _IM_MIN, _IM_MAX), found)
     roots = []
     for z in found:
         z = complex(z.real, abs(z.imag))
@@ -293,19 +292,19 @@ def characteristic_roots(omega, cap=8.0):
     if not roots:
         raise RuntimeError(
             "no nontrivial characteristic roots found in "
-            f"Re in ({_RE_MIN}, {cap}], Im in [{_IM_MIN}, {_IM_MAX}] "
+            f"Re in ({_RE_MIN}, {_RE_MAX}], Im in [{_IM_MIN}, {_IM_MAX}] "
             f"for omega={omega!r}"
         )
     return roots
 
 
-def solve_alpha0(omega, cap=8.0):
+def solve_alpha0(omega):
     """Smallest corner exponent alpha0(omega) of the clamped biharmonic problem.
 
     ``omega`` is the interior opening angle in radians, in (0, 2pi) and not
-    equal to pi.  The search window for Re(z) is (1/2, cap].
+    equal to pi.  The search window for Re(z) is (1/2, 8].
     """
-    return characteristic_roots(omega, cap=cap)[0].real
+    return characteristic_roots(omega)[0].real
 
 
 def beta0(omega):
@@ -313,59 +312,3 @@ def beta0(omega):
     if not (0.0 < omega < 2.0 * math.pi):
         raise ValueError(f"opening angle must lie in (0, 2pi), got {omega!r}")
     return math.pi / omega
-
-
-def grading_kappa(theta, a):
-    """Contraction factor kappa = 2^(-theta/a) placed at a graded corner.
-
-    Requires 0 < a <= theta; equals 1/2 exactly when theta = a (uniform
-    refinement), and decreases as the grading strength theta grows.
-    """
-    if a <= 0.0:
-        raise ValueError(f"regularity index a must be positive, got {a!r}")
-    if theta < a:
-        raise ValueError(f"grading strength theta={theta!r} must be >= a={a!r}")
-    return 2.0 ** (-theta / a)
-
-
-def theta_for_optimal_h1(k, a, alpha0):
-    """Grading strength giving the full H1 rate k for degree-k elements.
-
-    Evaluates max{k-1, min{alpha0, a}} where ``a`` measures the smoothness
-    of the load and ``alpha0`` the corner exponent.
-    """
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k!r}")
-    if a <= 0.0 or alpha0 <= 0.0:
-        raise ValueError("a and alpha0 must be positive")
-    return max(float(k - 1), min(alpha0, a))
-
-
-def theta_for_optimal_l2(k, a, alpha0):
-    """Grading strength giving the full L2 rate k+1 for degree-k elements.
-
-    Evaluates max{k-1, (k+1)/2, min{alpha0, a}}.
-    """
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k!r}")
-    if a <= 0.0 or alpha0 <= 0.0:
-        raise ValueError("a and alpha0 must be positive")
-    return max(float(k - 1), 0.5 * (k + 1), min(alpha0, a))
-
-
-def theta_prime(theta, alpha0, beta0, k):
-    """Effective grading strength seen by the Stokes velocity.
-
-    Evaluates min{(beta0/alpha0) * max{theta, alpha0}, k}: the velocity
-    cannot benefit from grading beyond the ratio beta0/alpha0, nor beyond
-    the element degree.
-    """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta!r}")
-    if alpha0 <= 0.5:
-        raise ValueError(f"alpha0 must exceed 1/2, got {alpha0!r}")
-    if beta0 <= 0.0:
-        raise ValueError(f"beta0 must be positive, got {beta0!r}")
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k!r}")
-    return min((beta0 / alpha0) * max(theta, alpha0), float(k))

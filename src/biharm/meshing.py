@@ -17,27 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "GradingRule",
     "PolygonDomain",
     "Mesh",
-    "make_domain",
     "builtin_domain",
     "graded_refine",
     "refine_hierarchy",
     "write_mesh",
     "read_mesh",
 ]
-
-@dataclass(frozen=True)
-class GradingRule:
-    """Grading factor for one corner; kappa = 1/2 reproduces midpoints."""
-
-    kappa: float
-
-    def __post_init__(self):
-        if not (0.0 < self.kappa <= 0.5):
-            raise ValueError(f"kappa must lie in (0, 1/2], got {self.kappa!r}")
-
 
 class PolygonDomain:
     """Simple closed polygon with flagged (graded) corners.
@@ -98,8 +85,10 @@ class Mesh:
     parent: np.ndarray        # (ntriangles,) triangle index one level up, -1 at level 0
     corner_vertex: np.ndarray # (npoints,) corner id or -1
     coarser: "Mesh | None" = None
-    _edges: np.ndarray = field(default=None, repr=False)
-    _boundary_edges: np.ndarray = field(default=None, repr=False)
+    # unique undirected edges as sorted (lo, hi) rows in lexicographic
+    # order, and the rows of those with one incident triangle
+    edges: np.ndarray = field(init=False, repr=False)
+    boundary_edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=float)
@@ -110,6 +99,17 @@ class Mesh:
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
             raise ValueError(f"triangle {bad} is degenerate or clockwise")
+        # both edge arrays from one sort of the codes lo * npoints + hi;
+        # an edge with more than two triangles is non-manifold
+        raw = self.triangles[:, [0, 1, 1, 2, 2, 0]]
+        lo = np.minimum(raw[:, 0::2], raw[:, 1::2]).ravel()
+        hi = np.maximum(raw[:, 0::2], raw[:, 1::2]).ravel()
+        npts = len(self.points)
+        codes, counts = np.unique(lo * npts + hi, return_counts=True)
+        if np.any(counts > 2):
+            raise ValueError("non-manifold edge: more than two incident triangles")
+        self.edges = np.column_stack([codes // npts, codes % npts])
+        self.boundary_edges = self.edges[counts == 1]
 
     # -- geometry ---------------------------------------------------------
 
@@ -119,37 +119,15 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def _edge_table(self):
-        """Both edge arrays from one sort of the codes lo * npoints + hi.
+    def edge_index(self, u, v):
+        """Rows of the edges {u, v} in ``edges``.
 
-        The codes sort in the lexicographic order of the (lo, hi) pairs.
-        An edge with one incident triangle is a boundary edge; one with
-        more than two makes the triangulation non-manifold.
+        Edges are found by binary search on the codes lo * npoints + hi,
+        which sort in the lexicographic order of the (lo, hi) rows.
         """
-        raw = self.triangles[:, [0, 1, 1, 2, 2, 0]]
-        lo = np.minimum(raw[:, 0::2], raw[:, 1::2]).ravel()
-        hi = np.maximum(raw[:, 0::2], raw[:, 1::2]).ravel()
-        npts = len(self.points)
-        codes, counts = np.unique(lo * npts + hi, return_counts=True)
-        if np.any(counts > 2):
-            raise ValueError("non-manifold edge: more than two incident triangles")
-        edges = np.column_stack([codes // npts, codes % npts])
-        self._edges = edges
-        self._boundary_edges = edges[counts == 1]
-
-    @property
-    def edges(self):
-        """Unique undirected edges as sorted (lo, hi) index pairs, sorted."""
-        if self._edges is None:
-            self._edge_table()
-        return self._edges
-
-    @property
-    def boundary_edges(self):
-        """Edges incident to exactly one triangle, as sorted (lo, hi) rows."""
-        if self._boundary_edges is None:
-            self._edge_table()
-        return self._boundary_edges
+        n = len(self.points)
+        codes = self.edges[:, 0] * n + self.edges[:, 1]
+        return np.searchsorted(codes, np.minimum(u, v) * n + np.maximum(u, v))
 
     def corner_point(self, corner):
         """Point index of a domain corner on this mesh."""
@@ -230,101 +208,50 @@ def builtin_domain(name):
         parent=np.full(len(tris), -1),
         corner_vertex=corner,
     )
-    _graded_point_index(mesh)  # rejects an edge joining two graded corners
     return domain, mesh
 
 
-def make_domain(vertices, graded_corners, triangles=None):
-    """Custom polygon; default level-0 mesh is a fan from vertex 0."""
-    domain = PolygonDomain(vertices, graded_corners)
-    n = len(domain.vertices)
-    if triangles is None:
-        triangles = [(0, i, i + 1) for i in range(1, n - 1)]
-    tris = np.asarray(triangles, dtype=np.int64)
-    mesh = Mesh(
-        domain=domain,
-        points=domain.vertices.copy(),
-        triangles=tris,
-        level=0,
-        parent=np.full(len(tris), -1),
-        corner_vertex=np.arange(n),
-    )
-    _graded_point_index(mesh)  # rejects an edge joining two graded corners
-    return domain, mesh
+def _graded_points(mesh, kappa):
+    """Mask of the points of ``mesh`` that are flagged corners.
 
-
-def _graded_point_index(mesh, rules=None):
-    """Map from point index to kappa for flagged corners (rules override).
-
-    Raises when an edge joins two flagged corners, on which the grading
-    would be ambiguous.
+    Raises when kappa is outside (0, 1/2] or when an edge joins two
+    flagged corners, on which the grading would be ambiguous.
     """
-    flagged = {}
-    for c in mesh.domain.graded_corners:
-        hits = np.nonzero(mesh.corner_vertex == c)[0]
-        if len(hits) == 1:
-            flagged[int(hits[0])] = 0.5
-    if rules:
-        for c, rule in rules.items():
-            if int(c) not in mesh.domain.graded_corners:
-                raise ValueError(f"corner {c} is not flagged for grading")
-            kappa = rule.kappa if isinstance(rule, GradingRule) else float(rule)
-            if not (0.0 < kappa <= 0.5):
-                raise ValueError(f"kappa must lie in (0, 1/2], got {kappa!r}")
-            hits = np.nonzero(mesh.corner_vertex == int(c))[0]
-            if len(hits) != 1:
-                raise ValueError(f"corner {c} not present on mesh")
-            flagged[int(hits[0])] = kappa
-    if flagged:
-        e = mesh.edges
-        both = np.isin(e[:, 0], list(flagged)) & np.isin(e[:, 1], list(flagged))
-        if np.any(both):
-            i = int(np.nonzero(both)[0][0])
-            raise ValueError(
-                f"edge {tuple(e[i])} joins two graded corners; "
-                "grading is ambiguous on such an edge"
-            )
-    return flagged
+    if not 0.0 < kappa <= 0.5:
+        raise ValueError(f"kappa must lie in (0, 1/2], got {kappa!r}")
+    graded = np.isin(mesh.corner_vertex, list(mesh.domain.graded_corners))
+    e = mesh.edges
+    both = graded[e[:, 0]] & graded[e[:, 1]]
+    if np.any(both):
+        i = int(np.nonzero(both)[0][0])
+        raise ValueError(
+            f"edge {tuple(e[i])} joins two graded corners; "
+            "grading is ambiguous on such an edge"
+        )
+    return graded
 
 
-def graded_refine(mesh, rules=None):
-    """One 4-way refinement sweep with corner grading.
+def graded_refine(mesh, kappa=0.5):
+    """One 4-way refinement sweep grading every flagged corner by ``kappa``.
 
-    ``rules`` maps corner ids to GradingRule (or plain kappa floats); only
-    corners flagged in the domain are allowed.  Flagged corners without a
-    rule refine with midpoints.  Every edge receives exactly one node,
-    placed at kappa fractions from a graded corner endpoint and at the
-    midpoint otherwise, so the refined mesh is conforming by construction.
+    ``kappa`` lies in (0, 1/2]; 1/2 is uniform refinement.  Every edge
+    receives exactly one node, placed at the fraction kappa of its
+    length from a graded corner endpoint and at the midpoint otherwise,
+    so the refined mesh is conforming by construction.
     """
-    flagged = _graded_point_index(mesh, rules)
+    graded = _graded_points(mesh, kappa)
     edges = mesh.edges
     npts = len(mesh.points)
 
     lo, hi = edges[:, 0], edges[:, 1]
-    frac = np.full(len(edges), 0.5)
-    if flagged:
-        kap = np.full(npts, np.nan)
-        for p, k in flagged.items():
-            kap[p] = k
-        lo_graded = ~np.isnan(kap[lo])
-        hi_graded = ~np.isnan(kap[hi])
-        # node measured from the graded endpoint A: D = A + kappa (B - A)
-        frac = np.where(lo_graded, kap[lo], frac)
-        frac = np.where(hi_graded, 1.0 - kap[hi], frac)
+    # node measured from the graded endpoint A: D = A + kappa (B - A)
+    frac = np.where(graded[lo], kappa, np.where(graded[hi], 1.0 - kappa, 0.5))
     new_pts = mesh.points[lo] + frac[:, None] * (mesh.points[hi] - mesh.points[lo])
 
-    # edge nodes are appended in lexicographic edge order, so the node of
-    # edge (a, b) is found by binary search on the packed edge codes
-    code = edges[:, 0] * npts + edges[:, 1]
-
-    def node(u, v):
-        a, b = np.minimum(u, v), np.maximum(u, v)
-        return npts + np.searchsorted(code, a * npts + b)
-
+    # edge nodes are appended in lexicographic edge order
     tri = mesh.triangles
-    mab = node(tri[:, 0], tri[:, 1])
-    mbc = node(tri[:, 1], tri[:, 2])
-    mca = node(tri[:, 2], tri[:, 0])
+    mab, mbc, mca = (npts + mesh.edge_index(tri[:, i], tri[:, (i + 1) % 3])
+                     for i in range(3))
     kids = np.empty((len(tri), 4, 3), dtype=np.int64)
     kids[:, 0] = np.stack([tri[:, 0], mab, mca], axis=1)
     kids[:, 1] = np.stack([tri[:, 1], mbc, mab], axis=1)
@@ -352,11 +279,12 @@ def graded_refine(mesh, rules=None):
     return fine
 
 
-def refine_hierarchy(mesh, levels, rules=None):
-    """Meshes at levels 0..levels (index = level)."""
+def refine_hierarchy(mesh, levels, kappa=0.5):
+    """Meshes at levels 0..levels (index = level), graded by ``kappa``."""
+    _graded_points(mesh, kappa)  # checked also when nothing is refined
     out = [mesh]
     for _ in range(levels):
-        out.append(graded_refine(out[-1], rules))
+        out.append(graded_refine(out[-1], kappa))
     return out
 
 

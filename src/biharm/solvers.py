@@ -198,9 +198,9 @@ def stiffness_factor(space, lead=None):
     ``lead`` is passed on to SpdFactor: for a Mini space, the P1
     stiffness factor of the same mesh.
     """
-    a, _ = apply_dirichlet(assemble_stiffness(space), np.zeros(space.ndof),
-                           space.boundary_dofs)
-    return SpdFactor(a, lead)
+    # the CSR is dropped before SpdFactor factors its CSC copy
+    return SpdFactor(apply_dirichlet(assemble_stiffness(space),
+                                     space.boundary_dofs).tocsc(), lead)
 
 
 def stokes_spaces(mesh, k):
@@ -267,13 +267,13 @@ def chebyshev_mass_inverse(mass, bounds):
     return spla.LinearOperator(mass.shape, matvec=apply, dtype=float)
 
 
-def solve_stokes(vspace, pspace, rhs, factor=None, p0=None):
+def solve_stokes(vspace, pspace, rhs, factor, p0=None):
     """Solve the Stokes system with zero-mean pressure.
 
     With A the scalar stiffness of ``vspace`` (Dirichlet rows
-    eliminated; ``factor`` is its SpdFactor, built here when omitted)
-    acting on both velocity components, and B the divergence with its
-    boundary-velocity columns zeroed, the pressure solves
+    eliminated; ``factor`` is its SpdFactor, for Mini one built on the
+    P1 factor) acting on both velocity components, and B the divergence
+    with its boundary-velocity columns zeroed, the pressure solves
     B A^-1 B^T p = B A^-1 f by conjugate gradients.  The preconditioner
     is ``chebyshev_mass_inverse`` of the pressure mass matrix, with the
     ``mass_bounds`` of ``pspace``; B A^-1 B^T is spectrally equivalent
@@ -296,8 +296,6 @@ def solve_stokes(vspace, pspace, rhs, factor=None, p0=None):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (2 * nv,):
         raise ValueError("rhs length does not match the vector velocity space")
-    if factor is None:
-        factor = stiffness_factor(vspace)
     t0 = time.perf_counter()
     keep = np.ones(2 * nv)
     keep[vector_boundary_dofs(vspace)] = 0.0
@@ -351,13 +349,11 @@ def solve_stokes(vspace, pspace, rhs, factor=None, p0=None):
                           len(steps), residual, assembly_seconds)
 
 
-def solve_poisson(space, rhs, factor=None):
+def solve_poisson(space, rhs, factor):
     """Homogeneous-Dirichlet Poisson solve for an assembled load vector.
 
-    ``factor`` is the space's stiffness_factor, built here when omitted.
+    ``factor`` is the space's stiffness_factor.
     """
-    if factor is None:
-        factor = stiffness_factor(space)
     b = np.array(rhs, dtype=float)
     b[space.boundary_dofs] = 0.0
     x = factor.solve(b)

@@ -60,13 +60,6 @@ class Field:
         return self.coefficients[c * n : (c + 1) * n]
 
 
-def _edge_index(mesh, u, v):
-    """Row of edge {u, v} in ``mesh.edges``, by its packed code."""
-    n = len(mesh.points)
-    code = mesh.edges[:, 0] * n + mesh.edges[:, 1]
-    return np.searchsorted(code, np.minimum(u, v) * n + np.maximum(u, v))
-
-
 def build_space(mesh, degree, kind="lagrange"):
     """Scalar FE space on a mesh; see module docstring for numbering."""
     if kind not in ("lagrange", "lagrange_bubble"):
@@ -92,7 +85,7 @@ def build_space(mesh, degree, kind="lagrange"):
         dof_coords = mesh.points.copy()
     else:
         local_edges = [(0, 1), (1, 2), (2, 0)]
-        eidx = [_edge_index(mesh, tri[:, u], tri[:, v]) for u, v in local_edges]
+        eidx = [mesh.edge_index(tri[:, u], tri[:, v]) for u, v in local_edges]
         lo, hi = edges[:, 0], edges[:, 1]
         if degree == 2:
             ndof = nv + ne
@@ -122,7 +115,7 @@ def build_space(mesh, degree, kind="lagrange"):
     bdofs = [bedges.ravel()]
     if kind == "lagrange" and degree >= 2:
         per_edge = degree - 1
-        e = _edge_index(mesh, bedges[:, 0], bedges[:, 1])
+        e = mesh.edge_index(bedges[:, 0], bedges[:, 1])
         bdofs += [nv + per_edge * e + j for j in range(per_edge)]
     boundary_dofs = np.unique(np.concatenate(bdofs))
 
@@ -228,19 +221,15 @@ def basis_ref_grads(space, lam):
 
 
 def jacobians(mesh):
-    """Per-triangle affine data: J (nt,2,2), detJ (nt,), invJT (nt,2,2)."""
+    """Per-triangle affine data: detJ (nt,) and invJ^T (nt, 2, 2).
+
+    J has the columns p1 - p0 and p2 - p0 of the triangle's corners.
+    """
     p = mesh.points[mesh.triangles]
-    j = np.empty((len(p), 2, 2))
-    j[:, :, 0] = p[:, 1] - p[:, 0]
-    j[:, :, 1] = p[:, 2] - p[:, 0]
-    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-    inv_t = np.empty_like(j)
-    inv_t[:, 0, 0] = j[:, 1, 1]
-    inv_t[:, 0, 1] = -j[:, 1, 0]
-    inv_t[:, 1, 0] = -j[:, 0, 1]
-    inv_t[:, 1, 1] = j[:, 0, 0]
-    inv_t /= det[:, None, None]
-    return j, det, inv_t
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
+    inv_t = np.stack([d2[:, 1], -d1[:, 1], -d2[:, 0], d1[:, 0]], axis=1)
+    return det, inv_t.reshape(-1, 2, 2) / det[:, None, None]
 
 
 # -- user callables and prolongation ----------------------------------------

@@ -1,7 +1,9 @@
 """Reference checks that only the tests use: nodal interpolation and
 pointwise evaluation of fields, errors against an exact solution, the
-discrete inf-sup constant of a Stokes pair and the one-shot sparse
-assembly that row-blocked assembly must reproduce."""
+discrete inf-sup constant of a Stokes pair, the one-shot sparse
+assembly that row-blocked assembly must reproduce, a stiffness matrix
+from a rule of any order, custom level-0 meshes, and the grading
+parameters of the paper's theory."""
 
 import math
 
@@ -19,6 +21,7 @@ from biharm.assembly import (
     poly_degree,
     vector_boundary_dofs,
 )
+from biharm.meshing import Mesh, PolygonDomain
 from biharm.quadrature import physical_points, triangle_rule
 from biharm.spaces import (
     Field,
@@ -67,7 +70,7 @@ def gradient(field, triangle, bary):
     if len(tri) == 1 and len(lam) > 1:
         tri = np.full(len(lam), tri[0])
     gref = basis_ref_grads(field.space, lam)  # (n, nloc, 2)
-    _, _, inv_t = jacobians(field.space.mesh)
+    _, inv_t = jacobians(field.space.mesh)
     gphys = np.einsum("nde,nle->nld", inv_t[tri], gref)
     dofs = field.space.element_dofs[tri]
     out = []
@@ -78,10 +81,19 @@ def gradient(field, triangle, bary):
     return res[0] if scalar_in else res
 
 
-def assemble_vector_stiffness(space, order=None):
+def assemble_vector_stiffness(space):
     """Block-diagonal two-component copy of the scalar stiffness."""
-    a = assemble_stiffness(space, order)
+    a = assemble_stiffness(space)
     return sps.block_diag([a, a], format="csr")
+
+
+def stiffness_of_order(space, order):
+    """Stiffness matrix integrated by the triangle rule of ``order``."""
+    lam, w = triangle_rule(order)
+    local = kernels.element_stiffness(*jacobians(space.mesh),
+                                      basis_ref_grads(space, lam), w)
+    ed = space.element_dofs
+    return one_shot_csr(local, ed, ed, (space.ndof, space.ndof))
 
 
 def one_shot_csr(local, rows, cols, shape, index_dtype=np.int32):
@@ -115,7 +127,7 @@ def manufactured_error(field, exact, norm="L2", exact_grad=None):
     order = 2 * poly_degree(space) + 4
     lam, w = triangle_rule(order)
     pts = physical_points(lam, mesh.points[mesh.triangles])
-    _, det, inv_t = jacobians(mesh)
+    det, inv_t = jacobians(mesh)
     if norm == "L2":
         vals = basis_values(space, lam)
         vq = np.einsum("tl,ql->tq", field.coefficients[space.element_dofs], vals)
@@ -148,7 +160,7 @@ def infsup_diagnostic(vspace, pspace):
         raise ValueError(f"problem too large for the dense diagnostic ({n} > 5000)")
     a = assemble_vector_stiffness(vspace)
     bdofs = vector_boundary_dofs(vspace)
-    a, _ = apply_dirichlet(a, np.zeros(2 * vspace.ndof), bdofs)
+    a = apply_dirichlet(a, bdofs)
     b = assemble_divergence(vspace, pspace).toarray()
     b[:, bdofs] = 0.0
     m = assemble_mass(pspace).toarray()
@@ -165,3 +177,77 @@ def infsup_diagnostic(vspace, pspace):
     if nonzero.size == 0:
         return 0.0
     return math.sqrt(float(nonzero[0]))
+
+
+def make_domain(vertices, graded_corners, triangles=None):
+    """Custom polygon; default level-0 mesh is a fan from vertex 0."""
+    domain = PolygonDomain(vertices, graded_corners)
+    n = len(domain.vertices)
+    if triangles is None:
+        triangles = [(0, i, i + 1) for i in range(1, n - 1)]
+    tris = np.asarray(triangles, dtype=np.int64)
+    mesh = Mesh(
+        domain=domain,
+        points=domain.vertices.copy(),
+        triangles=tris,
+        level=0,
+        parent=np.full(len(tris), -1),
+        corner_vertex=np.arange(n),
+    )
+    return domain, mesh
+
+
+def grading_kappa(theta, a):
+    """Contraction factor kappa = 2^(-theta/a) placed at a graded corner.
+
+    Requires 0 < a <= theta; equals 1/2 exactly when theta = a (uniform
+    refinement), and decreases as the grading strength theta grows.
+    """
+    if a <= 0.0:
+        raise ValueError(f"regularity index a must be positive, got {a!r}")
+    if theta < a:
+        raise ValueError(f"grading strength theta={theta!r} must be >= a={a!r}")
+    return 2.0 ** (-theta / a)
+
+
+def theta_for_optimal_h1(k, a, alpha0):
+    """Grading strength giving the full H1 rate k for degree-k elements.
+
+    Evaluates max{k-1, min{alpha0, a}} where ``a`` measures the smoothness
+    of the load and ``alpha0`` the corner exponent.
+    """
+    if k < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {k!r}")
+    if a <= 0.0 or alpha0 <= 0.0:
+        raise ValueError("a and alpha0 must be positive")
+    return max(float(k - 1), min(alpha0, a))
+
+
+def theta_for_optimal_l2(k, a, alpha0):
+    """Grading strength giving the full L2 rate k+1 for degree-k elements.
+
+    Evaluates max{k-1, (k+1)/2, min{alpha0, a}}.
+    """
+    if k < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {k!r}")
+    if a <= 0.0 or alpha0 <= 0.0:
+        raise ValueError("a and alpha0 must be positive")
+    return max(float(k - 1), 0.5 * (k + 1), min(alpha0, a))
+
+
+def theta_prime(theta, alpha0, beta0, k):
+    """Effective grading strength seen by the Stokes velocity.
+
+    Evaluates min{(beta0/alpha0) * max{theta, alpha0}, k}: the velocity
+    cannot benefit from grading beyond the ratio beta0/alpha0, nor beyond
+    the element degree.
+    """
+    if theta <= 0.0:
+        raise ValueError(f"theta must be positive, got {theta!r}")
+    if alpha0 <= 0.5:
+        raise ValueError(f"alpha0 must exceed 1/2, got {alpha0!r}")
+    if beta0 <= 0.0:
+        raise ValueError(f"beta0 must be positive, got {beta0!r}")
+    if k < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {k!r}")
+    return min((beta0 / alpha0) * max(theta, alpha0), float(k))

@@ -23,8 +23,8 @@ from biharm.analysis import diff_norm, rate_table
 from biharm.assembly import assemble_load
 from biharm.cli import parse_F_spec, parse_f_spec
 from biharm.corners import beta0, solve_alpha0
-from biharm.meshing import GradingRule, builtin_domain, refine_hierarchy
-from biharm.solvers import run_chains, run_sp, solve_poisson
+from biharm.meshing import builtin_domain, refine_hierarchy
+from biharm.solvers import run_chains, run_sp, solve_poisson, stiffness_factor
 from biharm.spaces import build_space
 
 from oracles import interpolate, manufactured_error
@@ -63,8 +63,7 @@ def _meshes(domain, kappa, levels):
     have = _MESHES.get(key)
     if have is None or len(have) < levels + 1:
         root = builtin_domain(domain)[1]
-        rules = {c: GradingRule(kappa) for c in root.domain.graded_corners}
-        _MESHES[key] = refine_hierarchy(root, levels, rules)
+        _MESHES[key] = refine_hierarchy(root, levels, kappa)
     return _MESHES[key][: levels + 1]
 
 
@@ -375,7 +374,8 @@ def test_criterion_10_manufactured_solution_oracle():
     errs, interps = [], []
     for mesh in meshes[1:4]:
         space = build_space(mesh, 2)
-        w = solve_poisson(space, assemble_load(space, f_w))
+        w = solve_poisson(space, assemble_load(space, f_w),
+                          stiffness_factor(space))
         errs.append(manufactured_error(w, w_star, "L2"))
         interps.append(manufactured_error(interpolate(space, w_star),
                                           w_star, "L2"))

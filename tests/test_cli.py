@@ -276,7 +276,8 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
     assert [(row["kappa"], row["level"]) for row in rows] == [
         (kappa, level) for kappa in (0.5, 0.25)
         for level in range(config.levels + 1)]
-    meshes = cli._hierarchy(config, cli._root_mesh(config.domain), 0.25)
+    meshes = cli.refine_hierarchy(cli._root_mesh(config.domain),
+                                  config.levels, 0.25)
     for row in rows:
         assert set(row) == {"kappa", "level", "iterations", "residual_norm",
                             "lu_solves", "lu_residual_max", "factor_nnz",
@@ -469,6 +470,16 @@ def test_cli_mesh_writes_file(tmp_path, capsys):
     assert code == 0
     assert path.exists()
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kappa", ["0.7", "-1", "0"])
+def test_cli_mesh_rejects_kappa_out_of_range(tmp_path, capsys, kappa):
+    # the square grades no corner, and kappa is still checked
+    path = tmp_path / "square.mesh"
+    assert main(["mesh", "--domain", "square", f"--kappa={kappa}",
+                 "--out", str(path)]) == 2
+    assert "kappa must lie in (0, 1/2]" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_cli_run_with_out_override(tmp_path, capsys):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from biharm import meshing as msh
 
+from oracles import make_domain
+
 
 def dist_to_boundary(domain, p):
     """Distance from p to the polygon boundary."""
@@ -109,8 +111,8 @@ def test_unknown_domain():
 def test_refine_unit_triangle_node_positions():
     # reference triangle, corner (0,0) graded with kappa = 0.2:
     # edge nodes (0.2,0), (0,0.2) and midpoint (0.5,0.5)
-    _, m0 = msh.make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0})
-    m1 = msh.graded_refine(m0, {0: msh.GradingRule(0.2)})
+    _, m0 = make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0})
+    m1 = msh.graded_refine(m0, 0.2)
     assert np.array_equal(
         m1.points[3:], np.array([[0.2, 0.0], [0.0, 0.2], [0.5, 0.5]])
     )
@@ -123,8 +125,9 @@ def test_refine_unit_triangle_node_positions():
 
 
 def test_refine_midpoints_without_rules():
+    # the square flags no corner, so every kappa refines by midpoints
     _, m0 = msh.builtin_domain("square")
-    m1 = msh.graded_refine(m0)
+    m1 = msh.graded_refine(m0, 0.2)
     lo, hi = m0.edges[:, 0], m0.edges[:, 1]
     assert np.allclose(m1.points[5:], 0.5 * (m0.points[lo] + m0.points[hi]))
 
@@ -132,11 +135,10 @@ def test_refine_midpoints_without_rules():
 @pytest.mark.parametrize("name", ["square", "lshape", "convex_11pi12"])
 def test_refine_counts_and_euler(name):
     _, mesh = msh.builtin_domain(name)
-    rules = {0: 0.3} if mesh.domain.graded_corners else None
     t0 = len(mesh.triangles)
     for n in range(1, 4):
         v, e = len(mesh.points), len(mesh.edges)
-        mesh = msh.graded_refine(mesh, rules)
+        mesh = msh.graded_refine(mesh, 0.3)
         assert len(mesh.triangles) == t0 * 4**n
         assert len(mesh.points) == v + e  # one new node per edge
         assert len(mesh.edges) == len(mesh.points) + len(mesh.triangles) - 1
@@ -148,8 +150,7 @@ def test_refine_counts_and_euler(name):
 def test_edge_table_matches_row_unique(name):
     # the packed-code sort gives the lexicographic order of the pairs
     _, mesh = msh.builtin_domain(name)
-    rules = {0: 0.2} if mesh.domain.graded_corners else None
-    mesh = msh.refine_hierarchy(mesh, 3, rules)[-1]
+    mesh = msh.refine_hierarchy(mesh, 3, 0.2)[-1]
     raw = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     uniq, counts = np.unique(raw, axis=0, return_counts=True)
     assert mesh.edges.dtype == np.int64
@@ -159,34 +160,43 @@ def test_edge_table_matches_row_unique(name):
 
 @pytest.mark.parametrize("attr", ["edges", "boundary_edges"])
 def test_non_manifold_edge_rejected(attr):
-    # three triangles share the edge (0, 1)
+    # three triangles share the edge (0, 1); the edge table is built with
+    # the mesh, so the mesh cannot be made and neither table can be read
     _, base = msh.builtin_domain("square")
-    mesh = msh.Mesh(
-        domain=base.domain,
-        points=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
-                         (0.5, 2.0)]),
-        triangles=np.array([(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
-        level=0,
-        parent=np.full(3, -1),
-        corner_vertex=np.full(5, -1),
-    )
     with pytest.raises(ValueError, match="non-manifold"):
+        mesh = msh.Mesh(
+            domain=base.domain,
+            points=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                             (0.5, 2.0)]),
+            triangles=np.array([(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+            level=0,
+            parent=np.full(3, -1),
+            corner_vertex=np.full(5, -1),
+        )
         getattr(mesh, attr)
+
+
+def test_edge_index_finds_every_edge_in_either_direction():
+    _, m0 = msh.builtin_domain("lshape")
+    mesh = msh.refine_hierarchy(m0, 2, 0.2)[-1]
+    rows = np.arange(len(mesh.edges))
+    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
+    assert np.array_equal(mesh.edge_index(lo, hi), rows)
+    assert np.array_equal(mesh.edge_index(hi, lo), rows)
 
 
 @pytest.mark.parametrize("name", ["square", "lshape", "convex_11pi12"])
 def test_refine_conserves_area(name):
     domain, mesh = msh.builtin_domain(name)
-    rules = {0: 0.15} if domain.graded_corners else None
     exact = msh._signed_area(domain.vertices)
     for _ in range(3):
-        mesh = msh.graded_refine(mesh, rules)
+        mesh = msh.graded_refine(mesh, 0.15)
         assert float(mesh.areas().sum()) == pytest.approx(exact, rel=1e-12)
 
 
 def test_corner_triangles_shrink_by_kappa_squared():
     _, m0 = msh.builtin_domain("lshape")
-    hier = msh.refine_hierarchy(m0, 2, {0: 0.2})
+    hier = msh.refine_hierarchy(m0, 2, 0.2)
     m2 = hier[2]
     cp = m2.corner_point(0)
 
@@ -209,7 +219,7 @@ def test_corner_triangles_shrink_by_kappa_squared():
 
 def test_min_angle_constant_across_levels():
     _, m0 = msh.builtin_domain("lshape")
-    hier = msh.refine_hierarchy(m0, 4, {0: 0.2})
+    hier = msh.refine_hierarchy(m0, 4, 0.2)
     angles = [m.min_angle() for m in hier[1:]]
     assert all(a == pytest.approx(angles[0], abs=1e-12) for a in angles)
     assert angles[0] > 0.19
@@ -219,34 +229,51 @@ def test_min_angle_constant_across_levels():
         assert m.min_angle() == pytest.approx(math.pi / 4.0, abs=1e-13)
 
 
-def test_rule_for_unflagged_corner_rejected():
-    _, m0 = msh.builtin_domain("lshape")
-    with pytest.raises(ValueError, match="not flagged"):
-        msh.graded_refine(m0, {1: 0.2})
-    _, s0 = msh.builtin_domain("square")
-    with pytest.raises(ValueError, match="not flagged"):
-        msh.graded_refine(s0, {0: 0.2})
-
-
 @pytest.mark.parametrize("kappa", [0.0, -0.1, 0.6, 1.0])
 def test_kappa_range_enforced(kappa):
-    with pytest.raises(ValueError):
-        msh.GradingRule(kappa)
-    _, m0 = msh.builtin_domain("lshape")
-    with pytest.raises(ValueError):
-        msh.graded_refine(m0, {0: kappa})
+    # checked on every call, also where no corner is graded or nothing
+    # is refined
+    for name in ("lshape", "square"):
+        _, m0 = msh.builtin_domain(name)
+        with pytest.raises(ValueError, match="kappa"):
+            msh.graded_refine(m0, kappa)
+        with pytest.raises(ValueError, match="kappa"):
+            msh.refine_hierarchy(m0, 0, kappa)
 
 
 def test_kappa_half_is_allowed():
     _, m0 = msh.builtin_domain("lshape")
-    a = msh.graded_refine(m0, {0: msh.GradingRule(0.5)})
+    a = msh.graded_refine(m0, 0.5)
     b = msh.graded_refine(m0)
     assert np.array_equal(a.points, b.points)
 
 
+def test_kappa_grades_every_flagged_corner():
+    # the square with two opposite corners flagged: the new nodes on the
+    # three edges of a flagged corner (two of length 2, one of length
+    # sqrt 2 to the center) lie the fraction kappa along them
+    _, s0 = msh.builtin_domain("square")
+    domain = msh.PolygonDomain(s0.domain.vertices, {0, 2})
+    m0 = msh.Mesh(domain=domain, points=s0.points, triangles=s0.triangles,
+                  level=0, parent=s0.parent, corner_vertex=s0.corner_vertex)
+    m1 = msh.graded_refine(m0, 0.2)
+
+    def nearest(corner):
+        d = np.linalg.norm(m1.points[5:] - m1.points[corner], axis=1)
+        return np.sort(d)[:3]
+
+    for corner in (0, 2):
+        assert nearest(corner) == pytest.approx([0.2 * math.sqrt(2.0), 0.4,
+                                                 0.4], rel=1e-14)
+    # an unflagged corner keeps the midpoint toward the center
+    assert nearest(1) == pytest.approx([0.5 * math.sqrt(2.0), 1.6, 1.6],
+                                       rel=1e-14)
+
+
 def test_edge_joining_two_graded_corners_rejected():
+    _, m0 = make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0, 1})
     with pytest.raises(ValueError, match="graded corners"):
-        msh.make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0, 1})
+        msh.graded_refine(m0, 0.3)
 
 
 def test_refining_a_mesh_with_two_adjacent_graded_corners_rejected():
@@ -257,14 +284,7 @@ def test_refining_a_mesh_with_two_adjacent_graded_corners_rejected():
                     level=0, parent=np.array([-1]),
                     corner_vertex=np.arange(3))
     with pytest.raises(ValueError, match="graded corners"):
-        msh.graded_refine(mesh, {0: 0.3})
-
-
-def test_flagged_corner_without_rule_uses_midpoint():
-    _, m0 = msh.builtin_domain("lshape")
-    m1 = msh.graded_refine(m0, {})
-    m1b = msh.graded_refine(m0)
-    assert np.array_equal(m1.points, m1b.points)
+        msh.graded_refine(mesh, 0.3)
 
 
 # -- layers ----------------------------------------------------------------
@@ -292,8 +312,8 @@ def mesh_layers(mesh, corner):
 
 
 def test_layers_single_corner_triangle():
-    _, m0 = msh.make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0})
-    hier = msh.refine_hierarchy(m0, 2, {0: 0.2})
+    _, m0 = make_domain([(0, 0), (1, 0), (0, 1)], graded_corners={0})
+    hier = msh.refine_hierarchy(m0, 2, 0.2)
     lay1 = mesh_layers(hier[1], 0)
     assert {int(k): int((lay1 == k).sum()) for k in set(lay1)} == {0: 3, 1: 1}
     lay2 = mesh_layers(hier[2], 0)
@@ -302,7 +322,7 @@ def test_layers_single_corner_triangle():
 
 def test_layers_lshape():
     _, m0 = msh.builtin_domain("lshape")
-    hier = msh.refine_hierarchy(m0, 2, {0: 0.2})
+    hier = msh.refine_hierarchy(m0, 2, 0.2)
     lay = mesh_layers(hier[2], 0)
     assert {int(k): int((lay == k).sum()) for k in set(lay)} == {0: 72, 1: 18, 2: 6}
     # the innermost layer is exactly the corner-attached triangles
@@ -313,10 +333,10 @@ def test_layers_lshape():
 
 def test_layers_partition_only_corner_patch():
     # flag a corner whose initial patch does not cover the whole domain
-    _, m0 = msh.make_domain(
+    _, m0 = make_domain(
         [(0, 0), (1, 0), (1, 1), (0, 1)], graded_corners={1}
     )
-    hier = msh.refine_hierarchy(m0, 1, {1: 0.25})
+    hier = msh.refine_hierarchy(m0, 1, 0.25)
     lay = mesh_layers(hier[1], 1)
     # fan from vertex 0: only triangle (0,1,2) touches corner 1
     assert {int(k): int((lay == k).sum()) for k in set(lay)} == {-1: 4, 0: 3, 1: 1}
@@ -324,7 +344,7 @@ def test_layers_partition_only_corner_patch():
 
 def test_layers_require_flagged_corner():
     _, m0 = msh.builtin_domain("lshape")
-    m1 = msh.graded_refine(m0, {0: 0.2})
+    m1 = msh.graded_refine(m0, 0.2)
     with pytest.raises(ValueError, match="not flagged"):
         mesh_layers(m1, 1)
     _, s0 = msh.builtin_domain("square")
@@ -364,7 +384,7 @@ def locate_point(mesh, p):
 
 def test_locate_reconstructs_points():
     _, m0 = msh.builtin_domain("lshape")
-    hier = msh.refine_hierarchy(m0, 3, {0: 0.2})
+    hier = msh.refine_hierarchy(m0, 3, 0.2)
     mesh = hier[3]
     pts = [(0.3, 0.7), (-0.9, -0.9), (0.01, 0.015), (-0.5, 0.25), (0.999, 0.999)]
     for p in pts:
@@ -401,7 +421,7 @@ def test_locate_outside_raises():
 def test_refinement_is_deterministic(tmp_path):
     def build():
         _, m0 = msh.builtin_domain("lshape")
-        return msh.refine_hierarchy(m0, 2, {0: msh.GradingRule(0.2)})[2]
+        return msh.refine_hierarchy(m0, 2, 0.2)[2]
 
     a, b = build(), build()
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -414,8 +434,7 @@ def test_refinement_is_deterministic(tmp_path):
 @pytest.mark.parametrize("name", ["square", "lshape", "convex_11pi12"])
 def test_roundtrip_bit_exact(name, tmp_path):
     _, m0 = msh.builtin_domain(name)
-    rules = {0: 0.2} if m0.domain.graded_corners else None
-    mesh = msh.refine_hierarchy(m0, 2, rules)[2]
+    mesh = msh.refine_hierarchy(m0, 2, 0.2)[2]
     p1 = tmp_path / "m.txt"
     d1 = msh.write_mesh(mesh, p1)
     back = msh.read_mesh(p1)
@@ -463,7 +482,7 @@ def test_domain_validation():
 def test_refinement_invariants_hold_for_any_kappa(kappa, levels):
     _, mesh = msh.builtin_domain("lshape")
     for _ in range(levels):
-        mesh = msh.graded_refine(mesh, {0: kappa})
+        mesh = msh.graded_refine(mesh, kappa)
     check_conforming(mesh)
     assert float(mesh.areas().sum()) == pytest.approx(3.0, rel=1e-12)
     assert mesh.min_angle() > 0.0

@@ -22,8 +22,9 @@ from biharm.assembly import (
     vector_boundary_dofs,
 )
 from biharm.cli import ExperimentConfig, run_comparison
-from biharm.meshing import GradingRule, builtin_domain, refine_hierarchy
+from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.solvers import (
+    _level_factors,
     CHEBYSHEV_STEPS,
     chebyshev_mass_inverse,
     compare_runs,
@@ -65,6 +66,18 @@ FORCE_INT_Y = (lambda x, y: -fy(x, y), fzero)        # curl = 1
 FORCE_BLEND = (lambda x, y: -0.5 * fy(x, y), lambda x, y: 0.5 * fx(x, y))
 
 
+def stokes(vspace, pspace, rhs, p0=None):
+    """solve_stokes on the velocity factor the pipelines build for vspace:
+    its own LU for Taylor-Hood, the P1 LU and the bubble diagonal for
+    Mini."""
+    factor = _level_factors(vspace, vspace.degree)[2]
+    return solve_stokes(vspace, pspace, rhs, factor, p0)
+
+
+def poisson(space, rhs):
+    return solve_poisson(space, rhs, stiffness_factor(space))
+
+
 @pytest.fixture(scope="module")
 def square_meshes():
     return refine_hierarchy(builtin_domain("square")[1], 3)
@@ -72,8 +85,7 @@ def square_meshes():
 
 @pytest.fixture(scope="module")
 def lshape_meshes():
-    return refine_hierarchy(builtin_domain("lshape")[1], 3,
-                            {0: GradingRule(0.2)})
+    return refine_hierarchy(builtin_domain("lshape")[1], 3, 0.2)
 
 
 # -- SpdFactor ----------------------------------------------------------------
@@ -150,8 +162,7 @@ def test_factor_stores_less_than_relaxed_supernodes(domain, kappa, level,
     # the factor without them stores fewer entries, in the same order,
     # and solves to the same digits
     root = builtin_domain(domain)[1]
-    rules = {c: GradingRule(kappa) for c in root.domain.graded_corners}
-    space = build_space(refine_hierarchy(root, level, rules)[-1], degree)
+    space = build_space(refine_hierarchy(root, level, kappa)[-1], degree)
     factor = stiffness_factor(space)
     relaxed = spla.splu(factor.matrix, permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0,
@@ -216,14 +227,14 @@ def test_gradient_force_gives_zero_velocity(square_meshes, k):
     mesh = square_meshes[2]
     vspace, pspace = stokes_spaces(mesh, k)
     rhs = assemble_stokes_rhs_analytic(vspace, (fone, fzero))
-    sol = solve_stokes(vspace, pspace, rhs)
+    sol = stokes(vspace, pspace, rhs)
     assert np.max(np.abs(sol.u.coefficients)) < 1e-10
     assert np.max(np.abs(sol.p.coefficients - pspace.dof_coords[:, 0])) < 1e-9
 
 
 def test_zero_force_gives_zero_solution(square_meshes):
     vspace, pspace = stokes_spaces(square_meshes[2], 2)
-    sol = solve_stokes(vspace, pspace, np.zeros(2 * vspace.ndof))
+    sol = stokes(vspace, pspace, np.zeros(2 * vspace.ndof))
     assert np.max(np.abs(sol.u.coefficients)) == 0.0
     assert np.max(np.abs(sol.p.coefficients)) == 0.0
 
@@ -233,7 +244,7 @@ def test_stokes_solution_invariants(lshape_meshes, k):
     mesh = lshape_meshes[2]
     vspace, pspace = stokes_spaces(mesh, k)
     rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
-    sol = solve_stokes(vspace, pspace, rhs)
+    sol = stokes(vspace, pspace, rhs)
 
     xp = sol.p.coefficients
     mass_p = assemble_mass(pspace)
@@ -255,10 +266,10 @@ def test_stokes_mesh_mismatch_rejected(square_meshes):
     v1, _ = stokes_spaces(square_meshes[1], 2)
     _, p2 = stokes_spaces(square_meshes[2], 2)
     with pytest.raises(ValueError, match="mesh"):
-        solve_stokes(v1, p2, np.zeros(2 * v1.ndof))
+        stokes(v1, p2, np.zeros(2 * v1.ndof))
     v2, p2b = stokes_spaces(square_meshes[2], 2)
     with pytest.raises(ValueError, match="rhs"):
-        solve_stokes(v2, p2b, np.zeros(7))
+        stokes(v2, p2b, np.zeros(7))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -323,15 +334,15 @@ def test_chebyshev_mass_inverse_within_error_bound(lshape_meshes, degree):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_coarse_start_matches_cold_and_bordered_solves(lshape_meshes, k):
     vcoarse, pcoarse = stokes_spaces(lshape_meshes[2], k)
-    coarse = solve_stokes(vcoarse, pcoarse, assemble_stokes_rhs_analytic(
+    coarse = stokes(vcoarse, pcoarse, assemble_stokes_rhs_analytic(
         vcoarse, FORCE_INT_X))
     vspace, pspace = stokes_spaces(lshape_meshes[3], k)
     rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
     # the exact lift keeps the coarse pressure's zero mean
     lift = prolongate(coarse.p, pspace).coefficients
     assert abs(assemble_load(pspace, fone) @ lift) < 1e-14
-    warm = solve_stokes(vspace, pspace, rhs, p0=coarse.p)
-    cold = solve_stokes(vspace, pspace, rhs)
+    warm = stokes(vspace, pspace, rhs, p0=coarse.p)
+    cold = stokes(vspace, pspace, rhs)
     u_ref, p_ref = _bordered_reference(vspace, pspace, rhs)
     for sol in (warm, cold):
         np.testing.assert_allclose(sol.u.coefficients, u_ref, rtol=0,
@@ -348,7 +359,7 @@ def test_coarse_start_must_come_from_a_coarser_level(lshape_meshes):
     _, finer = stokes_spaces(lshape_meshes[3], 2)
     rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
     with pytest.raises(ValueError, match="descendant"):
-        solve_stokes(vspace, pspace, rhs,
+        stokes(vspace, pspace, rhs,
                      p0=Field(finer, 1, np.zeros(finer.ndof)))
 
 
@@ -360,8 +371,9 @@ def _bordered_reference(vspace, pspace, rhs):
     k = sps.bmat([[assemble_vector_stiffness(vspace), b.T, None],
                   [b, None, mcol], [None, mcol.T, None]], format="csr")
     full = np.concatenate([rhs, np.zeros(pspace.ndof + 1)])
-    k2, rhs2 = apply_dirichlet(k, full, vector_boundary_dofs(vspace))
-    x = spla.spsolve(k2.tocsc(), rhs2)
+    pinned = vector_boundary_dofs(vspace)
+    full[pinned] = 0.0
+    x = spla.spsolve(apply_dirichlet(k, pinned).tocsc(), full)
     return x[:nv2], x[nv2:nv2 + pspace.ndof]
 
 
@@ -381,10 +393,10 @@ def test_schur_solve_matches_bordered_direct_solve(lshape_meshes,
         rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
     else:
         sspace = build_space(mesh, k)
-        w = solve_poisson(sspace, assemble_load(sspace, fone))
+        w = poisson(sspace, assemble_load(sspace, fone))
         rhs = assemble_stokes_rhs_discrete_curl(vspace, w)
     u_ref, p_ref = _bordered_reference(vspace, pspace, rhs)
-    sol = solve_stokes(vspace, pspace, rhs)
+    sol = stokes(vspace, pspace, rhs)
     np.testing.assert_allclose(sol.u.coefficients, u_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(sol.p.coefficients, p_ref, rtol=0, atol=1e-10)
 
@@ -392,19 +404,18 @@ def test_schur_solve_matches_bordered_direct_solve(lshape_meshes,
 def test_taylor_hood_iterations_do_not_grow_with_level():
     # inf-sup stability on the graded mesh bounds the mass-preconditioned
     # Schur complement's condition number independently of the level
-    meshes = refine_hierarchy(builtin_domain("lshape")[1], 6,
-                              {0: GradingRule(0.2)})
+    meshes = refine_hierarchy(builtin_domain("lshape")[1], 6, 0.2)
     counts, solutions = [], {}
     for level in (4, 5, 6):
         vspace, pspace = stokes_spaces(meshes[level], 2)
         rhs = assemble_stokes_rhs_analytic(vspace, FORCE_INT_X)
-        solutions[level] = solve_stokes(vspace, pspace, rhs)
+        solutions[level] = stokes(vspace, pspace, rhs)
         counts.append(solutions[level].iterations)
     assert 0 < counts[2] <= counts[0]
     # the consistent-mass Chebyshev preconditioner takes 34 steps at
     # level 6 and 24 from the level-5 pressure; the mass diagonal took 40
     assert counts[2] <= 36
-    warm = solve_stokes(vspace, pspace, rhs, p0=solutions[5].p)
+    warm = stokes(vspace, pspace, rhs, p0=solutions[5].p)
     assert warm.iterations <= 28
 
 
@@ -479,9 +490,9 @@ def test_force_shift_by_pressure_gradient(lshape_meshes):
     # velocity untouched and shift the pressure by x minus its mean
     mesh = lshape_meshes[2]
     vspace, pspace = stokes_spaces(mesh, 2)
-    sol_a = solve_stokes(vspace, pspace,
+    sol_a = stokes(vspace, pspace,
                          assemble_stokes_rhs_analytic(vspace, FORCE_INT_X))
-    sol_b = solve_stokes(vspace, pspace,
+    sol_b = stokes(vspace, pspace,
                          assemble_stokes_rhs_analytic(vspace, (fone, fx)))
     assert np.max(np.abs(sol_a.u.coefficients - sol_b.u.coefficients)) < 1e-9
     # mean of x over the L-shape of area 3 is -1/6
@@ -562,7 +573,9 @@ def test_galerkin_orthogonality_of_poisson_steps(square_meshes):
     sspace = rec.phi.space
     a = assemble_stiffness(sspace)
     b = assemble_curl_rhs(sspace, rec.u)
-    a2, b2 = apply_dirichlet(a, b, sspace.boundary_dofs)
+    a2 = apply_dirichlet(a, sspace.boundary_dofs)
+    b2 = b.copy()
+    b2[sspace.boundary_dofs] = 0.0
     resid = np.linalg.norm(a2 @ rec.phi.coefficients - b2)
     assert resid <= 1e-9 * np.linalg.norm(b2)
 
@@ -656,7 +669,7 @@ def test_solve_poisson_polynomial_load(square_meshes):
     # not in H^1_0 of the square in y, so use the tensor bubble instead
     space = build_space(square_meshes[2], 2)
     f = lambda x, y: 2 * (1 - x**2) + 2 * (1 - y**2)
-    w = solve_poisson(space, assemble_load(space, f))
+    w = poisson(space, assemble_load(space, f))
     # exact solution (1-x^2)(1-y^2) equals 1 at the center
     center = np.where((space.dof_coords == 0.0).all(axis=1))[0][0]
     assert abs(w.coefficients[center] - 1.0) < 5e-3

@@ -6,7 +6,8 @@ import pytest
 from biharm.assembly import assemble_load, assemble_stiffness
 from biharm.cli import parse_F_spec, parse_f_spec
 from biharm.meshing import builtin_domain, refine_hierarchy
-from biharm.solvers import compare_runs, run_sp, solve_poisson, validate_curl
+from biharm.solvers import (compare_runs, run_sp, solve_poisson,
+                             stiffness_factor, validate_curl)
 from biharm.spaces import build_space
 
 from oracles import manufactured_error
@@ -105,7 +106,8 @@ def test_anchor_independence_of_velocity(unit_load):
 
 
 def _solve_w(space, f):
-    return solve_poisson(space, assemble_load(space, f))
+    return solve_poisson(space, assemble_load(space, f),
+                         stiffness_factor(space))
 
 
 def test_curl_w_zero_load_gives_zero():

@@ -21,8 +21,7 @@ from biharm import spaces as sp
 @pytest.fixture(scope="module")
 def kite67():
     _, root = msh.builtin_domain("convex_11pi12")
-    rules = {c: msh.GradingRule(0.3) for c in root.domain.graded_corners}
-    return msh.refine_hierarchy(root, 7, rules)[6:]
+    return msh.refine_hierarchy(root, 7, 0.3)[6:]
 
 
 def traced(call):
