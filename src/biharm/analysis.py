@@ -5,7 +5,10 @@ meshes: R_j = log2(||v_{j-1} - v_{j-2}|| / ||v_j - v_{j-1}||).  The
 difference of two nested fields is taken after prolongating both
 exactly into one Lagrange space on the finer mesh (P_k spaces on
 refined meshes are nested; the Mini bubble is cubic, so a Mini field
-lifts exactly into P3), so no representation error enters.
+lifts exactly into P3), so no representation error enters.  Norms
+take the ``geometry`` of the mesh they integrate on, the pair
+``spaces.jacobians(mesh)``, from their caller, who computes it once for
+every norm on that mesh.
 """
 
 import math
@@ -17,11 +20,11 @@ from . import kernels
 from .assembly import poly_degree
 from .quadrature import triangle_rule
 from .spaces import (
+    TRANSFER_ROWS,
     Field,
     basis_ref_grads,
     basis_values,
     build_space,
-    jacobians,
     prolongate,
 )
 
@@ -61,8 +64,14 @@ def _quad_order(space, norm):
     return 2 * p if norm == "L2" else max(1, 2 * (p - 1))
 
 
-def field_norm(field, norm="L2"):
-    """L2 norm, H1 seminorm, or nodal max of a field (components summed)."""
+def field_norm(field, norm, geometry):
+    """L2 norm, H1 seminorm, or nodal max of a field (components summed).
+
+    ``geometry`` is ``jacobians`` of the field's mesh (the nodal max does
+    not use it).  The squared integrand is formed TRANSFER_ROWS
+    triangles at a time; each block leaves only its per-triangle
+    quadrature sums, and one product with |det| adds them up.
+    """
     _check_norm(norm)
     space = field.space
     if norm == "Linf":
@@ -73,19 +82,24 @@ def field_norm(field, norm="L2"):
         return max(float(np.max(np.abs(field.component(c)[:n])))
                    for c in range(field.components))
     lam, w = triangle_rule(_quad_order(space, norm))
-    det, inv_t = jacobians(space.mesh)
+    det, inv_t = geometry
     ed = space.element_dofs
     vals = basis_values(space, lam)
     gref = basis_ref_grads(space, lam)
-    sq = 0.0  # squared integrand at the quadrature points, (nt, nq)
-    for c in range(field.components):
-        coef = field.component(c)[ed]
-        if norm == "L2":
-            sq = sq + (coef @ vals.T) ** 2
-        else:
-            g = kernels.field_grads_at_quad(det, inv_t, gref, coef)
-            sq = sq + g[..., 0] ** 2 + g[..., 1] ** 2
-    return math.sqrt(float(np.abs(det) @ (sq @ w)))
+    sums = np.empty(len(ed))  # quadrature sum of the squared integrand
+    for t0 in range(0, len(ed), TRANSFER_ROWS):
+        rows = slice(t0, t0 + TRANSFER_ROWS)
+        sq = 0.0  # squared integrand at the quadrature points, (rows, nq)
+        for c in range(field.components):
+            coef = field.component(c)[ed[rows]]
+            if norm == "L2":
+                sq = sq + (coef @ vals.T) ** 2
+            else:
+                g = kernels.field_grads_at_quad(det[rows], inv_t[rows],
+                                                gref, coef)
+                sq = sq + g[..., 0] ** 2 + g[..., 1] ** 2
+        sums[rows] = sq @ w
+    return math.sqrt(float(np.abs(det) @ sums))
 
 
 def _order_pair(a, b):
@@ -142,16 +156,18 @@ def lift_pairs(a, b, norms):
     return out
 
 
-def diff_norm(a, b, norm="L2"):
+def diff_norm(a, b, norm, geometry):
     """Norm of a - b for fields on nested meshes of the same hierarchy.
 
     Both fields are lifted exactly into one space on the finer mesh (see
-    ``lift_pairs``) and the norm of their difference is taken there; for
-    Linf that samples the finer field's Lagrange nodes.
+    ``lift_pairs``) and the norm of their difference is taken there, with
+    ``geometry`` the ``jacobians`` of that mesh; for Linf that samples the
+    finer field's Lagrange nodes.
     """
     fine, coarse = lift_pairs(a, b, (norm,))[norm]
     delta = fine.coefficients - coarse.coefficients
-    return field_norm(Field(fine.space, fine.components, delta), norm)
+    return field_norm(Field(fine.space, fine.components, delta), norm,
+                      geometry)
 
 
 def rate_table(quantity, norm, levels, diffs):

@@ -2,8 +2,10 @@
 
 All integrals are evaluated with triangle rules whose exactness degree
 covers the integrand: polynomial parts exactly, analytic data with the
-order k+2.  Matrices are summed from per-element blocks into
-int32-indexed CSR one block of SCATTER_ROWS rows at a time; each row
+order k+2.  Every assembler takes the ``geometry`` of its mesh, the
+pair ``spaces.jacobians(mesh)``, which the level loop computes once and
+passes to each of them.  Matrices are summed from per-element blocks
+into int32-indexed CSR one block of SCATTER_ROWS rows at a time; each row
 takes its entries in element-index order, as one coo->csr of all
 triplets would, so the result is deterministic and the same to the
 bit.  Load vectors sum their element vectors in element order with
@@ -16,7 +18,7 @@ import scipy.sparse as sps
 
 from . import kernels
 from .quadrature import physical_points, triangle_rule
-from .spaces import basis_ref_grads, basis_values, call_on_points, jacobians
+from .spaces import basis_ref_grads, basis_values, call_on_points
 
 __all__ = [
     "poly_degree",
@@ -24,6 +26,7 @@ __all__ = [
     "assemble_mass",
     "assemble_divergence",
     "assemble_load",
+    "assemble_basis_integrals",
     "assemble_stokes_rhs_analytic",
     "assemble_stokes_rhs_discrete_curl",
     "assemble_curl_rhs",
@@ -69,25 +72,25 @@ def _scatter(element_block, rows, cols, shape):
     return sps.vstack(blocks, format="csr")
 
 
-def assemble_stiffness(space):
+def assemble_stiffness(space, geometry):
     """A_ij = int grad(phi_j) . grad(phi_i); symmetric CSR."""
     lam, w = triangle_rule(max(1, 2 * (poly_degree(space) - 1)))
     gref = basis_ref_grads(space, lam)
     ed = space.element_dofs
-    return _scatter(lambda: kernels.element_stiffness(
-        *jacobians(space.mesh), gref, w), ed, ed, (space.ndof, space.ndof))
+    return _scatter(lambda: kernels.element_stiffness(*geometry, gref, w),
+                    ed, ed, (space.ndof, space.ndof))
 
 
-def assemble_mass(space):
+def assemble_mass(space, geometry):
     """M_ij = int phi_j phi_i; symmetric CSR."""
     lam, w = triangle_rule(2 * poly_degree(space))
     vals = basis_values(space, lam)
     ed = space.element_dofs
-    return _scatter(lambda: kernels.element_mass(
-        jacobians(space.mesh)[0], vals, w), ed, ed, (space.ndof, space.ndof))
+    return _scatter(lambda: kernels.element_mass(geometry[0], vals, w),
+                    ed, ed, (space.ndof, space.ndof))
 
 
-def assemble_divergence(vspace, pspace):
+def assemble_divergence(vspace, pspace, geometry):
     """B with B[(q, v)] = -int (div v) q, shape npressure x 2 nvelocity."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces live on different meshes")
@@ -100,7 +103,7 @@ def assemble_divergence(vspace, pspace):
     cols = vspace.element_dofs.astype(np.int32)
     cols = np.hstack([cols, cols + nv])  # component-major velocity columns
     return _scatter(lambda: kernels.element_divergence(
-        *jacobians(vspace.mesh), gref_v, vals_p, w),
+        *geometry, gref_v, vals_p, w),
         pspace.element_dofs, cols, (pspace.ndof, 2 * nv))
 
 
@@ -110,34 +113,52 @@ def _sum_loads(space, local):
                        minlength=space.ndof)
 
 
-def assemble_load(space, f):
-    """b_i = int f phi_i with a rule of order k + 2."""
+def _load_rule(space):
+    """Points, weights and basis values of the order k + 2 load rule."""
     lam, w = triangle_rule(poly_degree(space) + 2)
-    vals = basis_values(space, lam)
-    det, _ = jacobians(space.mesh)
+    return lam, w, basis_values(space, lam)
+
+
+def _analytic_loads(space, fs, geometry):
+    """b_i = int f phi_i for each f of ``fs``, on points mapped once."""
+    lam, w, vals = _load_rule(space)
     pts = physical_points(lam, space.mesh.points[space.mesh.triangles])
-    fq = call_on_points(f, pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    return _sum_loads(space, kernels.element_load(det, vals, fq, w))
+    shape = pts.shape[:2]
+    pts = pts.reshape(-1, 2)
+    return [_sum_loads(space, kernels.element_load(
+        geometry[0], vals, call_on_points(f, pts).reshape(shape), w))
+        for f in fs]
 
 
-def assemble_stokes_rhs_analytic(vspace, F):
+def assemble_load(space, f, geometry):
+    """b_i = int f phi_i with a rule of order k + 2."""
+    return _analytic_loads(space, (f,), geometry)[0]
+
+
+def assemble_basis_integrals(space, geometry):
+    """m_i = int phi_i: the load of f = 1, with no point mapped."""
+    lam, w, vals = _load_rule(space)
+    ones = np.ones((len(space.element_dofs), len(w)))
+    return _sum_loads(space, kernels.element_load(geometry[0], vals, ones, w))
+
+
+def assemble_stokes_rhs_analytic(vspace, F, geometry):
     """<F, v> for an analytic pair F = (f1, f2); stacked component blocks."""
     f1, f2 = F
-    return np.concatenate([assemble_load(vspace, f1), assemble_load(vspace, f2)])
+    return np.concatenate(_analytic_loads(vspace, (f1, f2), geometry))
 
 
-def _component_grads_at_quad(field, lam):
+def _component_grads_at_quad(field, lam, geometry):
     space = field.space
     gref = basis_ref_grads(space, lam)
-    det, inv_t = jacobians(space.mesh)
     ed = space.element_dofs
     return [
-        kernels.field_grads_at_quad(det, inv_t, gref, field.component(c)[ed])
+        kernels.field_grads_at_quad(*geometry, gref, field.component(c)[ed])
         for c in range(field.components)
-    ], det
+    ]
 
 
-def assemble_stokes_rhs_discrete_curl(vspace, w_field):
+def assemble_stokes_rhs_discrete_curl(vspace, w_field, geometry):
     """<curl w, v> = int (dw/dy) v1 - (dw/dx) v2 for a scalar FE field w."""
     if w_field.space.mesh is not vspace.mesh:
         raise ValueError("w lives on a different mesh than the velocity space")
@@ -145,14 +166,15 @@ def assemble_stokes_rhs_discrete_curl(vspace, w_field):
         raise ValueError("w must be a scalar field")
     order = max(1, poly_degree(w_field.space) - 1 + poly_degree(vspace))
     lam, w = triangle_rule(order)
-    (gw,), det = _component_grads_at_quad(w_field, lam)
+    (gw,) = _component_grads_at_quad(w_field, lam, geometry)
     vals = basis_values(vspace, lam)
+    det = geometry[0]
     b1 = kernels.element_load(det, vals, np.ascontiguousarray(gw[:, :, 1]), w)
     b2 = kernels.element_load(det, vals, np.ascontiguousarray(-gw[:, :, 0]), w)
     return np.concatenate([_sum_loads(vspace, b1), _sum_loads(vspace, b2)])
 
 
-def assemble_curl_rhs(space, u_field):
+def assemble_curl_rhs(space, u_field, geometry):
     """b_i = int (du2/dx - du1/dy) psi_i for a vector FE field u."""
     if u_field.space.mesh is not space.mesh:
         raise ValueError("u lives on a different mesh than the scalar space")
@@ -160,10 +182,10 @@ def assemble_curl_rhs(space, u_field):
         raise ValueError("u must be a vector field")
     order = max(1, poly_degree(u_field.space) - 1 + poly_degree(space))
     lam, w = triangle_rule(order)
-    (g1, g2), det = _component_grads_at_quad(u_field, lam)
+    g1, g2 = _component_grads_at_quad(u_field, lam, geometry)
     curl = np.ascontiguousarray(g2[:, :, 0] - g1[:, :, 1])
     vals = basis_values(space, lam)
-    return _sum_loads(space, kernels.element_load(det, vals, curl, w))
+    return _sum_loads(space, kernels.element_load(geometry[0], vals, curl, w))
 
 
 def apply_dirichlet(A, dofs):

@@ -31,6 +31,7 @@ from .analysis import diff_norm, lift_pairs, markdown_table, rate_table
 from .corners import beta0, solve_alpha0
 from .meshing import builtin_domain, read_mesh, refine_hierarchy, write_mesh
 from .solvers import compare_runs, run_chains, run_psp, run_sp
+from .spaces import jacobians
 
 __all__ = [
     "ExperimentConfig",
@@ -55,11 +56,12 @@ QUANTITIES = {
 }
 
 # LevelRecord fields written to levels.jsonl: Stokes CG steps, its gate
-# residual, LU back-solves, their largest relative residual, stored
-# L+U entries of the level's factor and the process's peak RSS in MiB
-# when the level ended.
-SOLVER_FIELDS = ("iterations", "residual_norm", "lu_solves",
-                 "lu_residual_max", "factor_nnz", "maxrss_mb")
+# residual, pressure mean and largest divergence entry, LU back-solves,
+# their largest relative residual, stored L+U entries of the level's
+# factor and the process's peak RSS in MiB when the level ended.
+SOLVER_FIELDS = ("iterations", "residual_norm", "pressure_mean",
+                 "divergence_max", "lu_solves", "lu_residual_max",
+                 "factor_nnz", "maxrss_mb")
 
 CONFIG_HELP = """\
 Config file schema (INI, one [experiment] section):
@@ -79,9 +81,9 @@ Config file schema (INI, one [experiment] section):
 
 Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
 (adds a seconds column), timing.csv (per pipeline step), levels.jsonl
-(per level: Stokes CG iterations, gate residual, LU back-solves and
-their largest residual, factor entries, process peak RSS in MiB, step
-seconds), tables.md.
+(per level: Stokes CG iterations, gate residual, pressure mean, largest
+divergence entry, LU back-solves and their largest residual, factor
+entries, process peak RSS in MiB, step seconds), tables.md.
 """
 
 
@@ -376,22 +378,25 @@ def run_experiment(config, jobs=None):
 
     reports = {(quantity, norm): {} for quantity in config.quantities
                for norm in config.norms}
-    for quantity in config.quantities:
-        for kappa in config.kappas:
-            if kappa not in columns:
-                continue
-            records = columns[kappa]
-            diffs = {norm: [] for norm in config.norms}
-            for fine, coarse in zip(records[1:], records):
-                # each level pair is lifted once and serves every norm
+    for kappa in config.kappas:
+        if kappa not in columns:
+            continue
+        records = columns[kappa]
+        diffs = {key: [] for key in reports}
+        for fine, coarse in zip(records[1:], records):
+            # one geometry per level pair serves every quantity and norm;
+            # each quantity is lifted once and serves every norm
+            geometry = jacobians(fine.phi.space.mesh)
+            for quantity in config.quantities:
                 pairs = lift_pairs(getattr(fine, quantity),
                                    getattr(coarse, quantity), config.norms)
                 for norm in config.norms:
-                    diffs[norm].append(diff_norm(*pairs[norm], norm))
-            levels = [rec.level for rec in records[1:]]
-            for norm in config.norms:
-                reports[(quantity, norm)][kappa] = rate_table(
-                    quantity, norm, levels, diffs[norm])
+                    diffs[(quantity, norm)].append(
+                        diff_norm(*pairs[norm], norm, geometry))
+        levels = [rec.level for rec in records[1:]]
+        for (quantity, norm), values in diffs.items():
+            reports[(quantity, norm)][kappa] = rate_table(
+                quantity, norm, levels, values)
 
     paths = []
     if config.out:

@@ -15,8 +15,11 @@ velocity.
 Roots are enumerated by an argument-principle count on rectangles (the
 winding number of the characteristic function along the boundary), with
 recursive subdivision until each box isolates one root, followed by a
-complex Newton polish.  Everything is deterministic; no randomness is
-involved anywhere.
+complex Newton polish.  The window is fixed in zeta = z * omega, where
+sin(zeta) oscillates at the same rate for every opening, so it holds
+alpha0 from the narrowest to the widest corner.  A search that isolates
+no root raises ArithmeticError.  Everything is deterministic; no
+randomness is involved anywhere.
 """
 
 import cmath
@@ -39,11 +42,16 @@ _TRIVIAL_RADIUS = 1e-6
 # around 1/2; starting the box below 0.5 keeps that pair away from the
 # contour (roots polished to Re <= 1/2 are filtered afterwards).
 _RE_MIN = 0.49
-# Right edge: it holds alpha0 of every opening above pi/6 (alpha0(pi/5)
-# is 6.73); for narrower openings the search finds no root and raises.
-_RE_MAX = 8.0
-_IM_MAX = 10.0
 _IM_MIN = -0.25  # keep real roots off the contour
+# Right and top edges, in zeta = z * omega.  alpha0 * omega stays below
+# 1.5 pi: it peaks at 1.43 pi near omega = 0.81 pi and tends to 4.2124,
+# the first nontrivial root of sin(zeta) = -zeta, as omega -> 0.  A root
+# has sinh|Im zeta| <= |zeta| (|sin(zeta)| = |zeta sin(omega) / omega|
+# <= |zeta|), so no root with Re zeta <= 3 pi lies above Im zeta = 4.
+_ZETA_RE_MAX = 3.0 * math.pi
+_ZETA_IM_MAX = 2.0 * math.pi
+# Step of the real-root scan, in zeta.
+_ZETA_STEP = 1.5e-3
 
 _NEWTON_TOL = 1e-13
 _WIND_DEPTH = 48
@@ -128,7 +136,7 @@ def _count_roots(omega, box):
             )
         except ArithmeticError:
             continue
-    raise RuntimeError(
+    raise ArithmeticError(
         f"argument-principle count failed on box {box} for omega={omega!r}"
     )
 
@@ -186,11 +194,12 @@ def _subdivide(omega, box, acc, depth=60):
         if _polish_in_box(omega, box, acc):
             return
         if diag < 1e-7 or depth <= 0:
-            raise RuntimeError(
+            raise ArithmeticError(
                 f"Newton polish failed in box {box} for omega={omega!r}"
             )
     if depth <= 0:
-        raise RuntimeError(f"subdivision exhausted on box {box} for omega={omega!r}")
+        raise ArithmeticError(
+            f"subdivision exhausted on box {box} for omega={omega!r}")
     # split the longer side, nudging the seam if a root happens to sit on it
     horizontal = (re1 - re0) >= (im1 - im0)
     for f in (0.5, 0.53, 0.47):
@@ -204,11 +213,11 @@ def _subdivide(omega, box, acc, depth=60):
                 mid = im0 + f * (im1 - im0)
                 _subdivide(omega, (re0, re1, im0, mid), sub, depth - 1)
                 _subdivide(omega, (re0, re1, mid, im1), sub, depth - 1)
-        except (ArithmeticError, RuntimeError):
+        except ArithmeticError:
             continue
         acc.extend(sub)
         return
-    raise RuntimeError(f"could not split box {box} for omega={omega!r}")
+    raise ArithmeticError(f"could not split box {box} for omega={omega!r}")
 
 
 def _validate_omega(omega):
@@ -218,8 +227,8 @@ def _validate_omega(omega):
         raise ValueError("opening angle pi is a straight edge, not a corner")
 
 
-def _real_roots(omega):
-    """Real roots of g on (0.49, 8], secured by a dense factor-wise scan.
+def _real_roots(omega, re_max):
+    """Real roots of g on (0.49, re_max], secured by a dense factor-wise scan.
 
     The characteristic function factors as f1*f2 with
     f1 = sin(z*omega) - z sin(omega) and f2 = sin(z*omega) + z sin(omega);
@@ -233,11 +242,11 @@ def _real_roots(omega):
         lambda x: math.sin(x * omega) - x * s,
         lambda x: math.sin(x * omega) + x * s,
     )
-    step = 5e-4
-    n = int((_RE_MAX - _RE_MIN) / step) + 2
+    step = _ZETA_STEP / omega
+    n = int((re_max - _RE_MIN) / step) + 2
     xs = [_RE_MIN + i * step for i in range(n)]
     roots = []
-    scale = max(1.0, (_RE_MAX * abs(s)) ** 2)
+    scale = max(1.0, (re_max * abs(s)) ** 2)
     for f in factors:
         vals = [f(x) for x in xs]
         for i in range(len(xs) - 1):
@@ -271,13 +280,15 @@ def _real_roots(omega):
 def characteristic_roots(omega):
     """All roots of sin^2(z*omega) = z^2 sin^2(omega) in the search window.
 
-    Returns the nontrivial roots with Re(z) in (1/2, 8] and |Im(z)| <= 10,
-    normalized to the upper half plane, deduplicated, and sorted by
-    (Re, Im).  Raises RuntimeError if the search cannot isolate the roots.
+    Returns the nontrivial roots with Re(z) in (1/2, 3 pi / omega] and
+    Im(z) in [-1/4, 2 pi / omega], normalized to the upper half plane,
+    deduplicated, and sorted by (Re, Im).  Raises ArithmeticError if the
+    search cannot isolate the roots or finds none.
     """
     _validate_omega(omega)
-    found = _real_roots(omega)
-    _subdivide(omega, (_RE_MIN, _RE_MAX, _IM_MIN, _IM_MAX), found)
+    box = (_RE_MIN, _ZETA_RE_MAX / omega, _IM_MIN, _ZETA_IM_MAX / omega)
+    found = _real_roots(omega, box[1])
+    _subdivide(omega, box, found)
     roots = []
     for z in found:
         z = complex(z.real, abs(z.imag))
@@ -290,9 +301,9 @@ def characteristic_roots(omega):
         roots.append(z)
     roots.sort(key=lambda z: (z.real, z.imag))
     if not roots:
-        raise RuntimeError(
+        raise ArithmeticError(
             "no nontrivial characteristic roots found in "
-            f"Re in ({_RE_MIN}, {_RE_MAX}], Im in [{_IM_MIN}, {_IM_MAX}] "
+            f"Re in ({box[0]}, {box[1]:g}], Im in [{box[2]}, {box[3]:g}] "
             f"for omega={omega!r}"
         )
     return roots
@@ -302,7 +313,7 @@ def solve_alpha0(omega):
     """Smallest corner exponent alpha0(omega) of the clamped biharmonic problem.
 
     ``omega`` is the interior opening angle in radians, in (0, 2pi) and not
-    equal to pi.  The search window for Re(z) is (1/2, 8].
+    equal to pi.  The search window for Re(z) is (1/2, 3 pi / omega].
     """
     return characteristic_roots(omega)[0].real
 

@@ -37,6 +37,7 @@ import scipy.sparse.linalg as spla
 from .analysis import field_norm
 from .assembly import (
     apply_dirichlet,
+    assemble_basis_integrals,
     assemble_curl_rhs,
     assemble_divergence,
     assemble_load,
@@ -48,7 +49,7 @@ from .assembly import (
     vector_boundary_dofs,
 )
 from .quadrature import physical_points, triangle_rule
-from .spaces import Field, build_space, call_on_points, prolongate
+from .spaces import Field, build_space, call_on_points, jacobians, prolongate
 
 __all__ = [
     "StokesSolution",
@@ -75,6 +76,8 @@ class StokesSolution:
     p: Field
     iterations: int
     residual_norm: float
+    pressure_mean: float     # m . p, bounded by the mean gate
+    divergence_max: float    # largest |B u| entry, bounded by its gate
     assembly_seconds: float  # assembling B, pressure mass and load
 
 
@@ -87,6 +90,8 @@ class LevelRecord:
     w: Field = None
     iterations: int = 0           # Stokes pressure CG steps
     residual_norm: float = 0.0    # Stokes full-system gate residual
+    pressure_mean: float = 0.0    # Stokes pressure mean m . p
+    divergence_max: float = 0.0   # Stokes largest |B u| entry
     lu_solves: int = 0            # back-solves with the level's LU
     lu_residual_max: float = 0.0  # largest relative residual of those
     factor_nnz: int = 0           # stored L+U entries of that LU
@@ -105,10 +110,6 @@ class BiharmonicRun:
             if rec.level == level:
                 return rec
         raise KeyError(f"no record for level {level}")
-
-
-def _ones(x, y):
-    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def _factor(a, **options):
@@ -192,14 +193,15 @@ class SpdFactor:
         return x
 
 
-def stiffness_factor(space, lead=None):
+def stiffness_factor(space, geometry, lead=None):
     """SpdFactor of the stiffness matrix with Dirichlet rows eliminated.
 
-    ``lead`` is passed on to SpdFactor: for a Mini space, the P1
-    stiffness factor of the same mesh.
+    ``geometry`` is ``jacobians`` of the space's mesh.  ``lead`` is
+    passed on to SpdFactor: for a Mini space, the P1 stiffness factor of
+    the same mesh.
     """
     # the CSR is dropped before SpdFactor factors its CSC copy
-    return SpdFactor(apply_dirichlet(assemble_stiffness(space),
+    return SpdFactor(apply_dirichlet(assemble_stiffness(space, geometry),
                                      space.boundary_dofs).tocsc(), lead)
 
 
@@ -267,7 +269,7 @@ def chebyshev_mass_inverse(mass, bounds):
     return spla.LinearOperator(mass.shape, matvec=apply, dtype=float)
 
 
-def solve_stokes(vspace, pspace, rhs, factor, p0=None):
+def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
     """Solve the Stokes system with zero-mean pressure.
 
     With A the scalar stiffness of ``vspace`` (Dirichlet rows
@@ -289,6 +291,9 @@ def solve_stokes(vspace, pspace, rhs, factor, p0=None):
     The result must meet the gates of the multiplier-bordered system
     [[A, B^T, 0], [B, 0, m], [0, m^T, 0]], whose multiplier is zero:
     a 1e-10 relative residual, zero pressure mean and zero divergence.
+    The solution carries the mean m . p and the largest entry of |B u|
+    that the last two gates bound.  ``geometry`` is ``jacobians`` of the
+    spaces' mesh.
     """
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces use different meshes")
@@ -299,11 +304,12 @@ def solve_stokes(vspace, pspace, rhs, factor, p0=None):
     t0 = time.perf_counter()
     keep = np.ones(2 * nv)
     keep[vector_boundary_dofs(vspace)] = 0.0
-    b = (assemble_divergence(vspace, pspace) @ sps.diags(keep)).tocsr()
+    b = (assemble_divergence(vspace, pspace, geometry)
+         @ sps.diags(keep)).tocsr()
     bt = b.T  # a CSC view: its matvec sums each row of B^T in column order
     f = rhs * keep
-    mass_p = assemble_mass(pspace)
-    mvec = assemble_load(pspace, _ones)
+    mass_p = assemble_mass(pspace, geometry)
+    mvec = assemble_basis_integrals(pspace, geometry)
     assembly_seconds = time.perf_counter() - t0
 
     # velocity vectors are component-major; the factor solves both
@@ -346,7 +352,8 @@ def solve_stokes(vspace, pspace, rhs, factor, p0=None):
     if divmax > 1e-9 * unorm + floor:
         raise ArithmeticError(f"divergence residual {divmax:.3e} too large")
     return StokesSolution(Field(vspace, 2, xu), Field(pspace, 1, xp),
-                          len(steps), residual, assembly_seconds)
+                          len(steps), residual, mean, divmax,
+                          assembly_seconds)
 
 
 def solve_poisson(space, rhs, factor):
@@ -387,19 +394,19 @@ def validate_curl(mesh, f, F):
     return resid
 
 
-def _level_factors(vspace, k):
+def _level_factors(vspace, pspace, geometry):
     """The level's P_k Poisson space, its factor and the velocity factor.
 
     One splu serves the level: for k >= 2 the Poisson space is the
-    velocity space, and for Mini the velocity factor reuses the P1
-    factor and divides by the bubble diagonal.
+    velocity space, and for Mini it is the P1 pressure space, whose
+    factor the velocity factor reuses before dividing by the bubble
+    diagonal.
     """
     if vspace.kind == "lagrange":
-        factor = stiffness_factor(vspace)
+        factor = stiffness_factor(vspace, geometry)
         return vspace, factor, factor
-    sspace = build_space(vspace.mesh, k)
-    sfactor = stiffness_factor(sspace)
-    return sspace, sfactor, stiffness_factor(vspace, sfactor)
+    sfactor = stiffness_factor(pspace, geometry)
+    return pspace, sfactor, stiffness_factor(vspace, geometry, sfactor)
 
 
 def run_chains(meshes, k, chains):
@@ -413,7 +420,8 @@ def run_chains(meshes, k, chains):
     each returned BiharmonicRun equals a run of its chain alone, except
     that the records report the shared factor: its ``factor_nnz``, and
     ``lu_solves``, ``lu_residual_max`` and ``seconds["factor"]`` over
-    all chains.
+    all chains.  The level's geometry (``jacobians``) is computed once
+    and serves every assembly on it.
     """
     for f, F in chains:
         if F is not None:
@@ -421,26 +429,29 @@ def run_chains(meshes, k, chains):
     runs = [BiharmonicRun("psp" if F is None else "sp", k, [])
             for _, F in chains]
     for mesh in meshes:
+        geometry = jacobians(mesh)
         vspace, pspace = stokes_spaces(mesh, k)
         try:
             t0 = time.perf_counter()
-            sspace, sfactor, vfactor = _level_factors(vspace, k)
+            sspace, sfactor, vfactor = _level_factors(vspace, pspace,
+                                                      geometry)
             seconds = [{"factor": time.perf_counter() - t0} for _ in chains]
             ws, sols = [], []
             for (f, F), run, secs in zip(chains, runs, seconds):
                 w = None
                 if F is None:
                     t0 = time.perf_counter()
-                    w = solve_poisson(sspace, assemble_load(sspace, f),
-                                      sfactor)
+                    w = solve_poisson(
+                        sspace, assemble_load(sspace, f, geometry), sfactor)
                     secs["poisson_w"] = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                rhs = (assemble_stokes_rhs_analytic(vspace, F) if w is None
-                       else assemble_stokes_rhs_discrete_curl(vspace, w))
+                rhs = (assemble_stokes_rhs_analytic(vspace, F, geometry)
+                       if w is None else
+                       assemble_stokes_rhs_discrete_curl(vspace, w, geometry))
                 rhs_s = time.perf_counter() - t0
                 ws.append(w)
                 sols.append(solve_stokes(
-                    vspace, pspace, rhs, vfactor,
+                    vspace, pspace, rhs, vfactor, geometry,
                     run.records[-1].p if run.records else None))
                 secs["stokes_assembly"] = rhs_s + sols[-1].assembly_seconds
                 secs["stokes"] = (time.perf_counter() - t0
@@ -450,7 +461,8 @@ def run_chains(meshes, k, chains):
             for sol, secs in zip(sols, seconds):
                 t0 = time.perf_counter()
                 phis.append(solve_poisson(
-                    sspace, assemble_curl_rhs(sspace, sol.u), sfactor))
+                    sspace, assemble_curl_rhs(sspace, sol.u, geometry),
+                    sfactor))
                 secs["poisson_phi"] = time.perf_counter() - t0
         except ArithmeticError as exc:
             raise ArithmeticError(f"level {mesh.level}: {exc}") from exc
@@ -460,10 +472,12 @@ def run_chains(meshes, k, chains):
             run.records.append(LevelRecord(
                 mesh.level, sol.u, sol.p, phi, w=w,
                 iterations=sol.iterations, residual_norm=sol.residual_norm,
+                pressure_mean=sol.pressure_mean,
+                divergence_max=sol.divergence_max,
                 lu_solves=sfactor.solves,
                 lu_residual_max=sfactor.residual_max,
                 factor_nnz=sfactor.nnz, maxrss_mb=maxrss_mb, seconds=secs))
-        del sfactor
+        del sfactor, geometry
     return runs
 
 
@@ -503,10 +517,11 @@ def compare_runs(a, b, level):
                      fa.coefficients - fb.coefficients)
 
     dphi, du, dp = delta("phi"), delta("u"), delta("p")
+    geometry = jacobians(ma)
     return {
-        "phi_h1": field_norm(dphi, "H1"),
-        "phi_l2": field_norm(dphi, "L2"),
-        "u_h1": field_norm(du, "H1"),
-        "u_l2": field_norm(du, "L2"),
-        "p_l2": field_norm(dp, "L2"),
+        "phi_h1": field_norm(dphi, "H1", geometry),
+        "phi_l2": field_norm(dphi, "L2", geometry),
+        "u_h1": field_norm(du, "H1", geometry),
+        "u_l2": field_norm(du, "L2", geometry),
+        "p_l2": field_norm(dp, "L2", geometry),
     }

@@ -224,6 +224,8 @@ def jacobians(mesh):
     """Per-triangle affine data: detJ (nt,) and invJ^T (nt, 2, 2).
 
     J has the columns p1 - p0 and p2 - p0 of the triangle's corners.
+    Callers compute this ``geometry`` once per mesh and pass it to every
+    assembler and norm on that mesh; it is kept on no object.
     """
     p = mesh.points[mesh.triangles]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -260,7 +262,8 @@ def _barycentric(mesh, tri, xy):
     return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
-# Fine DOFs that prolongate transfers at once (one row block of P).
+# Rows of one block of work: fine DOFs that prolongate transfers at once
+# (one row block of P), triangles whose integrands field_norm forms.
 TRANSFER_ROWS = 1 << 14
 
 

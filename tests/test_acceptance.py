@@ -25,7 +25,7 @@ from biharm.cli import parse_F_spec, parse_f_spec
 from biharm.corners import beta0, solve_alpha0
 from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.solvers import run_chains, run_sp, solve_poisson, stiffness_factor
-from biharm.spaces import build_space
+from biharm.spaces import build_space, jacobians
 
 from oracles import interpolate, manufactured_error
 
@@ -76,7 +76,8 @@ def _reports_from_run(run):
         for norm in ("L2",) if quantity == "p" else ("H1", "L2"):
             diffs = [
                 diff_norm(getattr(recs[i], quantity),
-                          getattr(recs[i - 1], quantity), norm)
+                          getattr(recs[i - 1], quantity), norm,
+                          jacobians(recs[i].phi.space.mesh))
                 for i in range(1, len(recs))
             ]
             out[(quantity, norm)] = rate_table(quantity, norm, levels, diffs)
@@ -328,7 +329,7 @@ def test_criterion_09_force_representation_independence():
         float(np.max(np.abs(a.u.coefficients - b.u.coefficients)))
         for a, b in zip(run_x.records, run_shift.records))
 
-    l2 = [diff_norm(a.u, b.u, "L2")
+    l2 = [diff_norm(a.u, b.u, "L2", jacobians(a.u.space.mesh))
           for a, b in zip(run_x.records, run_y.records)]
     ratios = [l2[i - 1] / l2[i] for i in range(1, len(l2))]
     window = next((ratios[i:i + 3] for i in range(len(ratios) - 2)
@@ -374,8 +375,9 @@ def test_criterion_10_manufactured_solution_oracle():
     errs, interps = [], []
     for mesh in meshes[1:4]:
         space = build_space(mesh, 2)
-        w = solve_poisson(space, assemble_load(space, f_w),
-                          stiffness_factor(space))
+        geo = jacobians(mesh)
+        w = solve_poisson(space, assemble_load(space, f_w, geo),
+                          stiffness_factor(space, geo))
         errs.append(manufactured_error(w, w_star, "L2"))
         interps.append(manufactured_error(interpolate(space, w_star),
                                           w_star, "L2"))

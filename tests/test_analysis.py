@@ -19,7 +19,7 @@ from biharm.assembly import assemble_load
 from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.quadrature import physical_points, triangle_rule
 from biharm.solvers import solve_poisson, stiffness_factor
-from biharm.spaces import Field, build_space
+from biharm.spaces import Field, build_space, jacobians
 
 from oracles import (
     evaluate,
@@ -86,34 +86,39 @@ def test_rate_table_recovers_exponent_of_geometric_decay(base, rate):
 
 def test_field_norm_exact_linear(square_meshes):
     f = interpolate(build_space(square_meshes[2], 1), lambda x, y: x + y)
-    assert abs(field_norm(f, "L2") - math.sqrt(8.0 / 3.0)) < 1e-13
-    assert abs(field_norm(f, "H1") - math.sqrt(8.0)) < 1e-13
-    assert abs(field_norm(f, "Linf") - 2.0) < 1e-14
+    geo = jacobians(square_meshes[2])
+    assert abs(field_norm(f, "L2", geo) - math.sqrt(8.0 / 3.0)) < 1e-13
+    assert abs(field_norm(f, "H1", geo) - math.sqrt(8.0)) < 1e-13
+    assert abs(field_norm(f, "Linf", geo) - 2.0) < 1e-14
     with pytest.raises(ValueError, match="norm"):
-        field_norm(f, "H2")
+        field_norm(f, "H2", geo)
 
 
 def test_diff_norm_identical_fields(square_meshes):
     f = interpolate(build_space(square_meshes[2], 2),
                     lambda x, y: np.sin(x) * y)
+    geo = jacobians(square_meshes[2])
     for norm in ("L2", "H1", "Linf"):
-        assert diff_norm(f, f, norm) == 0.0
+        assert diff_norm(f, f, norm, geo) == 0.0
 
 
 def test_diff_norm_prolongation_exactness(square_meshes):
     coarse = interpolate(build_space(square_meshes[1], 2), lambda x, y: x)
     fine = interpolate(build_space(square_meshes[3], 2), lambda x, y: x)
+    geo = jacobians(square_meshes[3])
     for norm in ("L2", "H1", "Linf"):
-        assert diff_norm(coarse, fine, norm) < 1e-13
+        assert diff_norm(coarse, fine, norm, geo) < 1e-13
 
 
 def test_diff_norm_exact_linear_pair(square_meshes):
     # (x + y) - 2x = y - x has exactly computable norms on the square
     coarse = interpolate(build_space(square_meshes[1], 1), lambda x, y: x + y)
     fine = interpolate(build_space(square_meshes[2], 1), lambda x, y: 2 * x)
-    assert abs(diff_norm(coarse, fine, "L2") - math.sqrt(8.0 / 3.0)) < 1e-13
-    assert abs(diff_norm(fine, coarse, "H1") - math.sqrt(8.0)) < 1e-13
-    assert abs(diff_norm(coarse, fine, "Linf") - 2.0) < 1e-13
+    geo = jacobians(square_meshes[2])
+    assert abs(diff_norm(coarse, fine, "L2", geo)
+               - math.sqrt(8.0 / 3.0)) < 1e-13
+    assert abs(diff_norm(fine, coarse, "H1", geo) - math.sqrt(8.0)) < 1e-13
+    assert abs(diff_norm(coarse, fine, "Linf", geo) - 2.0) < 1e-13
 
 
 def _ancestor(mesh, coarse_mesh, t):
@@ -166,8 +171,9 @@ def test_diff_norm_matches_independent_quadrature(
                                                       fp[2] - fp[0]])))
         l2 += fine_det * float(w @ dv**2)
         h1 += fine_det * float(w @ np.sum(dg**2, axis=1))
-    assert abs(diff_norm(a, b, "L2") - math.sqrt(l2)) < 1e-10
-    assert abs(diff_norm(b, a, "H1") - math.sqrt(h1)) < 1e-10
+    geo = jacobians(fmesh)
+    assert abs(diff_norm(a, b, "L2", geo) - math.sqrt(l2)) < 1e-10
+    assert abs(diff_norm(b, a, "H1", geo) - math.sqrt(h1)) < 1e-10
 
 
 def test_diff_norm_integrates_the_bubble_exactly(square_meshes):
@@ -182,7 +188,8 @@ def test_diff_norm_integrates_the_bubble_exactly(square_meshes):
     lam, w = triangle_rule(8)
     hand = math.sqrt(2 * area * float(w @ (lam.prod(axis=1)) ** 2))
     zero = Field(fspace, 1, np.zeros(fspace.ndof))
-    assert abs(diff_norm(cf, zero, "L2") - hand) < 1e-15
+    assert abs(diff_norm(cf, zero, "L2", jacobians(square_meshes[3]))
+               - hand) < 1e-15
 
 
 def test_diff_norm_vector_component_sum(square_meshes):
@@ -191,12 +198,14 @@ def test_diff_norm_vector_component_sum(square_meshes):
     g = lambda x, y: x * y
     zero2 = Field(fspace, 2, np.zeros(2 * fspace.ndof))
     gc = interpolate(cspace, g).coefficients
+    geo = jacobians(square_meshes[2])
     scalar = diff_norm(interpolate(cspace, g),
-                       Field(fspace, 1, np.zeros(fspace.ndof)), "L2")
-    both = diff_norm(Field(cspace, 2, np.concatenate([gc, gc])), zero2, "L2")
+                       Field(fspace, 1, np.zeros(fspace.ndof)), "L2", geo)
+    both = diff_norm(Field(cspace, 2, np.concatenate([gc, gc])), zero2, "L2",
+                     geo)
     assert abs(both - math.sqrt(2.0) * scalar) < 1e-13
     with pytest.raises(ValueError, match="component"):
-        diff_norm(interpolate(cspace, g), zero2)
+        diff_norm(interpolate(cspace, g), zero2, "L2", geo)
 
 
 def test_diff_norm_triangle_inequality(square_meshes):
@@ -206,9 +215,10 @@ def test_diff_norm_triangle_inequality(square_meshes):
     a = Field(fspace, 1, rng.normal(size=fspace.ndof))
     b = Field(cspace, 1, rng.normal(size=cspace.ndof))
     c = Field(fspace, 1, rng.normal(size=fspace.ndof))
+    geo = jacobians(square_meshes[2])
     for norm in ("L2", "H1", "Linf"):
-        ab, bc, ac = (diff_norm(a, b, norm), diff_norm(b, c, norm),
-                      diff_norm(a, c, norm))
+        ab, bc, ac = (diff_norm(a, b, norm, geo), diff_norm(b, c, norm, geo),
+                      diff_norm(a, c, norm, geo))
         assert ac <= ab + bc + 1e-12
 
 
@@ -229,8 +239,10 @@ def test_lift_pairs_lifts_once_per_space(square_meshes, kind, shared):
     assert fine.space.kind == coarse.space.kind == "lagrange"
     assert fine.space.degree == (1 if shared else 3)
     assert pairs["Linf"][0] is a and pairs["Linf"][1].space is fspace
+    geo = jacobians(square_meshes[2])
     for norm, (fine, coarse) in pairs.items():
-        assert diff_norm(fine, coarse, norm) == diff_norm(a, b, norm)
+        assert (diff_norm(fine, coarse, norm, geo)
+                == diff_norm(a, b, norm, geo))
 
 
 def test_diff_norm_rejects_unrelated_meshes(square_meshes):
@@ -238,7 +250,7 @@ def test_diff_norm_rejects_unrelated_meshes(square_meshes):
     f1 = interpolate(build_space(square_meshes[1], 1), lambda x, y: x)
     f2 = interpolate(build_space(other, 1), lambda x, y: x)
     with pytest.raises(ValueError, match="nested"):
-        diff_norm(f1, f2)
+        diff_norm(f1, f2, "L2", jacobians(other))
 
 
 # -- manufactured_error -------------------------------------------------------
@@ -270,8 +282,9 @@ def test_poisson_manufactured_rate_three(square_meshes):
     errs, interps = [], []
     for mesh in square_meshes[1:]:
         space = build_space(mesh, 2)
-        w = solve_poisson(space, assemble_load(space, f),
-                          stiffness_factor(space))
+        geo = jacobians(mesh)
+        w = solve_poisson(space, assemble_load(space, f, geo),
+                          stiffness_factor(space, geo))
         errs.append(manufactured_error(w, wstar, "L2"))
         interps.append(manufactured_error(interpolate(space, wstar), wstar,
                                           "L2"))

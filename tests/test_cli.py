@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, artifacts, and the CLI."""
 
+import collections
 import glob
 import json
 import math
@@ -11,9 +12,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import biharm.cli as cli
+import biharm.corners as corners
 import biharm.solvers
 from biharm.solvers import stiffness_factor
-from biharm.spaces import build_space
+from biharm.spaces import build_space, jacobians
 from biharm.cli import (
     ExperimentConfig,
     main,
@@ -22,6 +24,8 @@ from biharm.cli import (
     run_comparison,
     run_experiment,
 )
+
+from oracles import count_jacobians
 
 COMPARE_NAMES = ("phi_h1", "phi_l2", "u_h1", "u_l2", "p_l2")
 EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -128,6 +132,21 @@ def test_checked_in_experiments_parse(path):
 
 
 # -- run_experiment -----------------------------------------------------------
+
+
+def test_run_experiment_one_geometry_per_mesh_and_level_pair(monkeypatch):
+    # run_chains computes each level's geometry once; the rate loop once
+    # per level pair, for the finer mesh, serving every quantity and norm
+    calls = count_jacobians(monkeypatch)
+    config = tiny_config(kappas=(0.5, 0.25), norms=("H1", "L2", "Linf"))
+    result = run_experiment(config, jobs=1)
+    assert result.failures == {}
+    # both columns share the level-0 root, which is never the finer mesh
+    # of a pair; every finer mesh belongs to one column
+    per_level = collections.Counter(mesh.level for mesh in calls)
+    assert per_level == {0: 2, **{j: 4 for j in range(1, config.levels + 1)}}
+    per_mesh = collections.Counter(id(mesh) for mesh in calls)
+    assert set(per_mesh.values()) == {2}
 
 
 def test_run_experiment_poisson_reports_and_timings():
@@ -280,12 +299,16 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
                                   config.levels, 0.25)
     for row in rows:
         assert set(row) == {"kappa", "level", "iterations", "residual_norm",
-                            "lu_solves", "lu_residual_max", "factor_nnz",
-                            "maxrss_mb", "seconds"}
+                            "pressure_mean", "divergence_max", "lu_solves",
+                            "lu_residual_max", "factor_nnz", "maxrss_mb",
+                            "seconds"}
         assert set(row["seconds"]) == {"factor", "stokes_assembly", "stokes",
                                        "poisson_phi"}
         assert row["iterations"] >= 1
         assert 0.0 <= row["residual_norm"] < 1e-10
+        # the values the pressure-mean and divergence gates bounded
+        assert abs(row["pressure_mean"]) < 1e-10
+        assert 0.0 <= row["divergence_max"] < 1e-10
         assert 0.0 <= row["lu_residual_max"] < 1e-10
         # one back-solve per CG step, one each for the Schur right-hand
         # side, the velocity recovery and phi, and above level 0 one for
@@ -294,7 +317,8 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
         if row["kappa"] == 0.25:
             # the level's one factor is the P1 factor Mini's solves reuse
             space = build_space(meshes[row["level"]], config.k)
-            assert row["factor_nnz"] == stiffness_factor(space).nnz
+            factor = stiffness_factor(space, jacobians(space.mesh))
+            assert row["factor_nnz"] == factor.nnz
     assert [row["factor_nnz"] for row in rows[:config.levels + 1]] == sorted(
         row["factor_nnz"] for row in rows[:config.levels + 1])
     # the process's peak RSS, read as each level ends: positive and
@@ -303,8 +327,9 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
         rss = [row["maxrss_mb"] for row in rows if row["kappa"] == kappa]
         assert rss[0] > 0.0 and rss == sorted(rss)
     health = result.solver[0.25][-1]
-    assert set(health) == {"iterations", "residual_norm", "lu_solves",
-                           "lu_residual_max", "factor_nnz", "maxrss_mb"}
+    assert set(health) == {"iterations", "residual_norm", "pressure_mean",
+                           "divergence_max", "lu_solves", "lu_residual_max",
+                           "factor_nnz", "maxrss_mb"}
     assert all(rows[-1][name] == value for name, value in health.items())
 
 
@@ -461,6 +486,19 @@ def test_cli_corner_exponents(capsys):
     out = capsys.readouterr().out
     assert "alpha0 = 0.544483736782464" in out
     assert "beta0  = 0.666666666666667" in out
+
+
+def test_cli_corner_exponents_for_a_narrow_opening(capsys):
+    assert main(["corner-exponents", "--omega", "pi/6"]) == 0
+    assert "alpha0 = 8.062965" in capsys.readouterr().out
+
+
+def test_cli_corner_exponents_without_a_root_exits_2(monkeypatch, capsys):
+    # a window too narrow to hold alpha0: an error line, not a traceback
+    monkeypatch.setattr(corners, "_ZETA_RE_MAX", 1.0)
+    assert main(["corner-exponents", "--omega", "pi/2"]) == 2
+    assert "error: no nontrivial characteristic roots" in (
+        capsys.readouterr().err)
 
 
 def test_cli_mesh_writes_file(tmp_path, capsys):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.quadrature import physical_points, triangle_rule
 
 
@@ -57,3 +58,16 @@ def test_high_degree_matches_low_on_shared_polynomials():
         v5 = np.sum(w5 * lam5[:, 1] ** a * lam5[:, 2] ** b)
         v9 = np.sum(w9 * lam9[:, 1] ** a * lam9[:, 2] ** b)
         assert v5 == pytest.approx(v9, rel=1e-13)
+
+
+@pytest.mark.parametrize("domain, kappa", [("convex_11pi12", 0.3),
+                                           ("lshape", 0.2)])
+def test_physical_points_equal_einsum_to_the_bit(domain, kappa):
+    # every rule order an assembler, a norm or the curl check uses
+    mesh = refine_hierarchy(builtin_domain(domain)[1], 4, kappa)[-1]
+    tri_pts = mesh.points[mesh.triangles]
+    for degree in range(1, 7):
+        lam, _ = triangle_rule(degree)
+        got = physical_points(lam, tri_pts)
+        want = np.einsum("qj,tjd->tqd", lam, tri_pts)
+        assert got.tobytes() == want.tobytes(), degree
