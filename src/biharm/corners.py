@@ -6,24 +6,27 @@ biharmonic solution is governed by the smallest characteristic exponent
     alpha0(omega) = min Re(z)  over nontrivial roots of
                     sin^2(z*omega) = z^2 * sin^2(omega)
 
-restricted to Re(z) > 1/2.  The roots z = 0, +1, -1 solve the equation
-identically for every omega and carry no singularity information, so they
-are excluded.  The companion threshold beta0 = pi/omega limits how much a
-graded mesh can improve the convergence of the intermediate Stokes
-velocity.
+restricted to Re(z) > 1/2.  The root z = 1 solves the equation for every
+omega and carries no singularity information, so it is excluded.  The
+companion threshold beta0 = pi/omega limits how much a graded mesh can
+improve the convergence of the intermediate Stokes velocity.
 
-Roots are enumerated by an argument-principle count on rectangles (the
-winding number of the characteristic function along the boundary), with
-recursive subdivision until each box isolates one root, followed by a
-complex Newton polish.  The window is fixed in zeta = z * omega, where
-sin(zeta) oscillates at the same rate for every opening, so it holds
-alpha0 from the narrowest to the widest corner.  A search that isolates
-no root raises ArithmeticError.  Everything is deterministic; no
+With zeta = z*omega the equation splits into the two factors
+sin(zeta) = b*zeta, b = +-sin(omega)/omega, |b| < 1; z = 1 is the root
+zeta = omega of the b = +sin(omega)/omega factor.  A root x + iy with
+y > 0 satisfies cos(x) sinh(y) = b*y and sin(x) cosh(y) = b*x.  The
+first equation gives x = 2k*pi +- arccos(b*y/sinh(y)), one branch per
+interval ((m-1)*pi, m*pi), so on each branch the second equation is one
+real function of y.  Every root in the window is therefore a sign change
+on a fixed grid: of sin(x) - b*x on the real axis, and of a branch
+function in y.  Each sign change is bisected and then polished by
+Newton's method on sin(zeta) - b*zeta.  Everything is deterministic; no
 randomness is involved anywhere.
 """
 
-import cmath
 import math
+
+import numpy as np
 
 __all__ = [
     "solve_alpha0",
@@ -31,193 +34,18 @@ __all__ = [
     "characteristic_roots",
 ]
 
-# Roots of the characteristic equation that hold for every opening angle
-# and must be ignored when forming alpha0.
-_TRIVIAL_ROOTS = (0.0, 1.0, -1.0)
-_TRIVIAL_RADIUS = 1e-6
-
-# Left edge of the search rectangle.  Exponents approach 1/2 from above as
-# the opening approaches a slit (omega -> 2pi), and close to 2pi the
-# characteristic function develops a near-tangent pair of real roots
-# around 1/2; starting the box below 0.5 keeps that pair away from the
-# contour (roots polished to Re <= 1/2 are filtered afterwards).
-_RE_MIN = 0.49
-_IM_MIN = -0.25  # keep real roots off the contour
-# Right and top edges, in zeta = z * omega.  alpha0 * omega stays below
-# 1.5 pi: it peaks at 1.43 pi near omega = 0.81 pi and tends to 4.2124,
-# the first nontrivial root of sin(zeta) = -zeta, as omega -> 0.  A root
-# has sinh|Im zeta| <= |zeta| (|sin(zeta)| = |zeta sin(omega) / omega|
-# <= |zeta|), so no root with Re zeta <= 3 pi lies above Im zeta = 4.
+# Window in zeta = z * omega.  alpha0 * omega stays below 1.5 pi: it peaks
+# at 1.43 pi near omega = 0.81 pi and tends to 4.2124, the first
+# nontrivial root of sin(zeta) = -zeta, as omega -> 0.  A root has
+# sinh|Im zeta| <= |zeta| (|sin(zeta)| = |b zeta| <= |zeta|), so no root
+# with Re zeta <= 3 pi lies above Im zeta = 3; the second root reaches
+# Im zeta = 2.77 for omega < 0.39 pi.
 _ZETA_RE_MAX = 3.0 * math.pi
-_ZETA_IM_MAX = 2.0 * math.pi
-# Step of the real-root scan, in zeta.
+_ZETA_IM_MAX = 4.0
+# Step of the sign-change scans, in zeta.
 _ZETA_STEP = 1.5e-3
-
-_NEWTON_TOL = 1e-13
-_WIND_DEPTH = 48
-
-
-def _char(z, omega):
-    """Characteristic function g(z) = sin^2(z*omega) - z^2 sin^2(omega)."""
-    s = cmath.sin(z * omega)
-    return s * s - z * z * math.sin(omega) ** 2
-
-
-def _char_prime(z, omega):
-    return omega * cmath.sin(2.0 * z * omega) - 2.0 * z * math.sin(omega) ** 2
-
-
-def _phase_sweep(omega, a, b, ga, gb, depth):
-    """Accumulated argument change of g along the segment [a, b].
-
-    Bisects until each step turns the phase by less than pi/2.  Callers
-    must hand in segments shorter than a quarter oscillation period of g,
-    otherwise the wrapped increments could alias away whole turns.
-    """
-    if abs(ga) == 0.0 or abs(gb) == 0.0:
-        raise ArithmeticError("characteristic function vanished on the contour")
-    d = cmath.phase(gb / ga)
-    if abs(d) <= 0.5 * math.pi:
-        return d
-    if depth <= 0:
-        raise ArithmeticError("phase tracking did not resolve (root on contour?)")
-    m = 0.5 * (a + b)
-    gm = _char(m, omega)
-    return _phase_sweep(omega, a, m, ga, gm, depth - 1) + _phase_sweep(
-        omega, m, b, gm, gb, depth - 1
-    )
-
-
-def _edge_sweep(omega, a, b):
-    """Argument change along one contour edge, pre-split against aliasing.
-
-    Away from roots the phase of g turns at a rate of at most ~2*omega per
-    unit arclength (the sin^2 term oscillates with period pi/omega), so an
-    initial uniform step of 0.6/omega keeps every piece below a quarter
-    turn; the adaptive bisection then handles the acceleration near roots.
-    """
-    n = max(2, math.ceil(abs(b - a) * omega / 0.6))
-    pts = [a + (b - a) * (i / n) for i in range(n + 1)]
-    vals = [_char(p, omega) for p in pts]
-    total = 0.0
-    for (p, q, gp, gq) in zip(pts, pts[1:], vals, vals[1:]):
-        total += _phase_sweep(omega, p, q, gp, gq, _WIND_DEPTH)
-    return total
-
-
-def _winding(omega, re0, re1, im0, im1):
-    """Number of roots of g inside the rectangle, by the argument principle."""
-    corners = [
-        complex(re0, im0),
-        complex(re1, im0),
-        complex(re1, im1),
-        complex(re0, im1),
-        complex(re0, im0),
-    ]
-    total = 0.0
-    for a, b in zip(corners, corners[1:]):
-        total += _edge_sweep(omega, a, b)
-    n = total / (2.0 * math.pi)
-    count = round(n)
-    if abs(n - count) > 0.05:
-        raise ArithmeticError(f"inconsistent winding number {n:.6f}")
-    return count
-
-
-def _count_roots(omega, box):
-    """Winding count with deterministic jitter when the contour is unlucky."""
-    re0, re1, im0, im1 = box
-    w = re1 - re0
-    h = im1 - im0
-    for jit in (0.0, 3.1e-3, -7.3e-3, 1.7e-2):
-        try:
-            return _winding(
-                omega, re0, re1 + jit * w, im0 - jit * h, im1 + jit * h
-            )
-        except ArithmeticError:
-            continue
-    raise ArithmeticError(
-        f"argument-principle count failed on box {box} for omega={omega!r}"
-    )
-
-
-def _newton(omega, z0, scale):
-    z = complex(z0)
-    for _ in range(100):
-        g = _char(z, omega)
-        if abs(g) < _NEWTON_TOL * scale:
-            return z
-        dg = _char_prime(z, omega)
-        if dg == 0.0:
-            return None
-        step = g / dg
-        z = z - step
-        if abs(step) < 1e-16 * max(1.0, abs(z)):
-            # stagnated; accept only if the residual check below passes
-            g = _char(z, omega)
-            return z if abs(g) < _NEWTON_TOL * scale else None
-    return None
-
-
-def _polish_in_box(omega, box, acc):
-    """Newton polish from a few deterministic seeds; True on success."""
-    re0, re1, im0, im1 = box
-    diag = math.hypot(re1 - re0, im1 - im0)
-    center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-    scale = max(1.0, (abs(complex(re1, im1)) * abs(math.sin(omega))) ** 2)
-    for z0 in (
-        center,
-        center + 0.25 * complex(re1 - re0, 0.0),
-        center + 0.25 * complex(0.0, im1 - im0),
-    ):
-        z = _newton(omega, z0, scale)
-        if z is None:
-            continue
-        # accept only roots genuinely inside this box; an escaping Newton
-        # iteration must not record a neighbor box's root as ours
-        pad = 1e-9
-        if re0 - pad <= z.real <= re1 + pad and im0 - pad <= z.imag <= im1 + pad:
-            acc.append(z)
-            return True
-    return False
-
-
-def _subdivide(omega, box, acc, depth=60):
-    re0, re1, im0, im1 = box
-    count = _count_roots(omega, box)
-    if count == 0:
-        return
-    diag = math.hypot(re1 - re0, im1 - im0)
-    # A cluster tighter than 1e-5 is treated as one root for min-Re purposes
-    # (true multiple roots occur only at isolated branch angles).
-    if count == 1 or diag < 1e-5:
-        if _polish_in_box(omega, box, acc):
-            return
-        if diag < 1e-7 or depth <= 0:
-            raise ArithmeticError(
-                f"Newton polish failed in box {box} for omega={omega!r}"
-            )
-    if depth <= 0:
-        raise ArithmeticError(
-            f"subdivision exhausted on box {box} for omega={omega!r}")
-    # split the longer side, nudging the seam if a root happens to sit on it
-    horizontal = (re1 - re0) >= (im1 - im0)
-    for f in (0.5, 0.53, 0.47):
-        sub = []
-        try:
-            if horizontal:
-                mid = re0 + f * (re1 - re0)
-                _subdivide(omega, (re0, mid, im0, im1), sub, depth - 1)
-                _subdivide(omega, (mid, re1, im0, im1), sub, depth - 1)
-            else:
-                mid = im0 + f * (im1 - im0)
-                _subdivide(omega, (re0, re1, im0, mid), sub, depth - 1)
-                _subdivide(omega, (re0, re1, mid, im1), sub, depth - 1)
-        except ArithmeticError:
-            continue
-        acc.extend(sub)
-        return
-    raise ArithmeticError(f"could not split box {box} for omega={omega!r}")
+_BISECTIONS = 30  # a bracket of one step shrinks to 1.4e-12, then Newton
+_NEWTON_STEPS = 4
 
 
 def _validate_omega(omega):
@@ -227,84 +55,90 @@ def _validate_omega(omega):
         raise ValueError("opening angle pi is a straight edge, not a corner")
 
 
-def _real_roots(omega, re_max):
-    """Real roots of g on (0.49, re_max], secured by a dense factor-wise scan.
+def _bisect(func, t):
+    """Bisected sign changes along each row of the grid ``t``.
 
-    The characteristic function factors as f1*f2 with
-    f1 = sin(z*omega) - z sin(omega) and f2 = sin(z*omega) + z sin(omega);
-    scanning each factor separately keeps sign changes clean even where
-    the product g = f1*f2 has a double-root-like dip.  Sign changes are
-    bisected; shallow tangencies (value below 1e-5 at a local minimum of
-    |f|) get a Newton attempt as well.
+    ``func(s, row)`` evaluates the real function of scan ``row`` at ``s``.
+    Returns the row and the abscissa of every root.
     """
-    s = math.sin(omega)
-    factors = (
-        lambda x: math.sin(x * omega) - x * s,
-        lambda x: math.sin(x * omega) + x * s,
-    )
-    step = _ZETA_STEP / omega
-    n = int((re_max - _RE_MIN) / step) + 2
-    xs = [_RE_MIN + i * step for i in range(n)]
-    roots = []
-    scale = max(1.0, (re_max * abs(s)) ** 2)
-    for f in factors:
-        vals = [f(x) for x in xs]
-        for i in range(len(xs) - 1):
-            lo, hi, flo, fhi = xs[i], xs[i + 1], vals[i], vals[i + 1]
-            candidate = None
-            if flo == 0.0:
-                candidate = lo
-            elif flo * fhi < 0.0:
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    fm = f(mid)
-                    if flo * fm <= 0.0:
-                        hi, fhi = mid, fm
-                    else:
-                        lo, flo = mid, fm
-                candidate = 0.5 * (lo + hi)
-            elif (
-                abs(flo) < 1e-5
-                and 0 < i < len(xs) - 2
-                and abs(flo) <= abs(vals[i - 1])
-                and abs(flo) <= abs(fhi)
-            ):
-                candidate = lo  # tangency dip; polish decides
-            if candidate is not None:
-                z = _newton(omega, complex(candidate, 0.0), scale)
-                if z is not None and abs(z.imag) < 1e-9:
-                    roots.append(complex(z.real, 0.0))
-    return roots
+    v = func(t, np.arange(len(t))[:, None])
+    row, i = np.nonzero(np.sign(v[:, :-1]) * np.sign(v[:, 1:]) < 0.0)
+    lo, hi, flo = t[row, i], t[row, i + 1], v[row, i]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        fmid = func(mid, row)
+        left = np.sign(fmid) != np.sign(flo)
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+    return row, 0.5 * (lo + hi)
 
 
 def characteristic_roots(omega):
     """All roots of sin^2(z*omega) = z^2 sin^2(omega) in the search window.
 
     Returns the nontrivial roots with Re(z) in (1/2, 3 pi / omega] and
-    Im(z) in [-1/4, 2 pi / omega], normalized to the upper half plane,
-    deduplicated, and sorted by (Re, Im).  Raises ArithmeticError if the
-    search cannot isolate the roots or finds none.
+    Im(z) in [0, 4 / omega], which holds every root with Re(z) in that
+    range, one of each conjugate pair, sorted by (Re, Im).  Raises
+    ArithmeticError if it finds none.
     """
     _validate_omega(omega)
-    box = (_RE_MIN, _ZETA_RE_MAX / omega, _IM_MIN, _ZETA_IM_MAX / omega)
-    found = _real_roots(omega, box[1])
-    _subdivide(omega, box, found)
-    roots = []
-    for z in found:
-        z = complex(z.real, abs(z.imag))
-        if z.real <= 0.5:
-            continue
-        if any(abs(z - t) < _TRIVIAL_RADIUS for t in _TRIVIAL_ROOTS):
-            continue
-        if any(abs(z - r) < 1e-8 for r in roots):
-            continue
-        roots.append(z)
-    roots.sort(key=lambda z: (z.real, z.imag))
+    lo, hi = 0.5 * omega, _ZETA_RE_MAX
+    b = math.sin(omega) / omega
+    b = np.array([b, -b])  # the first factor holds the trivial root omega
+
+    # real axis: the critical points 2k pi +- arccos(b) split it into
+    # pieces where sin(x) - b*x is monotone, so a close root pair
+    # straddles one of them
+    turns = 2.0 * math.pi * np.arange(math.ceil(hi / (2.0 * math.pi)) + 1)
+    acos_b = np.arccos(b)[:, None]
+    grid = np.append(np.arange(lo, hi, _ZETA_STEP), [hi, omega])
+    x = np.hstack([np.broadcast_to(grid, (2, len(grid))),
+                   turns - acos_b, turns + acos_b])
+    x = np.sort(np.clip(x, lo, hi), axis=1)
+    trivial = np.array([omega, np.nan])
+
+    def real(s, row):  # exactly 0 at the trivial root, so no bracket ends there
+        return np.where(s == trivial[row], 0.0, np.sin(s) - b[row] * s)
+
+    row, xr = _bisect(real, x)
+    zeta, zb = [xr.astype(complex)], [b[row]]
+
+    # one scan per factor and branch m, which covers Re in ((m-1) pi, m pi)
+    # with x = turn pi + sign arccos(b y / sinh(y))
+    m = np.arange(1, math.ceil(hi / math.pi) + 1)
+    sign = np.tile(2.0 * (m % 2) - 1.0, 2)
+    turn = np.tile(m - m % 2, 2) * math.pi
+    bm = np.repeat(b, len(m))
+
+    def cos_x(y, row):  # b y / sinh(y), which tends to b as y -> 0
+        return bm[row] * np.divide(y, np.sinh(y), out=np.ones_like(y),
+                                   where=y > 0.0)
+
+    def branch(y, row):
+        c = cos_x(y, row)
+        x = turn[row] + sign[row] * np.arccos(c)
+        return sign[row] * np.sqrt(1.0 - c * c) * np.cosh(y) - bm[row] * x
+
+    y = np.append(np.arange(0.0, _ZETA_IM_MAX, _ZETA_STEP), _ZETA_IM_MAX)
+    row, yr = _bisect(branch, np.broadcast_to(y, (len(bm), len(y))))
+    zeta.append(turn[row] + sign[row] * np.arccos(cos_x(yr, row)) + 1j * yr)
+    zb.append(bm[row])
+
+    zeta, zb = np.concatenate(zeta), np.concatenate(zb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            res = np.sin(zeta) - zb * zeta
+            new = zeta - res / (np.cos(zeta) - zb)
+            better = np.abs(np.sin(new) - zb * new) < np.abs(res)
+            zeta = np.where(better, new, zeta)
+    zeta = zeta[(zeta.real > lo) & (zeta.real <= hi)]
+    roots = sorted((complex(z) / omega for z in zeta),
+                   key=lambda z: (z.real, z.imag))
     if not roots:
         raise ArithmeticError(
             "no nontrivial characteristic roots found in "
-            f"Re in ({box[0]}, {box[1]:g}], Im in [{box[2]}, {box[3]:g}] "
-            f"for omega={omega!r}"
+            f"Re in (0.5, {hi / omega:g}], "
+            f"Im in [0, {_ZETA_IM_MAX / omega:g}] for omega={omega!r}"
         )
     return roots
 

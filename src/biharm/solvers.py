@@ -27,6 +27,7 @@ level's pressure, prolongated exactly onto the finer mesh, and stops at
 """
 
 import resource
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -421,7 +422,8 @@ def run_chains(meshes, k, chains):
     that the records report the shared factor: its ``factor_nnz``, and
     ``lu_solves``, ``lu_residual_max`` and ``seconds["factor"]`` over
     all chains.  The level's geometry (``jacobians``) is computed once
-    and serves every assembly on it.
+    and serves every assembly on it.  Each finished level writes one
+    progress line to stderr.
     """
     for f, F in chains:
         if F is not None:
@@ -429,6 +431,7 @@ def run_chains(meshes, k, chains):
     runs = [BiharmonicRun("psp" if F is None else "sp", k, [])
             for _, F in chains]
     for mesh in meshes:
+        start = time.perf_counter()
         geometry = jacobians(mesh)
         vspace, pspace = stokes_spaces(mesh, k)
         try:
@@ -477,6 +480,11 @@ def run_chains(meshes, k, chains):
                 lu_solves=sfactor.solves,
                 lu_residual_max=sfactor.residual_max,
                 factor_nnz=sfactor.nnz, maxrss_mb=maxrss_mb, seconds=secs))
+        steps = "/".join(str(sol.iterations) for sol in sols)
+        sys.stderr.write(
+            f"level {mesh.level}: {len(mesh.triangles)} triangles, "
+            f"factor_nnz {sfactor.nnz}, cg {steps} steps, "
+            f"{time.perf_counter() - start:.2f} s, maxrss_mb {maxrss_mb:.1f}\n")
         del sfactor, geometry
     return runs
 

@@ -1,6 +1,7 @@
 """Reference checks that only the tests use: nodal interpolation and
-pointwise evaluation of fields, errors against an exact solution, the
-discrete inf-sup constant of a Stokes pair, the one-shot sparse
+pointwise evaluation of fields, errors against an exact solution, an
+exact corner-singular solution on the L-shape, the discrete inf-sup
+constant of a Stokes pair, the one-shot sparse
 assembly that row-blocked assembly must reproduce, a stiffness matrix
 from a rule of any order, custom level-0 meshes, and the grading
 parameters of the paper's theory."""
@@ -13,6 +14,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+import sympy
 
 import biharm
 from biharm import kernels
@@ -24,6 +26,7 @@ from biharm.assembly import (
     poly_degree,
     vector_boundary_dofs,
 )
+from biharm.corners import solve_alpha0
 from biharm.meshing import Mesh, PolygonDomain
 from biharm.quadrature import physical_points, triangle_rule
 from biharm.spaces import (
@@ -164,6 +167,58 @@ def manufactured_error(field, exact, norm="L2", exact_grad=None):
     return math.sqrt(
         float(np.einsum("q,tq->", w, np.abs(det)[:, None] * np.sum(d**2, axis=2)))
     )
+
+
+def lshape_corner_solution():
+    """Exact clamped solution on the L-shape that carries its corner singularity.
+
+    phi = (x^2-1)^2 (y^2-1)^2 r^(1+z) g_z(theta) with z = alpha0(3pi/2),
+    theta in [0, 3pi/2] from the positive x-axis, and g_z the
+    clamped-corner eigenfunction of Grisvard (Singularities in Boundary
+    Value Problems, 1992): r^(1+z) g_z is biharmonic and vanishes with
+    its gradient on theta = 0 and theta = 3pi/2, and the polynomial
+    factor clears the outer edges of ``builtin_domain("lshape")``.
+    Returns the callables (phi, grad, load) of (x, y), where grad gives
+    the pair (d/dx, d/dy) and load = laplace^2 phi, which grows like
+    r^(z-1) at the corner.
+    """
+    z = solve_alpha0(1.5 * math.pi)
+    r, t = sympy.symbols("r theta", positive=True)
+    w = sympy.Rational(3, 2) * sympy.pi
+
+    def sines(a):
+        return sympy.sin((z - 1) * a) / (z - 1) - sympy.sin((z + 1) * a) / (z + 1)
+
+    def cosines(a):
+        return sympy.cos((z - 1) * a) - sympy.cos((z + 1) * a)
+
+    d = sympy.diff
+
+    def laplace(u):
+        return d(d(u, r), r) + d(u, r) / r + d(d(u, t), t) / r**2
+
+    def dot_grad(u, v):
+        return d(u, r) * d(v, r) + d(u, t) * d(v, t) / r**2
+
+    x, y = r * sympy.cos(t), r * sympy.sin(t)
+    bubble = (x**2 - 1) ** 2 * (y**2 - 1) ** 2
+    corner = r ** (1 + z) * (sines(w) * cosines(t) - sines(t) * cosines(w))
+    phi = bubble * corner
+    # the inner Laplacian by the product rule, laplace(b c) = b laplace(c)
+    # + 2 grad b . grad c + c laplace(b), which halves sympy's time
+    load = laplace(bubble * laplace(corner) + 2 * dot_grad(bubble, corner)
+                   + corner * laplace(bubble))
+    exprs = (phi, sympy.cos(t) * d(phi, r) - sympy.sin(t) * d(phi, t) / r,
+             sympy.sin(t) * d(phi, r) + sympy.cos(t) * d(phi, t) / r, load)
+    phi_n, dx_n, dy_n, load_n = (sympy.lambdify((r, t), e, "numpy", cse=True)
+                                 for e in exprs)
+
+    def polar(xx, yy):
+        return np.hypot(xx, yy), np.mod(np.arctan2(yy, xx), 2.0 * math.pi)
+
+    return (lambda xx, yy: phi_n(*polar(xx, yy)),
+            lambda xx, yy: (dx_n(*polar(xx, yy)), dy_n(*polar(xx, yy))),
+            lambda xx, yy: load_n(*polar(xx, yy)))
 
 
 def infsup_diagnostic(vspace, pspace):

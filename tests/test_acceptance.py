@@ -2,7 +2,8 @@
 
 Each test covers one numbered criterion and prints a single
 ``criterion NN: PASS/FAIL (...)`` line (visible with ``-s``; failures
-carry the same detail in the assertion message).  Chain runs are cached
+carry the same detail in the assertion message).  The last test checks
+the psp chain against an exact corner-singular solution beside them.  Chain runs are cached
 at module level and shared between criteria, so each domain/algorithm/
 grading combination is solved once; where criteria use both chains of
 one hierarchy, one ``run_chains`` call solves them on one factor per
@@ -24,10 +25,11 @@ from biharm.assembly import assemble_load
 from biharm.cli import parse_F_spec, parse_f_spec
 from biharm.corners import beta0, solve_alpha0
 from biharm.meshing import builtin_domain, refine_hierarchy
-from biharm.solvers import run_chains, run_sp, solve_poisson, stiffness_factor
+from biharm.solvers import (run_chains, run_psp, run_sp, solve_poisson,
+                            stiffness_factor)
 from biharm.spaces import build_space, jacobians
 
-from oracles import interpolate, manufactured_error
+from oracles import interpolate, lshape_corner_solution, manufactured_error
 
 # reference corner exponents alpha0 by opening angle
 ALPHA0_REFERENCE = [
@@ -406,3 +408,37 @@ def test_criterion_11_property_suites_pass():
     if not ok:
         detail += "\n" + proc.stdout[-2000:]
     assert _verdict(11, ok, detail), detail
+
+
+def test_psp_rates_for_the_exact_corner_singular_solution():
+    # psp P2 against phi = (x^2-1)^2 (y^2-1)^2 r^(1+z) g_z(theta), which
+    # carries the clamped corner singularity of the L-shape.  The graded
+    # mesh estimates, with kappa = 2^(-theta/a) and a < alpha0 = 0.5445
+    # (tests/oracles.py grading calculators), predict for k = 2:
+    #   H1 rate k = 2 once theta >= max{k-1, min{alpha0, a}} = 1, that is
+    #     kappa <= 2^(-1/alpha0) = 0.280: kappa = 0.2 and 0.1 qualify;
+    #   L2 rate k+1 = 3 once theta >= max{k-1, (k+1)/2, min{alpha0, a}}
+    #     = 1.5, that is kappa <= 2^(-1.5/alpha0) = 0.148: kappa = 0.1
+    #     qualifies and kappa = 0.2 does not, so its L2 rates are shown
+    #     but not checked.
+    # An estimate fixes the limit of the rate log2(e_(j-1)/e_j), not its
+    # approach: a relative correction c h to the error moves the rate at
+    # j = 6 (h = 2^-6) by about c 2^-6 / ln 2 = 0.023 c.  The windows of
+    # +-0.1 at j = 6 admit |c| <= 4.
+    phi, grad, load = lshape_corner_solution()
+    checks, shown = [], []
+    for kappa, norms in ((0.2, ("H1",)), (0.1, ("H1", "L2"))):
+        run = run_psp(_meshes("lshape", kappa, 6), load, 2)
+        for norm, limit in (("H1", 2.0), ("L2", 3.0)):
+            errors = [manufactured_error(rec.phi, phi, norm, grad)
+                      for rec in run.records[3:]]
+            rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+            shown.append(f"kappa={kappa} {norm} j=4..6: "
+                         + "/".join(f"{r:.3f}" for r in rates))
+            if norm in norms:
+                checks.append((f"kappa={kappa} phi {norm}", rates[-1],
+                               limit, 0.1))
+    ok, summary, misses = _check_windows(checks)
+    detail = f"j=6 rates: {summary}; " + "; ".join(shown + misses)
+    print(f"exact corner solution: {'PASS' if ok else 'FAIL'} ({detail})")
+    assert ok, detail

@@ -493,6 +493,13 @@ def test_cli_corner_exponents_for_a_narrow_opening(capsys):
     assert "alpha0 = 8.062965" in capsys.readouterr().out
 
 
+def test_cli_corner_exponents_for_a_near_straight_opening(capsys):
+    # pi (1 + 1e-7): the exponent 1 - 2e-7 lies within 1e-6 of the
+    # trivial root z = 1 but belongs to the other factor
+    assert main(["corner-exponents", "--omega", "3.141592967749059"]) == 0
+    assert "alpha0 = 0.99999980000" in capsys.readouterr().out
+
+
 def test_cli_corner_exponents_without_a_root_exits_2(monkeypatch, capsys):
     # a window too narrow to hold alpha0: an error line, not a traceback
     monkeypatch.setattr(corners, "_ZETA_RE_MAX", 1.0)

@@ -1,5 +1,6 @@
 """Tests for corner exponents and grading-parameter formulas."""
 
+import cmath
 import math
 
 import pytest
@@ -13,6 +14,9 @@ import oracles
 # computed independently with 40-digit arithmetic (bisection on the real
 # line for the real roots, multi-start Newton for the complex ones) and
 # frozen here.  Listed as (omega multiple of pi, alpha0, |Im| of the root).
+# The last five, for openings of 0.0015, 2pi/1000 and 0.02 and for
+# pi(1 +- 1e-7), are mpmath findroot values at 40 digits on the factor
+# sin(z omega) = -z sin(omega), taken at the float omega the test passes.
 ORACLE = [
     (1.0 / 3.0, 4.05932901215137154, 1.952049947),
     (1.0 / 2.0, 2.73959335632459614, 1.119024534),
@@ -26,7 +30,18 @@ ORACLE = [
     (4.0 / 3.0, 0.615731059490783197, 0.0),
     (3.0 / 2.0, 0.544483736782463929, 0.0),
     (7.0 / 4.0, 0.505009698896589425, 0.0),
+    (0.0015 / math.pi, 2808.2615377732642, 1500.48546942),
+    (2.0 / 1000.0, 670.4232584293794, 358.213446223),
+    (0.02 / math.pi, 210.62028859338283, 112.532808579),
+    (1.0 + 1e-7, 0.99999980000003985, 0.0),
+    (1.0 - 1e-7, 1.00000020000004, 0.0),
 ]
+
+
+def g(z, omega):
+    """The characteristic function sin^2(z omega) - z^2 sin^2(omega)."""
+    s = cmath.sin(z * omega)
+    return s * s - z * z * math.sin(omega) ** 2
 
 
 def bisect_real_root(omega, lo, hi, steps=200):
@@ -36,15 +51,11 @@ def bisect_real_root(omega, lo, hi, steps=200):
     between 1/2 (where g = sin^4(omega/2) > 0) and beta0 = pi/omega (where
     g = -beta0^2 sin^2(omega) < 0).
     """
-
-    def g(x):
-        return math.sin(x * omega) ** 2 - x * x * math.sin(omega) ** 2
-
-    glo = g(lo)
-    assert glo * g(hi) < 0.0
+    glo = g(lo, omega).real
+    assert glo * g(hi, omega).real < 0.0
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if glo * g(mid) <= 0.0:
+        if glo * g(mid, omega).real <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -69,7 +80,7 @@ def test_minimal_root_location_and_residual(mult, alpha0, im):
     z = corners.characteristic_roots(omega)[0]
     assert z.real == pytest.approx(alpha0, abs=1e-11)
     assert abs(z.imag) == pytest.approx(im, abs=1e-7)
-    assert abs(corners._char(z, omega)) < 1e-12
+    assert abs(g(z, omega)) < 1e-12
 
 
 def test_trivial_roots_are_excluded():

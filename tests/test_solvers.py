@@ -595,6 +595,21 @@ def test_run_records_structure(square_meshes):
     assert run2.records[0].w is None
 
 
+def test_one_progress_line_per_level_on_stderr(capsys, square_meshes):
+    runs = run_chains(square_meshes, 2, [(fone, None), (fone, FORCE_INT_X)])
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == len(square_meshes)
+    for line, mesh, psp, sp in zip(lines, square_meshes, runs[0].records,
+                                   runs[1].records):
+        assert line.startswith(f"level {mesh.level}: "
+                               f"{len(mesh.triangles)} triangles, "
+                               f"factor_nnz {psp.factor_nnz}, "
+                               f"cg {psp.iterations}/{sp.iterations} steps, ")
+        assert line.endswith(f" s, maxrss_mb {psp.maxrss_mb:.1f}")
+
+
 def test_solver_error_carries_level(monkeypatch, square_meshes):
     def boom(*args, **kwargs):
         raise ArithmeticError("synthetic failure")
