@@ -9,6 +9,13 @@ differences of their solutions level by level.  ``biharm
 corner-exponents --omega r`` prints the corner exponents for an
 opening angle; ``biharm mesh`` dumps a graded mesh to a text file.
 
+Both studies run one task per grading factor (a kappa column) through
+``_run_columns``: in a thread pool, or on the calling thread for one
+column or ``jobs = 1``.  A column reduces its own levels, to rate
+reports (``_run_column``) or to difference norms (``_compare_column``),
+before it returns, so its solutions are dropped with it; a numerical
+or out-of-memory failure skips only its column.
+
 Rate CSVs (rates_<quantity>.csv, comparison.csv) are deterministic:
 rerunning a config reproduces them byte for byte.  Wall-clock seconds
 are confined to summary.csv, timing.csv and levels.jsonl, which vary
@@ -19,6 +26,7 @@ import argparse
 import concurrent.futures
 import configparser
 import functools
+import itertools
 import json
 import os
 import re
@@ -27,11 +35,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import diff_norm, lift_pairs, markdown_table, rate_table
+from .analysis import (diff_norm, field_norm, lift_pairs, markdown_table,
+                       rate_table)
 from .corners import beta0, solve_alpha0
 from .meshing import builtin_domain, read_mesh, refine_hierarchy, write_mesh
-from .solvers import compare_runs, run_chains, run_psp, run_sp
-from .spaces import jacobians
+from .solvers import run_chains, run_psp, run_sp
+from .spaces import Field, jacobians
 
 __all__ = [
     "ExperimentConfig",
@@ -201,12 +210,11 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Reports per (quantity, norm), step timings, and written files."""
+    """Reports per (quantity, norm), per-level rows, and written files."""
 
     config: ExperimentConfig
     reports: dict  # (quantity, norm) -> {kappa: ConvergenceReport}
-    timings: dict  # kappa -> list over levels of {step: seconds}
-    solver: dict  # kappa -> list over levels of {solver health: value}
+    levels: dict  # kappa -> list over levels of its levels.jsonl row
     failures: dict  # kappa -> error message for aborted columns
     paths: list
 
@@ -300,12 +308,36 @@ def _chain(config):
 
 
 def _run_column(config, root, kappa):
-    """All levels of one kappa column; returns its LevelRecords."""
+    """One kappa column: its rate reports and one row per level.
+
+    The reports map (quantity, norm) to a ConvergenceReport; a row holds
+    the level, its SOLVER_FIELDS and its step ``seconds``.  The level
+    differences are taken here, so the column's solutions are dropped
+    when it returns.
+    """
     meshes = refine_hierarchy(root, config.levels, kappa)
     f, F = _chain(config)
-    run = (run_psp(meshes, f, config.k) if F is None
-           else run_sp(meshes, f, F, config.k))
-    return run.records
+    records = (run_psp(meshes, f, config.k) if F is None
+               else run_sp(meshes, f, F, config.k))
+    diffs = {(quantity, norm): [] for quantity in config.quantities
+             for norm in config.norms}
+    for fine, coarse in zip(records[1:], records):
+        # one geometry per level pair serves every quantity and norm;
+        # each quantity is lifted once and serves every norm
+        geometry = jacobians(fine.phi.space.mesh)
+        for quantity in config.quantities:
+            pairs = lift_pairs(getattr(fine, quantity),
+                               getattr(coarse, quantity), config.norms)
+            for norm in config.norms:
+                diffs[(quantity, norm)].append(
+                    diff_norm(*pairs[norm], norm, geometry))
+    levels = [rec.level for rec in records[1:]]
+    reports = {key: rate_table(*key, levels, values)
+               for key, values in diffs.items()}
+    rows = [{"level": rec.level,
+             **{name: getattr(rec, name) for name in SOLVER_FIELDS},
+             "seconds": rec.seconds} for rec in records]
+    return reports, rows
 
 
 # Failures confined to one kappa column: numerical breakdown or running
@@ -314,16 +346,34 @@ def _run_column(config, root, kappa):
 _COLUMN_ERRORS = (ArithmeticError, MemoryError)
 
 
-def _column_failure(exc):
-    return str(exc) or type(exc).__name__
+def _run_columns(kappas, column, jobs=None):
+    """``column(kappa)`` for every kappa: ({kappa: result}, {kappa: why}).
 
+    Columns run as threads, at most ``jobs`` at once (default: one per
+    kappa, capped by the CPU count), which overlap their splu calls: two
+    took 1.1-1.5x one.  One column, or ``jobs = 1``, runs on the calling
+    thread: in a one-worker pool the level-7 kite column peaked 17-25%
+    higher in RSS.  A column that raises one of ``_COLUMN_ERRORS`` is
+    reported in the second dict; both keep the order of ``kappas``.
+    """
+    if jobs is None:
+        jobs = min(len(kappas), os.cpu_count() or 1)
 
-def _guarded_column(config, root, kappa):
-    """(True, records) of one kappa column, or (False, why it failed)."""
-    try:
-        return True, _run_column(config, root, kappa)
-    except _COLUMN_ERRORS as exc:
-        return False, _column_failure(exc)
+    def guarded(kappa):
+        try:
+            return True, column(kappa)
+        except _COLUMN_ERRORS as exc:
+            return False, str(exc) or type(exc).__name__
+
+    if jobs > 1 and len(kappas) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(guarded, kappas))
+    else:
+        outcomes = [guarded(kappa) for kappa in kappas]
+    done, failures = {}, {}
+    for kappa, (ok, value) in zip(kappas, outcomes):
+        (done if ok else failures)[kappa] = value
+    return done, failures
 
 
 def _fmt_kappa(kappa):
@@ -345,64 +395,25 @@ def _write(path, text):
 
 
 def run_experiment(config, jobs=None):
-    """Run every kappa column, compute rate reports, write artifacts.
+    """Run every kappa column to its rate reports, write artifacts.
 
     A solver failure (singular system, violated invariant) or a
     ``MemoryError`` aborts only the kappa column it occurred in; the
-    column is dropped from the tables and recorded in ``failures``.  Files are written under
-    ``config.out`` after all columns finish; with ``out`` empty the
-    result is returned without touching the disk.
+    column is dropped from the tables and recorded in ``failures``.
+    Files are written under ``config.out`` after all columns finish;
+    with ``out`` empty the result is returned without touching the disk.
     """
     root = _root_mesh(config.domain)
-    if jobs is None:
-        jobs = min(len(config.kappas), os.cpu_count() or 1)
-    column = functools.partial(_guarded_column, config, root)
-    if jobs > 1 and len(config.kappas) > 1:
-        # threads overlap the columns' splu calls: two took 1.1-1.5x one
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(column, config.kappas))
-    else:
-        # one column, or jobs=1, runs on the calling thread: in a
-        # one-worker pool the level-7 kite column peaked 17-25% higher
-        # in RSS
-        outcomes = [column(kappa) for kappa in config.kappas]
-    columns, failures, timings, solver = {}, {}, {}, {}
-    for kappa, (ok, value) in zip(config.kappas, outcomes):
-        if ok:
-            columns[kappa] = value
-            timings[kappa] = [rec.seconds for rec in value]
-            solver[kappa] = [{name: getattr(rec, name)
-                              for name in SOLVER_FIELDS} for rec in value]
-        else:
-            failures[kappa] = value
-
-    reports = {(quantity, norm): {} for quantity in config.quantities
-               for norm in config.norms}
-    for kappa in config.kappas:
-        if kappa not in columns:
-            continue
-        records = columns[kappa]
-        diffs = {key: [] for key in reports}
-        for fine, coarse in zip(records[1:], records):
-            # one geometry per level pair serves every quantity and norm;
-            # each quantity is lifted once and serves every norm
-            geometry = jacobians(fine.phi.space.mesh)
-            for quantity in config.quantities:
-                pairs = lift_pairs(getattr(fine, quantity),
-                                   getattr(coarse, quantity), config.norms)
-                for norm in config.norms:
-                    diffs[(quantity, norm)].append(
-                        diff_norm(*pairs[norm], norm, geometry))
-        levels = [rec.level for rec in records[1:]]
-        for (quantity, norm), values in diffs.items():
-            reports[(quantity, norm)][kappa] = rate_table(
-                quantity, norm, levels, values)
-
+    columns, failures = _run_columns(
+        config.kappas, functools.partial(_run_column, config, root), jobs)
+    reports = {key: {kappa: column[0][key]
+                     for kappa, column in columns.items()}
+               for key in itertools.product(config.quantities, config.norms)}
+    levels = {kappa: column[1] for kappa, column in columns.items()}
     paths = []
     if config.out:
-        paths = _write_artifacts(config, reports, timings, solver, failures)
-    return ExperimentResult(config, reports, timings, solver, failures,
-                            paths)
+        paths = _write_artifacts(config, reports, levels, failures)
+    return ExperimentResult(config, reports, levels, failures, paths)
 
 
 def _rate_rows(config, reports, quantity):
@@ -417,7 +428,7 @@ def _rate_rows(config, reports, quantity):
     return rows
 
 
-def _write_artifacts(config, reports, timings, solver, failures):
+def _write_artifacts(config, reports, levels, failures):
     os.makedirs(config.out, exist_ok=True)
     paths = []
     for quantity in config.quantities:
@@ -431,8 +442,8 @@ def _write_artifacts(config, reports, timings, solver, failures):
                             "\n".join(lines) + "\n"))
 
     level_seconds = {
-        kappa: [sum(step.values()) for step in steps]
-        for kappa, steps in timings.items()
+        kappa: [sum(row["seconds"].values()) for row in rows]
+        for kappa, rows in levels.items()
     }
     lines = ["quantity,norm,kappa,level,diff,rate,seconds"]
     for quantity in config.quantities:
@@ -446,19 +457,15 @@ def _write_artifacts(config, reports, timings, solver, failures):
 
     lines = ["kappa,level,step,seconds"]
     for kappa in config.kappas:
-        for level, steps in enumerate(timings.get(kappa, [])):
-            for step, secs in steps.items():
-                lines.append(f"{_fmt_kappa(kappa)},{level},{step},"
+        for row in levels.get(kappa, []):
+            for step, secs in row["seconds"].items():
+                lines.append(f"{_fmt_kappa(kappa)},{row['level']},{step},"
                              f"{secs:.6f}")
     paths.append(_write(os.path.join(config.out, "timing.csv"),
                         "\n".join(lines) + "\n"))
 
-    lines = []
-    for kappa in config.kappas:
-        for level, (steps, health) in enumerate(
-                zip(timings.get(kappa, []), solver.get(kappa, []))):
-            lines.append(json.dumps({"kappa": kappa, "level": level,
-                                     **health, "seconds": steps}))
+    lines = [json.dumps({"kappa": kappa, **row}) for kappa in config.kappas
+             for row in levels.get(kappa, [])]
     paths.append(_write(os.path.join(config.out, "levels.jsonl"),
                         "".join(line + "\n" for line in lines)))
 
@@ -491,13 +498,36 @@ _COMPARE_NAMES = ("phi_h1", "phi_l2", "u_h1", "u_l2", "p_l2")
 _COMPARE_LABELS = ("phi H1", "phi L2", "u H1", "u L2", "p L2")
 
 
+def _compare_column(config_a, config_b, root, kappa):
+    """[(level, {name: difference norm})] for levels 1.. of one column.
+
+    Both chains run in one ``run_chains`` call; each cell is the norm of
+    the difference of the two solutions' coefficients on the level.
+    """
+    meshes = refine_hierarchy(root, config_a.levels, kappa)
+    runs = run_chains(meshes, config_a.k,
+                      [_chain(config_a), _chain(config_b)])
+    rows = []
+    for rec_a, rec_b in list(zip(*runs))[1:]:
+        geometry = jacobians(rec_a.phi.space.mesh)
+        cells = {}
+        for name in _COMPARE_NAMES:
+            quantity, norm = name.split("_")
+            fa, fb = getattr(rec_a, quantity), getattr(rec_b, quantity)
+            delta = Field(fa.space, fa.components,
+                          fa.coefficients - fb.coefficients)
+            cells[name] = field_norm(delta, norm.upper(), geometry)
+        rows.append((rec_a.level, cells))
+    return rows
+
+
 def run_comparison(config_a, config_b, out=None):
     """Level-by-level solution differences between two pipelines.
 
     The configs must agree except possibly in ``algorithm`` and ``F``
-    (and ``out``).  Each kappa column runs both chains in one
-    ``run_chains`` call: one mesh hierarchy, one factor per level.
-    Artifacts (comparison.csv, comparison.md) go to ``out`` or
+    (and ``out``).  Each kappa column runs both chains on one mesh
+    hierarchy with one factor per level; columns run as ``run`` runs
+    them.  Artifacts (comparison.csv, comparison.md) go to ``out`` or
     config_a's out directory; pass out="" to skip writing.
     """
     for name in ("domain", "k", "levels", "kappas", "f", "norms"):
@@ -508,19 +538,9 @@ def run_comparison(config_a, config_b, out=None):
                 f"configs must agree on {name}: {va!r} != {vb!r}"
             )
     root = _root_mesh(config_a.domain)
-    rows, failures = {}, {}
-    for kappa in config_a.kappas:
-        meshes = refine_hierarchy(root, config_a.levels, kappa)
-        try:
-            runs = run_chains(meshes, config_a.k,
-                              [_chain(config_a), _chain(config_b)])
-        except _COLUMN_ERRORS as exc:
-            failures[kappa] = _column_failure(exc)
-            continue
-        rows[kappa] = [
-            (level, compare_runs(runs[0], runs[1], level))
-            for level in range(1, config_a.levels + 1)
-        ]
+    rows, failures = _run_columns(
+        config_a.kappas,
+        functools.partial(_compare_column, config_a, config_b, root))
     if out is None:
         out = config_a.out
     paths = _write_comparison(config_a, config_b, rows, failures,

@@ -7,8 +7,8 @@ kappa in (0, 1/2] of the edge length from the corner instead of the
 midpoint, which grades the mesh geometrically toward the corner while
 keeping all triangles shape regular.  Point indices are stable across
 levels (refinement only appends points), and each mesh keeps a reference
-to the mesh it was refined from, so ancestry of any triangle can be
-walked back to level 0.
+to the mesh it was refined from and the kappa of that refinement, so
+ancestry of any triangle can be walked back to level 0.
 """
 
 import math
@@ -85,6 +85,7 @@ class Mesh:
     parent: np.ndarray        # (ntriangles,) triangle index one level up, -1 at level 0
     corner_vertex: np.ndarray # (npoints,) corner id or -1
     coarser: "Mesh | None" = None
+    kappa: float | None = None  # grading factor that refined ``coarser``
     # unique undirected edges as sorted (lo, hi) rows in lexicographic
     # order, and the rows of those with one incident triangle
     edges: np.ndarray = field(init=False, repr=False)
@@ -270,6 +271,7 @@ def graded_refine(mesh, kappa=0.5):
         parent=np.asarray(parents),
         corner_vertex=corner,
         coarser=mesh,
+        kappa=kappa,
     )
     # degenerate children would violate the minimum-area contract
     ratio = fine.areas().reshape(-1, 4) / mesh.areas()[:, None]
@@ -281,6 +283,8 @@ def graded_refine(mesh, kappa=0.5):
 
 def refine_hierarchy(mesh, levels, kappa=0.5):
     """Meshes at levels 0..levels (index = level), graded by ``kappa``."""
+    if levels < 0:
+        raise ValueError(f"levels must be non-negative, got {levels!r}")
     _graded_points(mesh, kappa)  # checked also when nothing is refined
     out = [mesh]
     for _ in range(levels):

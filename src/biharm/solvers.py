@@ -9,6 +9,10 @@ into standard second-order solves:
   side (w, curl v) assembled from the discrete w, then the same final
   Poisson solve.
 
+``run_chains`` runs any number of such chains level by level on shared
+meshes and returns, per chain, its list of LevelRecords (solutions and
+solver health), indexed by level; ``run_sp`` and ``run_psp`` run one.
+
 Every solve on a level runs on one sparse LU of the scalar stiffness
 matrix.  The Stokes system (Mini for k = 1, Taylor-Hood P_k / P_{k-1}
 for k >= 2) applies it to both velocity components and solves for the
@@ -35,7 +39,6 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .analysis import field_norm
 from .assembly import (
     apply_dirichlet,
     assemble_basis_integrals,
@@ -55,7 +58,6 @@ from .spaces import Field, build_space, call_on_points, jacobians, prolongate
 __all__ = [
     "StokesSolution",
     "LevelRecord",
-    "BiharmonicRun",
     "SpdFactor",
     "stiffness_factor",
     "stokes_spaces",
@@ -67,7 +69,6 @@ __all__ = [
     "run_chains",
     "run_sp",
     "run_psp",
-    "compare_runs",
 ]
 
 
@@ -98,19 +99,6 @@ class LevelRecord:
     factor_nnz: int = 0           # stored L+U entries of that LU
     maxrss_mb: float = 0.0        # process peak RSS (MiB) when it ended
     seconds: dict = dc_field(default_factory=dict)
-
-
-@dataclass
-class BiharmonicRun:
-    algorithm: str
-    k: int
-    records: list
-
-    def record(self, level):
-        for rec in self.records:
-            if rec.level == level:
-                return rec
-        raise KeyError(f"no record for level {level}")
 
 
 def _factor(a, **options):
@@ -418,18 +406,20 @@ def run_chains(meshes, k, chains):
     solved, or psp when F is None.  A level runs every chain's w (psp)
     and Stokes solves, drops the velocity factor, then runs every phi
     solve.  Each chain's CG starts from its own coarser pressure, so
-    each returned BiharmonicRun equals a run of its chain alone, except
-    that the records report the shared factor: its ``factor_nnz``, and
-    ``lu_solves``, ``lu_residual_max`` and ``seconds["factor"]`` over
-    all chains.  The level's geometry (``jacobians``) is computed once
-    and serves every assembly on it.  Each finished level writes one
-    progress line to stderr.
+    each chain's returned list of LevelRecords, one per mesh, equals a
+    run of that chain alone, except that the records report the shared
+    factor: its ``factor_nnz``, and ``lu_solves``, ``lu_residual_max``
+    and ``seconds["factor"]`` over all chains.  The level's geometry
+    (``jacobians``) is computed once and serves every assembly on it.
+    Each finished level writes one progress line to stderr, led by the
+    kappa that graded the hierarchy's refinements.
     """
     for f, F in chains:
         if F is not None:
             validate_curl(meshes[min(1, len(meshes) - 1)], f, F)
-    runs = [BiharmonicRun("psp" if F is None else "sp", k, [])
-            for _, F in chains]
+    runs = [[] for _ in chains]
+    kappa = meshes[-1].kappa  # None when nothing was refined
+    label = "" if kappa is None else f"kappa={kappa:g} "
     for mesh in meshes:
         start = time.perf_counter()
         geometry = jacobians(mesh)
@@ -455,7 +445,7 @@ def run_chains(meshes, k, chains):
                 ws.append(w)
                 sols.append(solve_stokes(
                     vspace, pspace, rhs, vfactor, geometry,
-                    run.records[-1].p if run.records else None))
+                    run[-1].p if run else None))
                 secs["stokes_assembly"] = rhs_s + sols[-1].assembly_seconds
                 secs["stokes"] = (time.perf_counter() - t0
                                   - secs["stokes_assembly"])
@@ -472,7 +462,7 @@ def run_chains(meshes, k, chains):
         # ru_maxrss is in KiB on Linux, for the whole process
         maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         for run, w, sol, phi, secs in zip(runs, ws, sols, phis, seconds):
-            run.records.append(LevelRecord(
+            run.append(LevelRecord(
                 mesh.level, sol.u, sol.p, phi, w=w,
                 iterations=sol.iterations, residual_norm=sol.residual_norm,
                 pressure_mean=sol.pressure_mean,
@@ -482,7 +472,7 @@ def run_chains(meshes, k, chains):
                 factor_nnz=sfactor.nnz, maxrss_mb=maxrss_mb, seconds=secs))
         steps = "/".join(str(sol.iterations) for sol in sols)
         sys.stderr.write(
-            f"level {mesh.level}: {len(mesh.triangles)} triangles, "
+            f"{label}level {mesh.level}: {len(mesh.triangles)} triangles, "
             f"factor_nnz {sfactor.nnz}, cg {steps} steps, "
             f"{time.perf_counter() - start:.2f} s, maxrss_mb {maxrss_mb:.1f}\n")
         del sfactor, geometry
@@ -501,35 +491,3 @@ def run_sp(meshes, f, F, k):
 def run_psp(meshes, f, k):
     """Poisson-Stokes-Poisson pipeline for the biharmonic load ``f(x, y)``."""
     return run_chains(meshes, k, [(f, None)])[0]
-
-
-def compare_runs(a, b, level):
-    """Norm differences between two runs at one level.
-
-    Both runs must use the same polynomial order and structurally equal
-    meshes at ``level``.  Returns the H1 seminorm and L2 norm of the
-    stream-function and velocity differences and the L2 norm of the
-    pressure difference.
-    """
-    if a.k != b.k:
-        raise ValueError("runs use different polynomial orders")
-    ra, rb = a.record(level), b.record(level)
-    ma, mb = ra.phi.space.mesh, rb.phi.space.mesh
-    if not (np.array_equal(ma.points, mb.points)
-            and np.array_equal(ma.triangles, mb.triangles)):
-        raise ValueError("runs use different meshes at this level")
-
-    def delta(name):
-        fa, fb = getattr(ra, name), getattr(rb, name)
-        return Field(fa.space, fa.components,
-                     fa.coefficients - fb.coefficients)
-
-    dphi, du, dp = delta("phi"), delta("u"), delta("p")
-    geometry = jacobians(ma)
-    return {
-        "phi_h1": field_norm(dphi, "H1", geometry),
-        "phi_l2": field_norm(dphi, "L2", geometry),
-        "u_h1": field_norm(du, "H1", geometry),
-        "u_l2": field_norm(du, "L2", geometry),
-        "p_l2": field_norm(dp, "L2", geometry),
-    }

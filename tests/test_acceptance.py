@@ -69,9 +69,8 @@ def _meshes(domain, kappa, levels):
     return _MESHES[key][: levels + 1]
 
 
-def _reports_from_run(run):
-    """Successive-difference rate reports for every quantity and norm."""
-    recs = run.records
+def _reports_from_run(recs):
+    """Successive-difference rate reports of one chain's level records."""
     levels = [rec.level for rec in recs[1:]]
     out = {}
     for quantity in ("phi", "u", "p"):
@@ -329,10 +328,10 @@ def test_criterion_09_force_representation_independence():
     run_shift = run_sp(meshes[:5], f, shifted, 2)
     coeff_gap = max(
         float(np.max(np.abs(a.u.coefficients - b.u.coefficients)))
-        for a, b in zip(run_x.records, run_shift.records))
+        for a, b in zip(run_x, run_shift))
 
     l2 = [diff_norm(a.u, b.u, "L2", jacobians(a.u.space.mesh))
-          for a, b in zip(run_x.records, run_y.records)]
+          for a, b in zip(run_x, run_y)]
     ratios = [l2[i - 1] / l2[i] for i in range(1, len(l2))]
     window = next((ratios[i:i + 3] for i in range(len(ratios) - 2)
                    if all(r >= 4.0 for r in ratios[i:i + 3])), None)
@@ -362,7 +361,7 @@ def test_criterion_10_manufactured_solution_oracle():
              lambda x, y: g_num(x, y) - g_num(np.zeros_like(x), y))
     run = run_sp(meshes, f_num, force, 2)
     errors = [
-        manufactured_error(run.record(j).phi, exact, "H1",
+        manufactured_error(run[j].phi, exact, "H1",
                            exact_grad=lambda x, y: (dx_num(x, y),
                                                     dy_num(x, y)))
         for j in range(3, 7)
@@ -431,7 +430,7 @@ def test_psp_rates_for_the_exact_corner_singular_solution():
         run = run_psp(_meshes("lshape", kappa, 6), load, 2)
         for norm, limit in (("H1", 2.0), ("L2", 3.0)):
             errors = [manufactured_error(rec.phi, phi, norm, grad)
-                      for rec in run.records[3:]]
+                      for rec in run[3:]]
             rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
             shown.append(f"kappa={kappa} {norm} j=4..6: "
                          + "/".join(f"{r:.3f}" for r in rates))

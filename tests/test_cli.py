@@ -5,6 +5,7 @@ import glob
 import json
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -162,11 +163,12 @@ def test_run_experiment_poisson_reports_and_timings():
         assert [row[0] for row in rows] == [1, 2, 3]
         assert rows[0][2] is None
         assert window[0] < rows[-1][2] < window[1]
-    steps = result.timings[0.5]
-    assert len(steps) == config.levels + 1
-    assert all(set(step) == {"factor", "poisson_w", "stokes_assembly",
-                             "stokes", "poisson_phi"}
-               for step in steps)
+    rows = result.levels[0.5]
+    assert [row["level"] for row in rows] == list(range(config.levels + 1))
+    assert all(set(row["seconds"]) == {"factor", "poisson_w",
+                                       "stokes_assembly", "stokes",
+                                       "poisson_phi"}
+               for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +190,18 @@ def test_run_experiment_isolates_failed_kappa_columns(monkeypatch, jobs,
     result = run_experiment(config, jobs=jobs)
     assert result.failures == {0.25: "injected failure"}
     assert set(result.reports[("w", "H1")]) == {0.5}
-    assert set(result.timings) == {0.5}
+    assert set(result.levels) == {0.5}
+
+
+def test_threaded_columns_print_each_progress_line_once(capsys):
+    kappas = (0.5, 0.25)
+    result = run_experiment(tiny_config(kappas=kappas), jobs=2)
+    assert result.failures == {}
+    labels = collections.Counter(
+        re.match(r"kappa=(\S+) level (\d+): ", line).groups()
+        for line in capsys.readouterr().err.splitlines())
+    assert labels == {(f"{kappa:g}", str(level)): 1 for kappa in kappas
+                      for level in range(4)}
 
 
 @pytest.mark.parametrize("kappas,jobs", [((0.5,), None), ((0.5, 0.25), 1)])
@@ -326,11 +339,9 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
     for kappa in (0.5, 0.25):
         rss = [row["maxrss_mb"] for row in rows if row["kappa"] == kappa]
         assert rss[0] > 0.0 and rss == sorted(rss)
-    health = result.solver[0.25][-1]
-    assert set(health) == {"iterations", "residual_norm", "pressure_mean",
-                           "divergence_max", "lu_solves", "lu_residual_max",
-                           "factor_nnz", "maxrss_mb"}
-    assert all(rows[-1][name] == value for name, value in health.items())
+    # the file holds the result's rows, with their kappa
+    assert rows == [{"kappa": kappa, **row} for kappa in (0.5, 0.25)
+                    for row in result.levels[kappa]]
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -411,12 +422,12 @@ def test_comparison_compares_load_values_not_spellings():
 
 
 def test_comparison_isolates_failed_kappa_columns(monkeypatch):
+    # the columns share a pool, so the failure is chosen by kappa, which
+    # the hierarchy's refined meshes carry
     real = cli.run_chains
-    calls = []
 
     def flaky(meshes, k, chains):
-        calls.append(len(chains))
-        if len(calls) > 1:  # the first column's call succeeds
+        if meshes[-1].kappa == 0.25:
             raise MemoryError("injected failure")
         return real(meshes, k, chains)
 
@@ -426,6 +437,35 @@ def test_comparison_isolates_failed_kappa_columns(monkeypatch):
                                            kappas=(0.5, 0.25)))
     assert result.failures == {0.25: "injected failure"}
     assert set(result.rows) == {0.5}
+
+
+def test_one_kappa_comparison_runs_on_calling_thread(monkeypatch):
+    real = cli.run_chains
+    threads = []
+
+    def recording(meshes, k, chains):
+        threads.append(threading.get_ident())
+        return real(meshes, k, chains)
+
+    monkeypatch.setattr(cli, "run_chains", recording)
+    result = run_comparison(tiny_config(algorithm="psp"),
+                            tiny_config(algorithm="sp"))
+    assert result.failures == {}
+    assert threads == [threading.get_ident()]
+
+
+# comparison.csv of a levels-3 square psp-vs-sp comparison with two kappa
+# columns: a change of the difference arithmetic, of a printed digit or
+# of the column order fails here.
+@pytest.mark.parametrize("k", [1, 2])
+def test_comparison_csv_matches_golden_bytes(tmp_path, k):
+    config = dict(domain="square", k=k, levels=3, kappas=(0.5, 0.25),
+                  out="")
+    out = tmp_path / "cmp"
+    run_comparison(ExperimentConfig(algorithm="psp", **config),
+                   ExperimentConfig(algorithm="sp", **config), out=str(out))
+    golden = os.path.join(GOLDEN, f"square_psp_vs_sp_k{k}", "comparison.csv")
+    assert (out / "comparison.csv").read_bytes() == open(golden, "rb").read()
 
 
 def test_comparison_psp_vs_sp_writes_artifacts(tmp_path):
@@ -524,6 +564,14 @@ def test_cli_mesh_rejects_kappa_out_of_range(tmp_path, capsys, kappa):
     assert main(["mesh", "--domain", "square", f"--kappa={kappa}",
                  "--out", str(path)]) == 2
     assert "kappa must lie in (0, 1/2]" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_cli_mesh_rejects_negative_levels(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    assert main(["mesh", "--domain", "lshape", "--levels", "-2",
+                 "--out", str(path)]) == 2
+    assert "levels must be non-negative, got -2" in capsys.readouterr().err
     assert not path.exists()
 
 

@@ -1,12 +1,16 @@
-"""The public surface of every biharm module, and imports that are used."""
+"""The public surface of every biharm module, imports that are used, and
+the names the benchmark tracer wraps."""
 
 import ast
 import functools
 import glob
 import importlib
 import inspect
+import json
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +87,38 @@ def test_no_unused_imports(path):
     with open(path) as handle:
         tree = ast.parse(handle.read(), path)
     assert _unused_imports(tree) == []
+
+
+# Traced in a fresh interpreter, so the wrappers that Tracer.install sets
+# on biharm's modules stay out of this process.  A small sp study on two
+# threads and a psp study then call every name the benchmark wraps.
+TRACED_STUDIES = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from spans import Tracer
+from biharm import cli
+tracer = Tracer()
+tracer.install()
+for algorithm, kappas in (("sp", (0.5, 0.25)), ("psp", (0.5,))):
+    config = cli.ExperimentConfig(domain="lshape", algorithm=algorithm, k=2,
+                                  levels=3, kappas=kappas,
+                                  norms=("H1", "L2", "Linf"),
+                                  out=sys.argv[3] + "/" + algorithm)
+    tracer.run("study", cli.run_experiment, config, jobs=2)
+print(json.dumps({"missing": tracer.missing,
+                  "names": sorted({span[0] for span in tracer.spans})}))
+"""
+
+
+def test_benchmark_tracer_finds_and_calls_every_name(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_STUDIES, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "pipeline_bench"), str(tmp_path)],
+        capture_output=True, text=True, check=True)
+    trace = json.loads(result.stdout.splitlines()[-1])
+    assert trace["missing"] == []
+    called = {"meshing.refine_hierarchy", "sources.build_force",
+              "solvers.run_chain", "analysis.diff_norm.H1",
+              "analysis.diff_norm.L2", "analysis.diff_norm.Linf",
+              "cli.column", "cli.write_artifacts"}
+    assert called <= set(trace["names"])

@@ -27,7 +27,6 @@ from biharm.solvers import (
     _level_factors,
     CHEBYSHEV_STEPS,
     chebyshev_mass_inverse,
-    compare_runs,
     mass_bounds,
     run_chains,
     run_psp,
@@ -484,9 +483,8 @@ def test_comparison_factors_each_level_once(monkeypatch, k):
     assert shared == counting.splu_calls - shared == len(meshes)
     alone.append(run_psp(meshes, fone, k))
     for run, ref in zip(runs, alone):
-        assert run.algorithm == ref.algorithm
-        assert len(run.records) == len(ref.records)
-        for rec, want in zip(run.records, ref.records):
+        assert len(run) == len(ref)
+        for rec, want in zip(run, ref):
             assert rec.iterations == want.iterations
             for name in ("u", "p", "phi", "w"):
                 got, exp = getattr(rec, name), getattr(want, name)
@@ -504,7 +502,7 @@ def test_one_geometry_per_level(monkeypatch, lshape_meshes, k):
     runs = run_chains(lshape_meshes, k, [(fone, FORCE_INT_X), (fone, None)])
     assert [id(mesh) for mesh in calls] == [id(mesh) for mesh in lshape_meshes]
     for run in runs:
-        for rec in run.records:
+        for rec in run:
             assert rec.phi.space is (rec.p.space if k == 1 else rec.u.space)
 
 
@@ -543,7 +541,7 @@ def test_force_shift_by_pressure_gradient(lshape_meshes):
 
 def test_run_sp_zero_force(square_meshes):
     run = run_sp(square_meshes[:3], fzero, (fzero, fzero), 2)
-    for rec in run.records:
+    for rec in run:
         assert np.max(np.abs(rec.phi.coefficients)) == 0.0
         assert np.max(np.abs(rec.u.coefficients)) == 0.0
 
@@ -554,7 +552,7 @@ def test_run_sp_accepts_scalar_only_force(square_meshes):
     scalar = run_sp(square_meshes[:3], lambda x, y: 1.0,
                     (lambda x, y: 0.0, lambda x, y: float(x)), 2)
     vector = run_sp(square_meshes[:3], fone, FORCE_INT_X, 2)
-    for a, b in zip(scalar.records, vector.records):
+    for a, b in zip(scalar, vector):
         assert a.iterations == b.iterations
         for name in ("u", "p", "phi"):
             assert np.array_equal(getattr(a, name).coefficients,
@@ -563,7 +561,7 @@ def test_run_sp_accepts_scalar_only_force(square_meshes):
 
 def test_run_psp_zero_load(square_meshes):
     run = run_psp(square_meshes[:3], fzero, 2)
-    for rec in run.records:
+    for rec in run:
         assert np.max(np.abs(rec.w.coefficients)) == 0.0
         assert np.max(np.abs(rec.u.coefficients)) == 0.0
         assert np.max(np.abs(rec.phi.coefficients)) == 0.0
@@ -577,33 +575,32 @@ def test_run_sp_rejects_inconsistent_force(square_meshes):
 
 def test_run_records_structure(square_meshes):
     run = run_psp(square_meshes, fone, 2)
-    assert run.algorithm == "psp" and run.k == 2
-    assert [rec.level for rec in run.records] == [0, 1, 2, 3]
-    for rec in run.records:
+    assert [rec.level for rec in run] == [0, 1, 2, 3]
+    for rec in run:
         assert set(rec.seconds) == {"factor", "poisson_w", "stokes_assembly",
                                     "stokes", "poisson_phi"}
         assert all(t >= 0.0 for t in rec.seconds.values())
         sspace = rec.phi.space
         assert np.all(rec.phi.coefficients[sspace.boundary_dofs] == 0.0)
     # strictly nested hierarchy: each mesh points back to the previous
-    meshes = [rec.phi.space.mesh for rec in run.records]
+    meshes = [rec.phi.space.mesh for rec in run]
     for coarse, fine in zip(meshes, meshes[1:]):
         assert fine.coarser is coarse
     run2 = run_sp(square_meshes[:2], fone, FORCE_INT_X, 2)
-    assert set(run2.records[0].seconds) == {"factor", "stokes_assembly",
-                                            "stokes", "poisson_phi"}
-    assert run2.records[0].w is None
+    assert set(run2[0].seconds) == {"factor", "stokes_assembly", "stokes",
+                                    "poisson_phi"}
+    assert run2[0].w is None
 
 
-def test_one_progress_line_per_level_on_stderr(capsys, square_meshes):
-    runs = run_chains(square_meshes, 2, [(fone, None), (fone, FORCE_INT_X)])
+def test_one_progress_line_per_level_on_stderr(capsys, lshape_meshes):
+    # each line leads with the kappa that graded the hierarchy
+    runs = run_chains(lshape_meshes, 2, [(fone, None), (fone, FORCE_INT_X)])
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == len(square_meshes)
-    for line, mesh, psp, sp in zip(lines, square_meshes, runs[0].records,
-                                   runs[1].records):
-        assert line.startswith(f"level {mesh.level}: "
+    assert len(lines) == len(lshape_meshes)
+    for line, mesh, psp, sp in zip(lines, lshape_meshes, runs[0], runs[1]):
+        assert line.startswith(f"kappa=0.2 level {mesh.level}: "
                                f"{len(mesh.triangles)} triangles, "
                                f"factor_nnz {psp.factor_nnz}, "
                                f"cg {psp.iterations}/{sp.iterations} steps, ")
@@ -620,8 +617,7 @@ def test_solver_error_carries_level(monkeypatch, square_meshes):
 
 
 def test_galerkin_orthogonality_of_poisson_steps(square_meshes):
-    run = run_psp(square_meshes[:3], fone, 2)
-    rec = run.records[-1]
+    rec = run_psp(square_meshes[:3], fone, 2)[-1]
     sspace = rec.phi.space
     geo = jacobians(sspace.mesh)
     a = assemble_stiffness(sspace, geo)
@@ -634,8 +630,7 @@ def test_galerkin_orthogonality_of_poisson_steps(square_meshes):
 
 
 def test_pressure_mean_zero_at_every_level(square_meshes):
-    run = run_psp(square_meshes, fone, 2)
-    for rec in run.records:
+    for rec in run_psp(square_meshes, fone, 2):
         pspace = rec.p.space
         geo = jacobians(pspace.mesh)
         mass_p = assemble_mass(pspace, geo)
@@ -653,7 +648,7 @@ def test_square_symmetry_under_coordinate_swap(square_meshes, k):
         run_sp(square_meshes, fone, FORCE_BLEND, k),
     ]
     for run in runs:
-        rec = run.records[-1]
+        rec = run[-1]
         coords = rec.phi.space.dof_coords
         direct = np.lexsort((coords[:, 1], coords[:, 0]))
         swapped = np.lexsort((coords[:, 0], coords[:, 1]))
@@ -662,42 +657,37 @@ def test_square_symmetry_under_coordinate_swap(square_meshes, k):
         assert gap < 1e-10
 
 
-# -- compare_runs -------------------------------------------------------------
+# -- run_comparison -----------------------------------------------------------
 
 
-def test_compare_run_with_itself_is_zero(square_meshes):
-    run = run_sp(square_meshes[:3], fone, FORCE_INT_X, 2)
-    d = compare_runs(run, run, 2)
-    assert all(v == 0.0 for v in d.values())
+def _comparison(algorithm_b, F_b=""):
+    """run_comparison's rows of sp (F = int_x) against another square
+    chain, levels 1..3."""
+    config = dict(domain="square", k=2, levels=3, out="")
+    result = run_comparison(ExperimentConfig(algorithm="sp", **config),
+                            ExperimentConfig(algorithm=algorithm_b, F=F_b,
+                                             **config))
+    assert result.failures == {}
+    return [diffs for _, diffs in result.rows[0.5]]
 
 
-def test_compare_runs_requires_matching_setup(square_meshes, lshape_meshes):
-    run1 = run_sp(square_meshes[:3], fone, FORCE_INT_X, 2)
-    run3 = run_sp(square_meshes[:3], fone, FORCE_INT_X, 3)
-    with pytest.raises(ValueError, match="order"):
-        compare_runs(run1, run3, 2)
-    other = run_sp(lshape_meshes[:3], fone, FORCE_INT_X, 2)
-    with pytest.raises(ValueError, match="mesh"):
-        compare_runs(run1, other, 2)
-    with pytest.raises(KeyError):
-        run1.record(9)
+def test_compare_run_with_itself_is_zero():
+    # both chains of one run_chains call repeat the same arithmetic
+    for diffs in _comparison("sp"):
+        assert all(v == 0.0 for v in diffs.values())
 
 
-def test_sp_vs_psp_differences_shrink(square_meshes):
-    run_a = run_sp(square_meshes, fone, FORCE_INT_X, 2)
-    run_b = run_psp(square_meshes, fone, 2)
-    diffs = [compare_runs(run_a, run_b, lev)["phi_h1"] for lev in (1, 2, 3)]
+def test_sp_vs_psp_differences_shrink():
+    diffs = [row["phi_h1"] for row in _comparison("psp")]
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] < 1e-4
 
 
-def test_force_construction_independence_properties(square_meshes):
+def test_force_construction_independence_properties():
     # int_x vs int_y forces differ by grad(xy); the velocity gap is pure
     # discretization error and shrinks fast, while the pressure gap
     # converges to ||xy - mean(xy)|| = 2/3, a constant
-    run_a = run_sp(square_meshes, fone, FORCE_INT_X, 2)
-    run_b = run_sp(square_meshes, fone, FORCE_INT_Y, 2)
-    d = [compare_runs(run_a, run_b, lev) for lev in (1, 2, 3)]
+    d = _comparison("sp", "int_y")
     assert d[0]["u_l2"] / d[1]["u_l2"] > 4.0
     assert d[1]["u_l2"] / d[2]["u_l2"] > 4.0
     p = [row["p_l2"] for row in d]
@@ -711,8 +701,7 @@ def test_validate_curl_accepts_blend(lshape_meshes):
 
 
 def test_mini_pipeline_on_graded_lshape(lshape_meshes):
-    run = run_sp(lshape_meshes[:3], fone, FORCE_INT_X, 1)
-    rec = run.records[-1]
+    rec = run_sp(lshape_meshes[:3], fone, FORCE_INT_X, 1)[-1]
     assert rec.u.space.kind == "lagrange_bubble"
     assert rec.p.space.degree == 1
     assert np.max(np.abs(rec.phi.coefficients)) > 0.0
