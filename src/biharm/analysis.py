@@ -1,12 +1,14 @@
 """Norms, inter-level differences, convergence rates, and rate tables.
 
 The convergence indicator compares solutions on successive nested
-meshes: R_j = log2(||v_{j-1} - v_{j-2}|| / ||v_j - v_{j-1}||).  The
-difference of two nested fields is taken after prolongating both
-exactly into one Lagrange space on the finer mesh (P_k spaces on
-refined meshes are nested; the Mini bubble is cubic, so a Mini field
-lifts exactly into P3), so no representation error enters.  Norms
-take the ``geometry`` of the mesh they integrate on, the pair
+meshes: R_j = log2(||v_{j-1} - v_{j-2}|| / ||v_j - v_{j-1}||).  A pair
+of fields is passed in hierarchy order, the finer first; both may live
+on one mesh.  Their difference is taken in one space on the finer
+mesh that holds both: the finer field's own space when it holds the
+coarser field, else the Lagrange space of the larger degree (P_k
+spaces on refined meshes are nested; the Mini bubble is cubic, so a
+Mini field lifts exactly into P3), so no representation error enters.
+Norms take the ``geometry`` of the mesh they integrate on, the pair
 ``spaces.jacobians(mesh)``, from their caller, who computes it once for
 every norm on that mesh.
 """
@@ -102,69 +104,62 @@ def field_norm(field, norm, geometry):
     return math.sqrt(float(np.abs(det) @ sums))
 
 
-def _order_pair(a, b):
-    """Return (fine, coarse); fields may live on the same mesh."""
-    ma, mb = a.space.mesh, b.space.mesh
-    m = ma
-    while m is not None:
-        if m is mb:
-            return a, b
-        m = m.coarser
-    m = mb
-    while m is not None:
-        if m is ma:
-            return b, a
-        m = m.coarser
-    raise ValueError("fields do not live on nested meshes")
+def _same_space(a, b):
+    return a.mesh is b.mesh and a.degree == b.degree and a.kind == b.kind
 
 
 def _lift(field, space):
     """``field`` represented in ``space``, which must contain it."""
-    if (field.space.mesh is space.mesh and field.space.degree == space.degree
-            and field.space.kind == space.kind):
+    if _same_space(field.space, space):
         return field
     return prolongate(field, space)
 
 
-def lift_pairs(a, b, norms):
-    """Both fields in the space where each norm of a - b is taken.
+def lift_pairs(fine, coarse, norms):
+    """Both fields in the space where each norm of fine - coarse is taken.
 
-    Returns {norm: (fine, coarse)} for fields on nested meshes of one
-    hierarchy, with one lift per distinct space: for L2/H1 the Lagrange
-    space of the larger polynomial degree on the finer mesh (the Mini
-    bubble is cubic, so Mini goes to P3), for Linf the finer field's own
-    space.  Lagrange spaces on nested meshes are nested, so the lift is
-    exact.  ``diff_norm`` of a returned pair lifts nothing more.
+    ``fine`` lives on the same mesh as ``coarse`` or on a descendant of
+    it.  Returns {norm: (fine, coarse)}, with one lift per distinct
+    space.  For L2/H1 that space is ``fine``'s own when it holds
+    ``coarse`` (the same space, or a Lagrange space of at least
+    ``coarse``'s polynomial degree), else the Lagrange space of the
+    larger degree on the finer mesh (the Mini bubble is cubic, so Mini
+    goes to P3); for Linf it is ``fine``'s own space.  Lagrange spaces
+    on nested meshes are nested, so the lift is exact; a pair out of
+    hierarchy order fails in ``prolongate``.  ``diff_norm`` of a
+    returned pair lifts nothing more.
     """
-    if a.components != b.components:
+    if fine.components != coarse.components:
         raise ValueError("fields have different component counts")
-    fine, coarse = _order_pair(a, b)
+    own = fine.space
+    same = _same_space(own, coarse.space)
     lifted, out = {}, {}
     for norm in norms:
         _check_norm(norm)
-        if norm == "Linf":
-            spec = (fine.space.degree, fine.space.kind)
+        if norm == "Linf" or same:
+            spec = (own.degree, own.kind)
         else:
-            spec = (max(poly_degree(fine.space), poly_degree(coarse.space)),
+            spec = (max(poly_degree(own), poly_degree(coarse.space)),
                     "lagrange")
         if spec not in lifted:
-            space = fine.space
-            if (space.degree, space.kind) != spec:
-                space = build_space(space.mesh, spec[0])
+            space = own
+            if (own.degree, own.kind) != spec:
+                space = build_space(own.mesh, spec[0])
             lifted[spec] = (_lift(fine, space), _lift(coarse, space))
         out[norm] = lifted[spec]
     return out
 
 
-def diff_norm(a, b, norm, geometry):
-    """Norm of a - b for fields on nested meshes of the same hierarchy.
+def diff_norm(fine, coarse, norm, geometry):
+    """Norm of fine - coarse for fields in hierarchy order.
 
-    Both fields are lifted exactly into one space on the finer mesh (see
-    ``lift_pairs``) and the norm of their difference is taken there, with
-    ``geometry`` the ``jacobians`` of that mesh; for Linf that samples the
-    finer field's Lagrange nodes.
+    ``fine`` lives on the same mesh as ``coarse`` or on a descendant of
+    it.  Both fields are lifted exactly into one space on the finer mesh
+    (see ``lift_pairs``) and the norm of their difference is taken
+    there, with ``geometry`` the ``jacobians`` of that mesh; for Linf
+    that samples the finer field's Lagrange nodes.
     """
-    fine, coarse = lift_pairs(a, b, (norm,))[norm]
+    fine, coarse = lift_pairs(fine, coarse, (norm,))[norm]
     delta = fine.coefficients - coarse.coefficients
     return field_norm(Field(fine.space, fine.components, delta), norm,
                       geometry)
@@ -191,28 +186,21 @@ def rate_table(quantity, norm, levels, diffs):
 
 
 def markdown_table(reports_by_kappa, title):
-    """Markdown rate table: one level per row, one kappa per column pair."""
+    """Markdown rate table: one level per row, one kappa per column pair.
+
+    Every report covers the same levels, those of the first.
+    """
     kappas = list(reports_by_kappa)
-    levels = []
-    for rep in reports_by_kappa.values():
-        for lev in rep.levels:
-            if lev not in levels:
-                levels.append(lev)
-    levels.sort()
+    reports = list(reports_by_kappa.values())
     cols = "".join(f" diff (kappa={k:g}) | rate (kappa={k:g}) |"
                    for k in kappas)
     lines = [f"### {title}", "", f"| j |{cols}",
              "|---|" + "---|" * (2 * len(kappas))]
-    for lev in levels:
+    for i, lev in enumerate(reports[0].levels):
         cells = []
-        for k in kappas:
-            rep = reports_by_kappa[k]
-            if lev in rep.levels:
-                i = rep.levels.index(lev)
-                d, r = rep.diffs[i], rep.rates[i]
-                cells.append("--" if d is None else f"{d:.5e}")
-                cells.append("--" if r is None else f"{r:.2f}")
-            else:
-                cells.extend(["--", "--"])
+        for rep in reports:
+            d, r = rep.diffs[i], rep.rates[i]
+            cells.append("--" if d is None else f"{d:.5e}")
+            cells.append("--" if r is None else f"{r:.2f}")
         lines.append("| " + str(lev) + " | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,11 @@ Both studies run one task per grading factor (a kappa column) through
 column or ``jobs = 1``.  A column reduces its own levels, to rate
 reports (``_run_column``) or to difference norms (``_compare_column``),
 before it returns, so its solutions are dropped with it; a numerical
-or out-of-memory failure skips only its column.
+or out-of-memory failure skips only its column.  Every difference is
+one ``analysis.diff_norm`` of a pair in hierarchy order, the finer
+field first: level j against level j-1 for rates, and two chains'
+fields in the level's shared spaces for a comparison, where nothing is
+lifted.  Both commands write under their (first) config's ``out``.
 
 Rate CSVs (rates_<quantity>.csv, comparison.csv) are deterministic:
 rerunning a config reproduces them byte for byte.  Wall-clock seconds
@@ -31,16 +35,15 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import (diff_norm, field_norm, lift_pairs, markdown_table,
-                       rate_table)
+from .analysis import diff_norm, lift_pairs, markdown_table, rate_table
 from .corners import beta0, solve_alpha0
 from .meshing import builtin_domain, read_mesh, refine_hierarchy, write_mesh
 from .solvers import run_chains, run_psp, run_sp
-from .spaces import Field, jacobians
+from .spaces import jacobians
 
 __all__ = [
     "ExperimentConfig",
@@ -82,10 +85,11 @@ Config file schema (INI, one [experiment] section):
   levels    = J >= 3             finest refinement level
   kappas    = 0.5, 0.1           grading factors in (0, 1/2]; 0.5 = uniform
   f         = const:<value>      scalar load (default const:1)
-  F         = int_x | int_y | blend:<eta> | curl_w
+  F         = int_x | int_y | curl_w
                                  force construction; curl_w only with psp
                                  (defaults: curl_w for psp, int_x otherwise)
-  norms     = H1, L2, Linf       difference norms (default H1, L2)
+  norms     = H1, L2, Linf       norms of level differences, taken on the
+                                 finer mesh (default H1, L2)
   out       = <directory>        output directory (default <config>.out)
 
 Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
@@ -96,20 +100,17 @@ entries, process peak RSS in MiB, step seconds), tables.md.
 """
 
 
-def _spec_number(spec, arg, default):
+def _load_value(spec):
+    """The constant c of the load spec ``const:<c>`` (``const``: c = 1)."""
+    kind, _, arg = spec.partition(":")
+    if kind != "const":
+        raise ValueError(f"unsupported load spec {spec!r}")
     if not arg:
-        return default
+        return 1.0
     try:
         return float(arg)
     except ValueError:
         raise ValueError(f"spec {spec!r} needs a number after ':'") from None
-
-
-def _load_value(spec):
-    kind, _, arg = spec.partition(":")
-    if kind != "const":
-        raise ValueError(f"unsupported load spec {spec!r}")
-    return _spec_number(spec, arg, 1.0)
 
 
 def parse_f_spec(spec):
@@ -121,8 +122,7 @@ def parse_f_spec(spec):
 def parse_F_spec(f_spec, F_spec):
     """Force spec -> pair (F1, F2) with curl F = f, or None for ``curl_w``.
 
-    For the load f = c: ``int_x`` is (0, c x), ``int_y`` is (-c y, 0)
-    and ``blend:<eta>`` is eta * int_y + (1 - eta) * int_x, eta in [0, 1].
+    For the load f = c: ``int_x`` is (0, c x) and ``int_y`` is (-c y, 0).
     """
     if F_spec == "curl_w":
         return None
@@ -134,14 +134,7 @@ def parse_F_spec(f_spec, F_spec):
         return zero, cx
     if F_spec == "int_y":
         return (lambda x, y: -cy(x, y)), zero
-    kind, _, arg = F_spec.partition(":")
-    if kind != "blend":
-        raise ValueError(f"unsupported force spec {F_spec!r}")
-    eta = _spec_number(F_spec, arg, 0.5)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"blend weight in {F_spec!r} must lie in [0, 1]")
-    return (lambda x, y: -eta * cy(x, y),
-            lambda x, y: (1.0 - eta) * cx(x, y))
+    raise ValueError(f"unsupported force spec {F_spec!r}")
 
 
 @dataclass
@@ -234,54 +227,52 @@ def _split_list(raw):
     return [tok for tok in raw.replace(",", " ").split() if tok]
 
 
+# Readers of the config keys that are not plain text, and what each wants.
+_READERS = {
+    "k": (int, "an integer"),
+    "levels": (int, "an integer"),
+    "kappas": (lambda raw: tuple(float(tok) for tok in _split_list(raw)),
+               "numbers"),
+    "norms": (lambda raw: tuple(_split_list(raw)), "names"),
+}
+
+
+def _read_key(key, raw):
+    read, wanted = _READERS.get(key, (str.strip, "text"))
+    try:
+        return read(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be {wanted}, got {raw!r}") from None
+
+
 def parse_config(path):
-    """Read an INI experiment config; defaults `out` to <path stem>.out."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Read an INI experiment config; defaults `out` to <path stem>.out.
+
+    The keys are the fields of ``ExperimentConfig``; those without a
+    default there are required, and an absent key takes its default.
+    """
+    # no interpolation: a '%' in a value is that character
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     parser.optionxform = str
-    with open(path) as handle:
-        parser.read_file(handle, source=path)
+    try:
+        with open(path) as handle:
+            parser.read_file(handle, source=path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
     section = parser["experiment"]
-    known = {"domain", "algorithm", "k", "levels", "kappas", "f", "F",
-             "norms", "out"}
-    unknown = sorted(key for key in section if key not in known)
+    schema = fields(ExperimentConfig)
+    unknown = sorted(set(section) - {field.name for field in schema})
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for key in ("domain", "algorithm", "k", "levels"):
-        if key not in section:
-            raise ValueError(f"{path}: missing required key {key}")
-
-    def integer(key, default=None):
-        raw = section.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
-
-    def floats(key, default):
-        raw = section.get(key)
-        if raw is None:
-            return default
-        try:
-            return tuple(float(tok) for tok in _split_list(raw))
-        except ValueError:
-            raise ValueError(f"{key} must be numbers, got {raw!r}") from None
-
-    stem = os.path.splitext(path)[0]
-    return ExperimentConfig(
-        domain=section["domain"].strip(),
-        algorithm=section["algorithm"].strip(),
-        k=integer("k"),
-        levels=integer("levels"),
-        kappas=floats("kappas", (0.5,)),
-        f=section.get("f", "const:1").strip(),
-        F=section.get("F", "").strip(),
-        norms=tuple(_split_list(section.get("norms", "H1, L2"))),
-        out=section.get("out", stem + ".out").strip(),
-    )
+    for field in schema:
+        if field.default is MISSING and field.name not in section:
+            raise ValueError(f"{path}: missing required key {field.name}")
+    values = {key: _read_key(key, raw) for key, raw in section.items()}
+    values.setdefault("out", os.path.splitext(path)[0] + ".out")
+    return ExperimentConfig(**values)
 
 
 def _root_mesh(domain):
@@ -501,8 +492,9 @@ _COMPARE_LABELS = ("phi H1", "phi L2", "u H1", "u L2", "p L2")
 def _compare_column(config_a, config_b, root, kappa):
     """[(level, {name: difference norm})] for levels 1.. of one column.
 
-    Both chains run in one ``run_chains`` call; each cell is the norm of
-    the difference of the two solutions' coefficients on the level.
+    Both chains run in one ``run_chains`` call; each cell is the
+    ``diff_norm`` of the two solutions on the level, which share its
+    spaces, so nothing is lifted.
     """
     meshes = refine_hierarchy(root, config_a.levels, kappa)
     runs = run_chains(meshes, config_a.k,
@@ -513,22 +505,21 @@ def _compare_column(config_a, config_b, root, kappa):
         cells = {}
         for name in _COMPARE_NAMES:
             quantity, norm = name.split("_")
-            fa, fb = getattr(rec_a, quantity), getattr(rec_b, quantity)
-            delta = Field(fa.space, fa.components,
-                          fa.coefficients - fb.coefficients)
-            cells[name] = field_norm(delta, norm.upper(), geometry)
+            cells[name] = diff_norm(getattr(rec_a, quantity),
+                                    getattr(rec_b, quantity), norm.upper(),
+                                    geometry)
         rows.append((rec_a.level, cells))
     return rows
 
 
-def run_comparison(config_a, config_b, out=None):
+def run_comparison(config_a, config_b):
     """Level-by-level solution differences between two pipelines.
 
-    The configs must agree except possibly in ``algorithm`` and ``F``
-    (and ``out``).  Each kappa column runs both chains on one mesh
-    hierarchy with one factor per level; columns run as ``run`` runs
-    them.  Artifacts (comparison.csv, comparison.md) go to ``out`` or
-    config_a's out directory; pass out="" to skip writing.
+    The configs must agree except possibly in ``algorithm``, ``F`` and
+    ``out``.  Each kappa column runs both chains on one mesh hierarchy
+    with one factor per level; columns run as ``run`` runs them.
+    Artifacts (comparison.csv, comparison.md) go to ``config_a.out``;
+    with it empty nothing is written.
     """
     for name in ("domain", "k", "levels", "kappas", "f", "norms"):
         va, vb = getattr(config_a, name), getattr(config_b, name)
@@ -541,14 +532,13 @@ def run_comparison(config_a, config_b, out=None):
     rows, failures = _run_columns(
         config_a.kappas,
         functools.partial(_compare_column, config_a, config_b, root))
-    if out is None:
-        out = config_a.out
-    paths = _write_comparison(config_a, config_b, rows, failures,
-                              out) if out else []
+    paths = (_write_comparison(config_a, config_b, rows, failures)
+             if config_a.out else [])
     return ComparisonResult(config_a, config_b, rows, failures, paths)
 
 
-def _write_comparison(config_a, config_b, rows, failures, out):
+def _write_comparison(config_a, config_b, rows, failures):
+    out = config_a.out
     os.makedirs(out, exist_ok=True)
     lines = ["kappa,level," + ",".join(_COMPARE_NAMES)]
     for kappa in config_a.kappas:
@@ -589,6 +579,8 @@ def parse_omega(text):
     if match:
         num = float(match.group(1)) if match.group(1) else 1.0
         den = float(match.group(2)) if match.group(2) else 1.0
+        if den == 0.0:
+            raise ValueError(f"omega {text!r} divides by zero")
         return num * np.pi / den
     try:
         return float(text)
@@ -614,8 +606,9 @@ def _cmd_run(args):
 def _cmd_compare(args):
     config_a = parse_config(args.config_a)
     config_b = parse_config(args.config_b)
-    out = args.out if args.out is not None else config_a.out
-    result = run_comparison(config_a, config_b, out=out)
+    if args.out is not None:
+        config_a.out = args.out
+    result = run_comparison(config_a, config_b)
     for path in result.paths:
         print(f"wrote {path}")
     for kappa in config_a.kappas:
@@ -630,9 +623,10 @@ def _cmd_compare(args):
 
 def _cmd_corner_exponents(args):
     omega = parse_omega(args.omega)
+    alpha0, beta = solve_alpha0(omega), beta0(omega)
     print(f"omega  = {omega:.15f}")
-    print(f"alpha0 = {solve_alpha0(omega):.15f}")
-    print(f"beta0  = {beta0(omega):.15f}")
+    print(f"alpha0 = {alpha0:.15f}")
+    print(f"beta0  = {beta:.15f}")
     return 0
 
 

@@ -34,10 +34,6 @@ class FeSpace:
     boundary_dofs: np.ndarray # sorted DOF indices on the domain boundary
     element_dofs: np.ndarray  # (ntriangles, nlocal)
 
-    @property
-    def nlocal(self):
-        return self.element_dofs.shape[1]
-
 
 @dataclass
 class Field:

@@ -107,7 +107,7 @@ def test_diff_norm_prolongation_exactness(square_meshes):
     fine = interpolate(build_space(square_meshes[3], 2), lambda x, y: x)
     geo = jacobians(square_meshes[3])
     for norm in ("L2", "H1", "Linf"):
-        assert diff_norm(coarse, fine, norm, geo) < 1e-13
+        assert diff_norm(fine, coarse, norm, geo) < 1e-13
 
 
 def test_diff_norm_exact_linear_pair(square_meshes):
@@ -115,10 +115,10 @@ def test_diff_norm_exact_linear_pair(square_meshes):
     coarse = interpolate(build_space(square_meshes[1], 1), lambda x, y: x + y)
     fine = interpolate(build_space(square_meshes[2], 1), lambda x, y: 2 * x)
     geo = jacobians(square_meshes[2])
-    assert abs(diff_norm(coarse, fine, "L2", geo)
+    assert abs(diff_norm(fine, coarse, "L2", geo)
                - math.sqrt(8.0 / 3.0)) < 1e-13
     assert abs(diff_norm(fine, coarse, "H1", geo) - math.sqrt(8.0)) < 1e-13
-    assert abs(diff_norm(coarse, fine, "Linf", geo) - 2.0) < 1e-13
+    assert abs(diff_norm(fine, coarse, "Linf", geo) - 2.0) < 1e-13
 
 
 def _ancestor(mesh, coarse_mesh, t):
@@ -173,7 +173,7 @@ def test_diff_norm_matches_independent_quadrature(
         h1 += fine_det * float(w @ np.sum(dg**2, axis=1))
     geo = jacobians(fmesh)
     assert abs(diff_norm(a, b, "L2", geo) - math.sqrt(l2)) < 1e-10
-    assert abs(diff_norm(b, a, "H1", geo) - math.sqrt(h1)) < 1e-10
+    assert abs(diff_norm(a, b, "H1", geo) - math.sqrt(h1)) < 1e-10
 
 
 def test_diff_norm_integrates_the_bubble_exactly(square_meshes):
@@ -188,7 +188,7 @@ def test_diff_norm_integrates_the_bubble_exactly(square_meshes):
     lam, w = triangle_rule(8)
     hand = math.sqrt(2 * area * float(w @ (lam.prod(axis=1)) ** 2))
     zero = Field(fspace, 1, np.zeros(fspace.ndof))
-    assert abs(diff_norm(cf, zero, "L2", jacobians(square_meshes[3]))
+    assert abs(diff_norm(zero, cf, "L2", jacobians(square_meshes[3]))
                - hand) < 1e-15
 
 
@@ -199,13 +199,13 @@ def test_diff_norm_vector_component_sum(square_meshes):
     zero2 = Field(fspace, 2, np.zeros(2 * fspace.ndof))
     gc = interpolate(cspace, g).coefficients
     geo = jacobians(square_meshes[2])
-    scalar = diff_norm(interpolate(cspace, g),
-                       Field(fspace, 1, np.zeros(fspace.ndof)), "L2", geo)
-    both = diff_norm(Field(cspace, 2, np.concatenate([gc, gc])), zero2, "L2",
+    scalar = diff_norm(Field(fspace, 1, np.zeros(fspace.ndof)),
+                       interpolate(cspace, g), "L2", geo)
+    both = diff_norm(zero2, Field(cspace, 2, np.concatenate([gc, gc])), "L2",
                      geo)
     assert abs(both - math.sqrt(2.0) * scalar) < 1e-13
     with pytest.raises(ValueError, match="component"):
-        diff_norm(interpolate(cspace, g), zero2, "L2", geo)
+        diff_norm(zero2, interpolate(cspace, g), "L2", geo)
 
 
 def test_diff_norm_triangle_inequality(square_meshes):
@@ -217,7 +217,7 @@ def test_diff_norm_triangle_inequality(square_meshes):
     c = Field(fspace, 1, rng.normal(size=fspace.ndof))
     geo = jacobians(square_meshes[2])
     for norm in ("L2", "H1", "Linf"):
-        ab, bc, ac = (diff_norm(a, b, norm, geo), diff_norm(b, c, norm, geo),
+        ab, bc, ac = (diff_norm(a, b, norm, geo), diff_norm(c, b, norm, geo),
                       diff_norm(a, c, norm, geo))
         assert ac <= ab + bc + 1e-12
 
@@ -232,7 +232,7 @@ def test_lift_pairs_lifts_once_per_space(square_meshes, kind, shared):
     a = Field(fspace, 2, rng.normal(size=2 * fspace.ndof))
     cspace = build_space(square_meshes[1], 1, kind)
     b = Field(cspace, 2, rng.normal(size=2 * cspace.ndof))
-    pairs = lift_pairs(b, a, ("H1", "L2", "Linf"))
+    pairs = lift_pairs(a, b, ("H1", "L2", "Linf"))
     assert pairs["H1"] is pairs["L2"]
     assert (pairs["Linf"] is pairs["L2"]) == shared
     fine, coarse = pairs["L2"]
@@ -249,8 +249,37 @@ def test_diff_norm_rejects_unrelated_meshes(square_meshes):
     other = refine_hierarchy(builtin_domain("square")[1], 1)[1]
     f1 = interpolate(build_space(square_meshes[1], 1), lambda x, y: x)
     f2 = interpolate(build_space(other, 1), lambda x, y: x)
-    with pytest.raises(ValueError, match="nested"):
+    with pytest.raises(ValueError, match="not a descendant"):
         diff_norm(f1, f2, "L2", jacobians(other))
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (1, 2), (2, 1)])
+def test_diff_norm_rejects_a_pair_out_of_hierarchy_order(square_meshes,
+                                                         degrees):
+    # the coarser field first: lifting the finer one fails, whichever
+    # of the two spaces the norm is taken in
+    coarse = interpolate(build_space(square_meshes[1], degrees[0]),
+                         lambda x, y: x)
+    fine = interpolate(build_space(square_meshes[2], degrees[1]),
+                       lambda x, y: x)
+    for norm in ("L2", "H1", "Linf"):
+        with pytest.raises(ValueError, match="not a descendant"):
+            diff_norm(coarse, fine, norm, jacobians(square_meshes[1]))
+
+
+def test_lift_pairs_lifts_nothing_for_one_shared_space(square_meshes):
+    # two Mini fields in one space: that space holds both, so L2 and H1
+    # are taken there, not in P3 as for a Mini pair across levels
+    space = build_space(square_meshes[2], 1, "lagrange_bubble")
+    rng = np.random.default_rng(3)
+    a = Field(space, 2, rng.normal(size=2 * space.ndof))
+    b = Field(space, 2, rng.normal(size=2 * space.ndof))
+    pairs = lift_pairs(a, b, ("H1", "L2", "Linf"))
+    assert all(pair[0] is a and pair[1] is b for pair in pairs.values())
+    geo = jacobians(square_meshes[2])
+    delta = Field(space, 2, a.coefficients - b.coefficients)
+    for norm in ("H1", "L2", "Linf"):
+        assert diff_norm(a, b, norm, geo) == field_norm(delta, norm, geo)
 
 
 # -- manufactured_error -------------------------------------------------------

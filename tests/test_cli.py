@@ -66,8 +66,8 @@ def tiny_config(**overrides):
     (dict(algorithm="poisson_only"), "poisson_only"),
     (dict(algorithm="stokes_only"), "stokes_only"),
     (dict(algorithm="sp", F="int_z"), "force spec 'int_z'"),
-    (dict(algorithm="sp", F="blend:1.5"), r"'blend:1\.5' must lie in"),
-    (dict(algorithm="sp", F="blend:x"), "'blend:x' needs a number"),
+    (dict(algorithm="sp", F="blend:0.5"), r"force spec 'blend:0\.5'"),
+    (dict(algorithm="sp", F="blend"), "force spec 'blend'"),
     (dict(f="sin:1"), "load spec 'sin:1'"),
     (dict(f="const:abc"), "'const:abc' needs a number"),
 ])
@@ -79,7 +79,7 @@ def test_config_rejects_bad_fields(overrides, fragment):
 def test_config_force_defaults_follow_algorithm():
     assert tiny_config(algorithm="psp").F == "curl_w"
     assert tiny_config(algorithm="sp").F == "int_x"
-    assert tiny_config(algorithm="sp", F="blend:0.3").F == "blend:0.3"
+    assert tiny_config(algorithm="sp", F="int_y").F == "int_y"
 
 
 def test_config_quantities_per_algorithm():
@@ -104,6 +104,13 @@ def test_parse_config_reads_fields_and_preserves_case(tmp_path):
     assert config.F == "int_y"
     assert config.norms == ("H1", "L2", "Linf")
     assert config.out == str(tmp_path / "demo.out")
+
+
+def test_parse_config_reads_percent_literally(tmp_path):
+    out = str(tmp_path / "run%1")
+    path = write_config(tmp_path / "p.ini", domain="square", algorithm="sp",
+                        k=2, levels=3, out=out)
+    assert parse_config(path).out == out
 
 
 def test_parse_config_errors(tmp_path):
@@ -459,20 +466,19 @@ def test_one_kappa_comparison_runs_on_calling_thread(monkeypatch):
 # of the column order fails here.
 @pytest.mark.parametrize("k", [1, 2])
 def test_comparison_csv_matches_golden_bytes(tmp_path, k):
-    config = dict(domain="square", k=k, levels=3, kappas=(0.5, 0.25),
-                  out="")
     out = tmp_path / "cmp"
-    run_comparison(ExperimentConfig(algorithm="psp", **config),
-                   ExperimentConfig(algorithm="sp", **config), out=str(out))
+    config = dict(domain="square", k=k, levels=3, kappas=(0.5, 0.25))
+    run_comparison(ExperimentConfig(algorithm="psp", out=str(out), **config),
+                   ExperimentConfig(algorithm="sp", **config))
     golden = os.path.join(GOLDEN, f"square_psp_vs_sp_k{k}", "comparison.csv")
     assert (out / "comparison.csv").read_bytes() == open(golden, "rb").read()
 
 
 def test_comparison_psp_vs_sp_writes_artifacts(tmp_path):
-    a = tiny_config(algorithm="psp")
-    b = tiny_config(algorithm="sp")
     out = tmp_path / "cmp"
-    result = run_comparison(a, b, out=str(out))
+    a = tiny_config(algorithm="psp", out=str(out))
+    b = tiny_config(algorithm="sp")
+    result = run_comparison(a, b)
     lines = open(out / "comparison.csv").read().splitlines()
     assert lines[0] == "kappa,level," + ",".join(COMPARE_NAMES)
     assert len(lines) == 1 + 3
@@ -516,6 +522,8 @@ def test_parse_omega_forms(text, value):
 def test_parse_omega_rejects_garbage():
     with pytest.raises(ValueError, match="omega"):
         parse_omega("twopi")
+    with pytest.raises(ValueError, match="omega 'pi/0' divides by zero"):
+        parse_omega("pi/0")
 
 
 # -- command line -------------------------------------------------------------
@@ -546,6 +554,18 @@ def test_cli_corner_exponents_without_a_root_exits_2(monkeypatch, capsys):
     assert main(["corner-exponents", "--omega", "pi/2"]) == 2
     assert "error: no nontrivial characteristic roots" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("omega,message", [
+    ("2pi", "opening angle must lie in (0, 2pi)"),
+    ("pi/0", "divides by zero"),
+], ids=["full-turn", "zero-denominator"])
+def test_cli_corner_exponents_prints_nothing_on_rejected_input(
+        capsys, omega, message):
+    assert main(["corner-exponents", "--omega", omega]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cli_mesh_writes_file(tmp_path, capsys):
@@ -622,3 +642,22 @@ def test_cli_reports_errors_with_exit_code_2(tmp_path, capsys):
     assert "algorithm" in capsys.readouterr().err
     assert main(["corner-exponents", "--omega", "nope"]) == 2
     assert "omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[experiment]\ndomain = square\ndomain = lshape\nalgorithm = sp\n"
+     "k = 2\nlevels = 3\n", "option 'domain' in section 'experiment' "
+     "already exists"),
+    ("domain = square\nalgorithm = sp\nk = 2\nlevels = 3\n",
+     "no section headers"),
+], ids=["duplicate-key", "no-section"])
+def test_cli_run_rejects_malformed_ini_with_exit_code_2(
+        tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert message in captured.err
+    assert not (tmp_path / "bad.out").exists()

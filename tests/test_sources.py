@@ -41,18 +41,12 @@ def test_integral_y_preset():
     np.testing.assert_allclose(F2(X, Y), 0.0, atol=0)
 
 
-def test_blend_half_preset():
-    F1, F2 = parse_F_spec("const:1", "blend:0.5")
-    np.testing.assert_allclose(F1(X, Y), -Y / 2, atol=0)
-    np.testing.assert_allclose(F2(X, Y), X / 2, atol=0)
-
-
 def test_argument_validation():
     # bad specs in a config are covered by test_cli; these reach the parser
     with pytest.raises(ValueError, match="force spec 'int_x:2'"):
         parse_F_spec("const:1", "int_x:2")
-    with pytest.raises(ValueError, match=r"'blend:-0\.1' must lie in \[0, 1\]"):
-        parse_F_spec("const:1", "blend:-0.1")
+    with pytest.raises(ValueError, match="force spec 'blend:0.5'"):
+        parse_F_spec("const:1", "blend:0.5")
     with pytest.raises(ValueError, match="'const:abc' needs a number"):
         parse_F_spec("const:abc", "int_x")
 
@@ -175,11 +169,6 @@ def test_parse_f_spec_constant():
 
 
 def test_parse_force_specs():
-    F1, F2 = parse_F_spec("const:1", "blend:0.25")
-    np.testing.assert_allclose(F1(X, Y), -0.25 * Y, atol=0)
-    np.testing.assert_allclose(F2(X, Y), 0.75 * X, atol=0)
-    F1, F2 = parse_F_spec("const:1", "blend")
-    np.testing.assert_allclose(F2(X, Y), X / 2, atol=0)
     assert parse_F_spec("const:1", "curl_w") is None
     with pytest.raises(ValueError, match="force spec"):
         parse_F_spec("const:1", "int_z")
@@ -191,6 +180,6 @@ def test_parse_force_scales_with_constant():
     F1, F2 = parse_F_spec("const:3", "int_x")
     np.testing.assert_allclose(F2(X, Y), 3 * X, atol=1e-15)
     np.testing.assert_allclose(parse_f_spec("const:3")(X, Y), 3.0)
-    F1, F2 = parse_F_spec("const:-2", "blend:0.5")
-    np.testing.assert_allclose(F1(X, Y), Y, atol=1e-15)
-    np.testing.assert_allclose(F2(X, Y), -X, atol=1e-15)
+    F1, F2 = parse_F_spec("const:-2", "int_y")
+    np.testing.assert_allclose(F1(X, Y), 2 * Y, atol=1e-15)
+    np.testing.assert_allclose(F2(X, Y), 0.0, atol=0)
