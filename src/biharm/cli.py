@@ -1,11 +1,12 @@
 """Experiment runner: INI-configured convergence studies from the shell.
 
 ``biharm run config.ini`` builds one graded mesh hierarchy per grading
-factor, runs the configured pipeline on it, and writes rate tables
-(CSV and markdown) plus per-step wall times.  ``biharm compare a.ini
-b.ini`` runs two pipelines that differ only in algorithm or force
-construction on shared meshes and factors, and tabulates the norm
-differences of their solutions level by level.  ``biharm
+factor, runs the configured pipeline on it, writes rate tables (CSV and
+markdown) and a per-level record, and prints the markdown tables.
+``biharm compare a.ini b.ini`` runs two pipelines that differ only in
+algorithm or force construction on shared meshes and factors, and
+tabulates the norm differences of their solutions level by level, in a
+CSV and in the markdown it prints.  ``biharm
 corner-exponents --omega r`` prints the corner exponents for an
 opening angle; ``biharm mesh`` dumps a graded mesh to a text file.
 
@@ -22,7 +23,7 @@ lifted.  Both commands write under their (first) config's ``out``.
 
 Rate CSVs (rates_<quantity>.csv, comparison.csv) are deterministic:
 rerunning a config reproduces them byte for byte.  Wall-clock seconds
-are confined to summary.csv, timing.csv and levels.jsonl, which vary
+go only to levels.jsonl, with each level's solver health, and vary
 between runs.
 """
 
@@ -92,11 +93,11 @@ Config file schema (INI, one [experiment] section):
                                  finer mesh (default H1, L2)
   out       = <directory>        output directory (default <config>.out)
 
-Outputs under `out`: rates_<quantity>.csv (deterministic), summary.csv
-(adds a seconds column), timing.csv (per pipeline step), levels.jsonl
+Outputs under `out`: rates_<quantity>.csv (deterministic), levels.jsonl
 (per level: Stokes CG iterations, gate residual, pressure mean, largest
 divergence entry, LU back-solves and their largest residual, factor
-entries, process peak RSS in MiB, step seconds), tables.md.
+entries, process peak RSS in MiB, and the only wall-clock seconds, per
+pipeline step), tables.md (also printed on stdout).
 """
 
 
@@ -137,6 +138,10 @@ def parse_F_spec(f_spec, F_spec):
     raise ValueError(f"unsupported force spec {F_spec!r}")
 
 
+def _fmt_kappa(kappa):
+    return f"{kappa:g}"
+
+
 @dataclass
 class ExperimentConfig:
     """One convergence study: domain, pipeline, grading, and outputs."""
@@ -171,11 +176,16 @@ class ExperimentConfig:
         for kap in self.kappas:
             if not 0.0 < kap <= 0.5:
                 raise ValueError(f"kappas must lie in (0, 1/2], got {kap!r}")
-        if len(set(self.kappas)) != len(self.kappas):
-            raise ValueError("kappas contains duplicates")
+        # the artifacts name a column by its printed kappa
+        labels = [_fmt_kappa(kap) for kap in self.kappas]
+        if len(set(labels)) != len(labels):
+            raise ValueError(
+                f"kappas contains duplicates as printed: {', '.join(labels)}")
         self.norms = tuple(self.norms)
         if not self.norms:
             raise ValueError("norms must be a non-empty list")
+        if len(set(self.norms)) != len(self.norms):
+            raise ValueError("norms contains duplicates")
         for norm in self.norms:
             if norm not in NORMS:
                 raise ValueError(
@@ -206,6 +216,7 @@ class ExperimentResult:
     """Reports per (quantity, norm), per-level rows, and written files."""
 
     config: ExperimentConfig
+    # each {kappa: ...} dict keeps the order of config.kappas
     reports: dict  # (quantity, norm) -> {kappa: ConvergenceReport}
     levels: dict  # kappa -> list over levels of its levels.jsonl row
     failures: dict  # kappa -> error message for aborted columns
@@ -218,6 +229,7 @@ class ComparisonResult:
 
     config_a: ExperimentConfig
     config_b: ExperimentConfig
+    # rows and failures keep the order of config_a.kappas
     rows: dict  # kappa -> list of (level, {name: difference norm})
     failures: dict
     paths: list
@@ -367,10 +379,6 @@ def _run_columns(kappas, column, jobs=None):
     return done, failures
 
 
-def _fmt_kappa(kappa):
-    return f"{kappa:g}"
-
-
 def _fmt_diff(diff):
     return "" if diff is None else f"{diff:.6e}"
 
@@ -407,56 +415,22 @@ def run_experiment(config, jobs=None):
     return ExperimentResult(config, reports, levels, failures, paths)
 
 
-def _rate_rows(config, reports, quantity):
-    rows = []
-    for norm in config.norms:
-        for kappa in config.kappas:
-            report = reports[(quantity, norm)].get(kappa)
-            if report is None:
-                continue
-            for level, diff, rate in report.rows():
-                rows.append((norm, kappa, level, diff, rate))
-    return rows
-
-
 def _write_artifacts(config, reports, levels, failures):
     os.makedirs(config.out, exist_ok=True)
     paths = []
     for quantity in config.quantities:
         lines = ["quantity,norm,kappa,level,diff,rate"]
-        for norm, kappa, level, diff, rate in _rate_rows(config, reports,
-                                                         quantity):
-            lines.append(f"{quantity},{norm},{_fmt_kappa(kappa)},{level},"
-                         f"{_fmt_diff(diff)},{_fmt_rate(rate)}")
+        for norm in config.norms:
+            for kappa, report in reports[(quantity, norm)].items():
+                lines += [f"{quantity},{norm},{_fmt_kappa(kappa)},{level},"
+                          f"{_fmt_diff(diff)},{_fmt_rate(rate)}"
+                          for level, diff, rate in report.rows()]
         paths.append(_write(os.path.join(config.out,
                                          f"rates_{quantity}.csv"),
                             "\n".join(lines) + "\n"))
 
-    level_seconds = {
-        kappa: [sum(row["seconds"].values()) for row in rows]
-        for kappa, rows in levels.items()
-    }
-    lines = ["quantity,norm,kappa,level,diff,rate,seconds"]
-    for quantity in config.quantities:
-        for norm, kappa, level, diff, rate in _rate_rows(config, reports,
-                                                         quantity):
-            secs = level_seconds[kappa][level]
-            lines.append(f"{quantity},{norm},{_fmt_kappa(kappa)},{level},"
-                         f"{_fmt_diff(diff)},{_fmt_rate(rate)},{secs:.6f}")
-    paths.append(_write(os.path.join(config.out, "summary.csv"),
-                        "\n".join(lines) + "\n"))
-
-    lines = ["kappa,level,step,seconds"]
-    for kappa in config.kappas:
-        for row in levels.get(kappa, []):
-            for step, secs in row["seconds"].items():
-                lines.append(f"{_fmt_kappa(kappa)},{row['level']},{step},"
-                             f"{secs:.6f}")
-    paths.append(_write(os.path.join(config.out, "timing.csv"),
-                        "\n".join(lines) + "\n"))
-
-    lines = [json.dumps({"kappa": kappa, **row}) for kappa in config.kappas
-             for row in levels.get(kappa, [])]
+    lines = [json.dumps({"kappa": kappa, **row})
+             for kappa, rows in levels.items() for row in rows]
     paths.append(_write(os.path.join(config.out, "levels.jsonl"),
                         "".join(line + "\n" for line in lines)))
 
@@ -465,10 +439,10 @@ def _write_artifacts(config, reports, levels, failures):
     return paths
 
 
-def _skipped_markdown(kappas, failures):
+def _skipped_markdown(failures):
     lines = ["### skipped kappa columns", ""]
-    lines += [f"- kappa={_fmt_kappa(kappa)}: {failures[kappa]}"
-              for kappa in kappas if kappa in failures]
+    lines += [f"- kappa={_fmt_kappa(kappa)}: {message}"
+              for kappa, message in failures.items()]
     return "\n".join(lines)
 
 
@@ -481,7 +455,7 @@ def _tables_markdown(config, reports, failures):
                 chunks.append(markdown_table(by_kappa,
                                              f"{quantity} in {norm}"))
     if failures:
-        chunks.append(_skipped_markdown(config.kappas, failures))
+        chunks.append(_skipped_markdown(failures))
     return "\n\n".join(chunks) + "\n"
 
 
@@ -541,32 +515,32 @@ def _write_comparison(config_a, config_b, rows, failures):
     out = config_a.out
     os.makedirs(out, exist_ok=True)
     lines = ["kappa,level," + ",".join(_COMPARE_NAMES)]
-    for kappa in config_a.kappas:
-        for level, diffs in rows.get(kappa, []):
+    for kappa, column in rows.items():
+        for level, diffs in column:
             cells = ",".join(f"{diffs[name]:.6e}" for name in _COMPARE_NAMES)
             lines.append(f"{_fmt_kappa(kappa)},{level},{cells}")
-    paths = [_write(os.path.join(out, "comparison.csv"),
-                    "\n".join(lines) + "\n")]
+    return [_write(os.path.join(out, "comparison.csv"),
+                   "\n".join(lines) + "\n"),
+            _write(os.path.join(out, "comparison.md"),
+                   _comparison_markdown(config_a, config_b, rows, failures))]
 
+
+def _comparison_markdown(config_a, config_b, rows, failures):
     chunks = [f"# {config_a.algorithm} (F={config_a.F}) vs "
               f"{config_b.algorithm} (F={config_b.F}) on {config_a.domain}, "
               f"k={config_a.k}"]
-    for kappa in config_a.kappas:
-        if kappa not in rows:
-            continue
+    for kappa, column in rows.items():
         lines = [f"### differences (kappa={_fmt_kappa(kappa)})", ""]
         lines.append("| j | " + " | ".join(_COMPARE_LABELS) + " |")
         lines.append("|" + " --- |" * (1 + len(_COMPARE_LABELS)))
-        for level, diffs in rows[kappa]:
+        for level, diffs in column:
             cells = " | ".join(f"{diffs[name]:.5e}"
                                for name in _COMPARE_NAMES)
             lines.append(f"| {level} | {cells} |")
         chunks.append("\n".join(lines))
     if failures:
-        chunks.append(_skipped_markdown(config_a.kappas, failures))
-    paths.append(_write(os.path.join(out, "comparison.md"),
-                        "\n\n".join(chunks) + "\n"))
-    return paths
+        chunks.append(_skipped_markdown(failures))
+    return "\n\n".join(chunks) + "\n"
 
 
 _PI_FORM = re.compile(
@@ -611,13 +585,8 @@ def _cmd_compare(args):
     result = run_comparison(config_a, config_b)
     for path in result.paths:
         print(f"wrote {path}")
-    for kappa in config_a.kappas:
-        for level, diffs in result.rows.get(kappa, []):
-            cells = "  ".join(f"{name}={diffs[name]:.5e}"
-                              for name in _COMPARE_NAMES)
-            print(f"kappa={_fmt_kappa(kappa)} j={level}  {cells}")
-    for kappa, message in result.failures.items():
-        print(f"kappa={_fmt_kappa(kappa)} failed: {message}")
+    print(_comparison_markdown(config_a, config_b, result.rows,
+                               result.failures), end="")
     return 0
 
 
@@ -659,8 +628,10 @@ def build_parser():
     cmp_p = sub.add_parser(
         "compare", help="difference table between two pipeline configs",
         description="Runs both configs (same domain/k/levels/kappas, "
-                    "differing only in algorithm or F) on shared meshes "
-                    "and tabulates per-level solution differences.")
+                    "differing only in algorithm or F) on shared meshes, "
+                    "tabulates per-level solution differences in "
+                    "comparison.csv and comparison.md, and prints the "
+                    "latter.")
     cmp_p.add_argument("config_a")
     cmp_p.add_argument("config_b")
     cmp_p.add_argument("--out", help="output directory (default: config_a's)")

@@ -70,6 +70,9 @@ def tiny_config(**overrides):
     (dict(algorithm="sp", F="blend"), "force spec 'blend'"),
     (dict(f="sin:1"), "load spec 'sin:1'"),
     (dict(f="const:abc"), "'const:abc' needs a number"),
+    (dict(norms=("H1", "H1")), "norms contains duplicates"),
+    # both columns would print as kappa 0.2
+    (dict(kappas=(0.2, 0.2000001)), "duplicates as printed: 0.2, 0.2"),
 ])
 def test_config_rejects_bad_fields(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -269,7 +272,7 @@ def test_artifact_files_and_rate_csv_schema(sp_artifacts):
     config, result = sp_artifacts
     names = sorted(os.path.basename(path) for path in result.paths)
     assert names == ["levels.jsonl", "rates_p.csv", "rates_phi.csv",
-                     "rates_u.csv", "summary.csv", "tables.md", "timing.csv"]
+                     "rates_u.csv", "tables.md"]
     lines = open(os.path.join(config.out, "rates_u.csv")).read().splitlines()
     assert lines[0] == "quantity,norm,kappa,level,diff,rate"
     # 2 norms x 2 kappas x levels 1..3
@@ -289,23 +292,6 @@ def test_rate_csvs_are_deterministic(sp_artifacts, tmp_path):
         first = open(os.path.join(config.out, name), "rb").read()
         second = open(os.path.join(rerun.out, name), "rb").read()
         assert first == second
-
-
-def test_summary_and_timing_schemas(sp_artifacts):
-    config, _ = sp_artifacts
-    lines = open(os.path.join(config.out, "summary.csv")).read().splitlines()
-    assert lines[0] == "quantity,norm,kappa,level,diff,rate,seconds"
-    # summary repeats the rate rows for all three quantities, plus seconds
-    assert len(lines) == 1 + 3 * 2 * 2 * 3
-    assert all(float(line.split(",")[6]) >= 0.0 for line in lines[1:])
-
-    lines = open(os.path.join(config.out, "timing.csv")).read().splitlines()
-    assert lines[0] == "kappa,level,step,seconds"
-    # factor, stokes_assembly, stokes and poisson_phi steps per level
-    # (0..3) per kappa
-    assert len(lines) == 1 + 2 * 4 * (config.levels + 1)
-    assert ({line.split(",")[2] for line in lines[1:]}
-            == {"factor", "stokes_assembly", "stokes", "poisson_phi"})
 
 
 def test_levels_jsonl_records_each_level(sp_artifacts):
@@ -498,7 +484,7 @@ def test_study_rooted_on_a_written_mesh_file(tmp_path, capsys):
     result = run_experiment(config)
     assert result.failures == {}
     assert result.reports[("phi", "H1")][0.5].levels == [1, 2, 3]
-    assert os.path.exists(os.path.join(config.out, "summary.csv"))
+    assert os.path.exists(os.path.join(config.out, "levels.jsonl"))
     result = run_comparison(tiny_config(domain=str(path), algorithm="psp"),
                             tiny_config(domain=str(path), algorithm="sp"))
     assert [level for level, _ in result.rows[0.5]] == [1, 2, 3]
@@ -616,7 +602,58 @@ def test_cli_compare_subcommand(tmp_path, capsys):
     assert main(["compare", a, b, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert f"wrote {out / 'comparison.csv'}" in stdout
-    assert "kappa=0.5 j=3" in stdout
+    assert "### differences (kappa=0.5)" in stdout
+
+
+def fail_kappa(monkeypatch, name, kappa):
+    """Make ``cli.<name>`` raise on the hierarchy graded by ``kappa``."""
+    real = getattr(cli, name)
+
+    def flaky(meshes, *args):
+        if meshes[-1].kappa == kappa:
+            raise MemoryError("injected failure")
+        return real(meshes, *args)
+
+    monkeypatch.setattr(cli, name, flaky)
+
+
+def after_wrote_lines(stdout, out, names):
+    """What ``stdout`` prints after one ``wrote`` line per file in order."""
+    head = "".join(f"wrote {out / name}\n" for name in names)
+    assert stdout.startswith(head)
+    return stdout[len(head):]
+
+
+def test_cli_run_prints_tables_md(tmp_path, capsys, monkeypatch):
+    fail_kappa(monkeypatch, "run_psp", 0.25)
+    config = write_config(tmp_path / "tiny.ini", domain="square",
+                          algorithm="psp", k=1, levels=3,
+                          kappas="0.5, 0.25")
+    out = tmp_path / "run"
+    assert main(["run", config, "--out", str(out)]) == 0
+    tables = after_wrote_lines(
+        capsys.readouterr().out, out,
+        ["rates_w.csv", "rates_phi.csv", "rates_u.csv", "rates_p.csv",
+         "levels.jsonl", "tables.md"])
+    assert tables.encode() == (out / "tables.md").read_bytes()
+    assert "- kappa=0.25: injected failure" in tables
+
+
+def test_cli_compare_prints_comparison_md(tmp_path, capsys, monkeypatch):
+    fail_kappa(monkeypatch, "run_chains", 0.25)
+    a, b = (write_config(tmp_path / f"{algorithm}.ini", domain="square",
+                         algorithm=algorithm, k=1, levels=3,
+                         kappas="0.5, 0.25")
+            for algorithm in ("psp", "sp"))
+    out = tmp_path / "cmp"
+    assert main(["compare", a, b, "--out", str(out)]) == 0
+    markdown = after_wrote_lines(capsys.readouterr().out, out,
+                                 ["comparison.csv", "comparison.md"])
+    assert markdown.encode() == (out / "comparison.md").read_bytes()
+    assert "### differences (kappa=0.5)" in markdown
+    assert "### differences (kappa=0.25)" not in markdown
+    assert markdown.endswith("### skipped kappa columns\n\n"
+                             "- kappa=0.25: injected failure\n")
 
 
 @pytest.mark.parametrize("body,line", [("", 1), ("mesh 1 0 0\np 1\n", 2)],
