@@ -47,6 +47,29 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def fail_kappa(monkeypatch, name, kappa):
+    """Make ``cli.<name>`` raise on the hierarchy graded by ``kappa``.
+
+    Columns may share a pool, so the failure is chosen by kappa, which
+    the hierarchy's refined meshes carry.
+    """
+    real = getattr(cli, name)
+
+    def flaky(meshes, *args):
+        if meshes[-1].kappa == kappa:
+            raise MemoryError("injected failure")
+        return real(meshes, *args)
+
+    monkeypatch.setattr(cli, name, flaky)
+
+
+def after_wrote_lines(stdout, out, names):
+    """What ``stdout`` prints after one ``wrote`` line per file in order."""
+    head = "".join(f"wrote {out / name}\n" for name in names)
+    assert stdout.startswith(head)
+    return stdout[len(head):]
+
+
 # -- ExperimentConfig validation ----------------------------------------------
 
 
@@ -415,16 +438,7 @@ def test_comparison_compares_load_values_not_spellings():
 
 
 def test_comparison_isolates_failed_kappa_columns(monkeypatch):
-    # the columns share a pool, so the failure is chosen by kappa, which
-    # the hierarchy's refined meshes carry
-    real = cli.run_chains
-
-    def flaky(meshes, k, chains):
-        if meshes[-1].kappa == 0.25:
-            raise MemoryError("injected failure")
-        return real(meshes, k, chains)
-
-    monkeypatch.setattr(cli, "run_chains", flaky)
+    fail_kappa(monkeypatch, "run_chains", 0.25)
     a = tiny_config(algorithm="sp", kappas=(0.5, 0.25))
     result = run_comparison(a, tiny_config(algorithm="sp",
                                            kappas=(0.5, 0.25)))
@@ -603,25 +617,6 @@ def test_cli_compare_subcommand(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert f"wrote {out / 'comparison.csv'}" in stdout
     assert "### differences (kappa=0.5)" in stdout
-
-
-def fail_kappa(monkeypatch, name, kappa):
-    """Make ``cli.<name>`` raise on the hierarchy graded by ``kappa``."""
-    real = getattr(cli, name)
-
-    def flaky(meshes, *args):
-        if meshes[-1].kappa == kappa:
-            raise MemoryError("injected failure")
-        return real(meshes, *args)
-
-    monkeypatch.setattr(cli, name, flaky)
-
-
-def after_wrote_lines(stdout, out, names):
-    """What ``stdout`` prints after one ``wrote`` line per file in order."""
-    head = "".join(f"wrote {out / name}\n" for name in names)
-    assert stdout.startswith(head)
-    return stdout[len(head):]
 
 
 def test_cli_run_prints_tables_md(tmp_path, capsys, monkeypatch):
