@@ -27,6 +27,7 @@ from .spaces import (
     basis_ref_grads,
     basis_values,
     build_space,
+    point_value_dofs,
     prolongate,
 )
 
@@ -77,10 +78,7 @@ def field_norm(field, norm, geometry):
     _check_norm(norm)
     space = field.space
     if norm == "Linf":
-        # the DOFs that carry point values: all but the Mini bubbles
-        n = space.ndof
-        if space.kind == "lagrange_bubble":
-            n = len(space.mesh.points)
+        n = point_value_dofs(space)
         return max(float(np.max(np.abs(field.component(c)[:n])))
                    for c in range(field.components))
     lam, w = triangle_rule(_quad_order(space, norm))

@@ -26,7 +26,6 @@ __all__ = [
     "assemble_mass",
     "assemble_divergence",
     "assemble_load",
-    "assemble_basis_integrals",
     "assemble_stokes_rhs_analytic",
     "assemble_stokes_rhs_discrete_curl",
     "assemble_curl_rhs",
@@ -113,15 +112,10 @@ def _sum_loads(space, local):
                        minlength=space.ndof)
 
 
-def _load_rule(space):
-    """Points, weights and basis values of the order k + 2 load rule."""
-    lam, w = triangle_rule(poly_degree(space) + 2)
-    return lam, w, basis_values(space, lam)
-
-
 def _analytic_loads(space, fs, geometry):
     """b_i = int f phi_i for each f of ``fs``, on points mapped once."""
-    lam, w, vals = _load_rule(space)
+    lam, w = triangle_rule(poly_degree(space) + 2)
+    vals = basis_values(space, lam)
     pts = physical_points(lam, space.mesh.points[space.mesh.triangles])
     shape = pts.shape[:2]
     pts = pts.reshape(-1, 2)
@@ -133,13 +127,6 @@ def _analytic_loads(space, fs, geometry):
 def assemble_load(space, f, geometry):
     """b_i = int f phi_i with a rule of order k + 2."""
     return _analytic_loads(space, (f,), geometry)[0]
-
-
-def assemble_basis_integrals(space, geometry):
-    """m_i = int phi_i: the load of f = 1, with no point mapped."""
-    lam, w, vals = _load_rule(space)
-    ones = np.ones((len(space.element_dofs), len(w)))
-    return _sum_loads(space, kernels.element_load(geometry[0], vals, ones, w))
 
 
 def assemble_stokes_rhs_analytic(vspace, F, geometry):

@@ -489,13 +489,15 @@ def _compare_column(config_a, config_b, root, kappa):
 def run_comparison(config_a, config_b):
     """Level-by-level solution differences between two pipelines.
 
-    The configs must agree except possibly in ``algorithm``, ``F`` and
-    ``out``.  Each kappa column runs both chains on one mesh hierarchy
-    with one factor per level; columns run as ``run`` runs them.
+    The configs must agree except possibly in ``algorithm``, ``F``,
+    ``norms`` and ``out``; ``norms`` is not read, every table has the
+    phi and u differences in H1 and L2 and the p difference in L2.
+    Each kappa column runs both chains on one mesh hierarchy with one
+    factor per level; columns run as ``run`` runs them.
     Artifacts (comparison.csv, comparison.md) go to ``config_a.out``;
     with it empty nothing is written.
     """
-    for name in ("domain", "k", "levels", "kappas", "f", "norms"):
+    for name in ("domain", "k", "levels", "kappas", "f"):
         va, vb = getattr(config_a, name), getattr(config_b, name)
         # loads agree by value: const:1 is const:1.0
         if (_load_value(va) != _load_value(vb) if name == "f" else va != vb):
@@ -627,11 +629,13 @@ def build_parser():
 
     cmp_p = sub.add_parser(
         "compare", help="difference table between two pipeline configs",
-        description="Runs both configs (same domain/k/levels/kappas, "
+        description="Runs both configs (same domain/k/levels/kappas/f, "
                     "differing only in algorithm or F) on shared meshes, "
                     "tabulates per-level solution differences in "
                     "comparison.csv and comparison.md, and prints the "
-                    "latter.")
+                    "latter.  The columns are always phi and u in H1 "
+                    "and L2 and p in L2; the configs' norms are not "
+                    "read.")
     cmp_p.add_argument("config_a")
     cmp_p.add_argument("config_b")
     cmp_p.add_argument("--out", help="output directory (default: config_a's)")

@@ -72,20 +72,9 @@ def triangle_rule(degree):
 
 
 def physical_points(lam, tri_pts):
-    """Map barycentric points onto triangles.
+    """Map barycentric points onto triangles: x_tq = sum_j lam_qj V_tj.
 
-    ``tri_pts`` has shape (nt, 3, 2); the result has shape (nt, nq, 2).
-    Each point sums its corner terms lambda_j V_j in corner order, one
-    point of the rule at a time.  That gives
-    ``np.einsum("qj,tjd->tqd", lam, tri_pts)`` to the bit, in a third of
-    its time for the load rules (orders 3 to 5) on a level-7 mesh.
+    ``tri_pts`` has shape (nt, 3, 2); the result, one matmul of the
+    (nq, 3) points with each triangle's corners, has shape (nt, nq, 2).
     """
-    corners = [np.ascontiguousarray(tri_pts[:, j]) for j in range(3)]
-    out = np.empty((len(tri_pts), len(lam), 2))
-    acc, term = np.empty((2,) + corners[0].shape)
-    for q, (l0, l1, l2) in enumerate(lam):
-        np.multiply(l0, corners[0], out=acc)
-        acc += np.multiply(l1, corners[1], out=term)
-        acc += np.multiply(l2, corners[2], out=term)
-        out[:, q] = acc
-    return out
+    return np.matmul(lam, tri_pts)

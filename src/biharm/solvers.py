@@ -41,7 +41,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     apply_dirichlet,
-    assemble_basis_integrals,
     assemble_curl_rhs,
     assemble_divergence,
     assemble_load,
@@ -264,7 +263,8 @@ def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
     With A the scalar stiffness of ``vspace`` (Dirichlet rows
     eliminated; ``factor`` is its SpdFactor, for Mini one built on the
     P1 factor) acting on both velocity components, and B the divergence
-    with its boundary-velocity columns zeroed, the pressure solves
+    with its boundary-velocity columns zeroed in place (their entries
+    stay stored, as zeros), the pressure solves
     B A^-1 B^T p = B A^-1 f by conjugate gradients.  The preconditioner
     is ``chebyshev_mass_inverse`` of the pressure mass matrix, with the
     ``mass_bounds`` of ``pspace``; B A^-1 B^T is spectrally equivalent
@@ -276,7 +276,8 @@ def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
     once it falls below 1e-13 |f| (not relative to B A^-1 f, which psp's
     discrete curl load makes nearly zero).  The Schur complement is
     singular on constants only, so p is shifted to zero mean against
-    the pressure load m (m_i = integral of q_i) before u is recovered.
+    m_i = integral of q_i before u is recovered; the pressure basis sums
+    to 1, so m is M 1, the row sums of the pressure mass M.
     The result must meet the gates of the multiplier-bordered system
     [[A, B^T, 0], [B, 0, m], [0, m^T, 0]], whose multiplier is zero:
     a 1e-10 relative residual, zero pressure mean and zero divergence.
@@ -293,12 +294,12 @@ def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
     t0 = time.perf_counter()
     keep = np.ones(2 * nv)
     keep[vector_boundary_dofs(vspace)] = 0.0
-    b = (assemble_divergence(vspace, pspace, geometry)
-         @ sps.diags(keep)).tocsr()
+    b = assemble_divergence(vspace, pspace, geometry)
+    b.data *= keep[b.indices]  # boundary-velocity columns, stored as zeros
     bt = b.T  # a CSC view: its matvec sums each row of B^T in column order
     f = rhs * keep
     mass_p = assemble_mass(pspace, geometry)
-    mvec = assemble_basis_integrals(pspace, geometry)
+    mvec = mass_p @ np.ones(pspace.ndof)  # m_i = int q_i: the basis sums to 1
     assembly_seconds = time.perf_counter() - t0
 
     # velocity vectors are component-major; the factor solves both

@@ -126,6 +126,11 @@ def build_space(mesh, degree, kind="lagrange"):
     )
 
 
+def point_value_dofs(space):
+    """Number of leading DOFs that are point values: all but Mini bubbles."""
+    return len(space.mesh.points) if space.kind == "lagrange_bubble" else space.ndof
+
+
 # -- reference basis -------------------------------------------------------
 
 
@@ -289,9 +294,7 @@ def prolongate(coarse, fine_space):
         m = m.coarser
 
     nt = len(fine_space.element_dofs)
-    nodes = fine_space.ndof
-    if fine_space.kind == "lagrange_bubble":
-        nodes = len(fmesh.points)
+    nodes = point_value_dofs(fine_space)
     rep = np.full(fine_space.ndof, nt, dtype=np.int32)
     for dofs in fine_space.element_dofs.T:
         np.minimum.at(rep, dofs, np.arange(nt, dtype=np.int32))

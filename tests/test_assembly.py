@@ -238,6 +238,21 @@ def test_load_f1_p1_is_patch_area_over_three(square2):
     assert np.allclose(b, patch / 3.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("domain, kappa", [("lshape", 0.2),
+                                           ("convex_11pi12", 0.3)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_mass_row_sums_are_the_load_of_one(domain, kappa, degree):
+    # the Lagrange basis sums to 1, so M 1 = (int phi_i)_i, the vector
+    # the Stokes solve takes the pressure mean against
+    _, m0 = msh.builtin_domain(domain)
+    mesh = msh.refine_hierarchy(m0, 3, kappa)[3]
+    space = sp.build_space(mesh, degree)
+    geo = sp.jacobians(mesh)
+    rows = asm.assemble_mass(space, geo) @ np.ones(space.ndof)
+    load = asm.assemble_load(space, lambda x, y: 1.0, geo)
+    assert np.max(np.abs(rows - load)) <= 1e-14 * np.max(np.abs(load))
+
+
 def test_stokes_rhs_analytic_blocks(square2):
     vspace = sp.build_space(square2, 2)
     n = vspace.ndof

@@ -437,6 +437,19 @@ def test_comparison_compares_load_values_not_spellings():
         run_comparison(a, tiny_config(algorithm="sp", f="const:2"))
 
 
+def test_comparison_does_not_read_norms(tmp_path):
+    # the table always has the same five columns, whatever norms list
+    a = tiny_config(algorithm="psp", norms=("Linf",),
+                    out=str(tmp_path / "differ"))
+    run_comparison(a, tiny_config(algorithm="sp", norms=("H1", "L2")))
+    run_comparison(tiny_config(algorithm="psp", out=str(tmp_path / "same")),
+                   tiny_config(algorithm="sp"))
+    got = (tmp_path / "differ" / "comparison.csv").read_bytes()
+    assert got.decode().splitlines()[0] == ("kappa,level,"
+                                            + ",".join(COMPARE_NAMES))
+    assert got == (tmp_path / "same" / "comparison.csv").read_bytes()
+
+
 def test_comparison_isolates_failed_kappa_columns(monkeypatch):
     fail_kappa(monkeypatch, "run_chains", 0.25)
     a = tiny_config(algorithm="sp", kappas=(0.5, 0.25))

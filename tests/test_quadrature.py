@@ -62,12 +62,24 @@ def test_high_degree_matches_low_on_shared_polynomials():
 
 @pytest.mark.parametrize("domain, kappa", [("convex_11pi12", 0.3),
                                            ("lshape", 0.2)])
-def test_physical_points_equal_einsum_to_the_bit(domain, kappa):
+def test_physical_points_lie_in_their_triangles(domain, kappa):
     # every rule order an assembler, a norm or the curl check uses
     mesh = refine_hierarchy(builtin_domain(domain)[1], 4, kappa)[-1]
     tri_pts = mesh.points[mesh.triangles]
+    v0 = tri_pts[:, 0]
+    edges = np.stack([tri_pts[:, 1] - v0, tri_pts[:, 2] - v0], axis=2)
+    centroid = tri_pts.mean(axis=1)
     for degree in range(1, 7):
-        lam, _ = triangle_rule(degree)
-        got = physical_points(lam, tri_pts)
-        want = np.einsum("qj,tjd->tqd", lam, tri_pts)
-        assert got.tobytes() == want.tobytes(), degree
+        lam, w = triangle_rule(degree)
+        pts = physical_points(lam, tri_pts)
+        assert pts.shape == (len(tri_pts), len(w), 2)
+        # barycentric coordinates recovered from the affine map
+        xy = np.linalg.solve(edges, (pts - v0[:, None]).transpose(0, 2, 1))
+        bary = np.concatenate([1.0 - xy.sum(axis=1, keepdims=True), xy],
+                              axis=1).transpose(0, 2, 1)
+        assert np.all(bary > -1e-12), degree
+        assert np.allclose(bary, lam, rtol=0.0, atol=1e-10), degree
+        # int_K x = |K| * centroid_x and int_K y = |K| * centroid_y,
+        # each side divided by |K|; coordinates are O(1)
+        mean = 2.0 * np.einsum("q,tqd->td", w, pts)
+        assert np.max(np.abs(mean - centroid)) < 1e-14, degree
