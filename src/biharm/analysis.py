@@ -32,6 +32,7 @@ from .spaces import (
 )
 
 __all__ = [
+    "NORMS",
     "ConvergenceReport",
     "field_norm",
     "lift_pairs",
@@ -40,13 +41,13 @@ __all__ = [
     "markdown_table",
 ]
 
-_NORMS = ("L2", "H1", "Linf")
+NORMS = ("L2", "H1", "Linf")
 
 
 @dataclass
 class ConvergenceReport:
-    quantity: str
-    norm: str
+    """Rates of one quantity in one norm, named by the key it is kept under."""
+
     levels: list
     diffs: list
     rates: list  # same length as diffs; rates[i] may be None (absent)
@@ -57,8 +58,8 @@ class ConvergenceReport:
 
 
 def _check_norm(norm):
-    if norm not in _NORMS:
-        raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
 
 
 def _quad_order(space, norm):
@@ -163,8 +164,8 @@ def diff_norm(fine, coarse, norm, geometry):
                       geometry)
 
 
-def rate_table(quantity, norm, levels, diffs):
-    """Successive-difference convergence report.
+def rate_table(levels, diffs):
+    """Successive-difference convergence report of one quantity and norm.
 
     ``diffs[i]`` is ||v_{levels[i]} - v_{levels[i]-1}||; the rate at row i
     is log2(diffs[i-1] / diffs[i]), absent (None) when either difference
@@ -180,7 +181,7 @@ def rate_table(quantity, norm, levels, diffs):
     for prev, cur in zip(diffs, diffs[1:]):
         ok = prev is not None and cur is not None and prev > 0.0 and cur > 0.0
         rates.append(math.log2(prev / cur) if ok else None)
-    return ConvergenceReport(quantity, norm, levels, diffs, rates)
+    return ConvergenceReport(levels, diffs, rates)
 
 
 def markdown_table(reports_by_kappa, title):

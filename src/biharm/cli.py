@@ -40,11 +40,11 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import diff_norm, lift_pairs, markdown_table, rate_table
+from .analysis import NORMS, diff_norm, lift_pairs, markdown_table, rate_table
 from .corners import beta0, solve_alpha0
 from .meshing import builtin_domain, read_mesh, refine_hierarchy, write_mesh
 from .solvers import run_chains, run_psp, run_sp
-from .spaces import jacobians
+from .spaces import Field, jacobians
 
 __all__ = [
     "ExperimentConfig",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("sp", "psp")
-NORMS = ("L2", "H1", "Linf")
 BUILTIN_DOMAINS = ("square", "lshape", "convex_11pi12")
 
 # Quantities each pipeline produces, in report order.
@@ -67,14 +66,6 @@ QUANTITIES = {
     "sp": ("phi", "u", "p"),
     "psp": ("w", "phi", "u", "p"),
 }
-
-# LevelRecord fields written to levels.jsonl: Stokes CG steps, its gate
-# residual, pressure mean and largest divergence entry, LU back-solves,
-# their largest relative residual, stored L+U entries of the level's
-# factor and the process's peak RSS in MiB when the level ended.
-SOLVER_FIELDS = ("iterations", "residual_norm", "pressure_mean",
-                 "divergence_max", "lu_solves", "lu_residual_max",
-                 "factor_nnz", "maxrss_mb")
 
 CONFIG_HELP = """\
 Config file schema (INI, one [experiment] section):
@@ -102,16 +93,19 @@ pipeline step), tables.md (also printed on stdout).
 
 
 def _load_value(spec):
-    """The constant c of the load spec ``const:<c>`` (``const``: c = 1)."""
+    """The finite constant c of the load spec ``const:<c>`` (``const``: 1)."""
     kind, _, arg = spec.partition(":")
     if kind != "const":
         raise ValueError(f"unsupported load spec {spec!r}")
     if not arg:
         return 1.0
     try:
-        return float(arg)
+        value = float(arg)
     except ValueError:
         raise ValueError(f"spec {spec!r} needs a number after ':'") from None
+    if not np.isfinite(value):
+        raise ValueError(f"spec {spec!r} needs a finite number")
+    return value
 
 
 def parse_f_spec(spec):
@@ -215,8 +209,7 @@ class ExperimentConfig:
 class ExperimentResult:
     """Reports per (quantity, norm), per-level rows, and written files."""
 
-    config: ExperimentConfig
-    # each {kappa: ...} dict keeps the order of config.kappas
+    # each {kappa: ...} dict keeps the order of the config's kappas
     reports: dict  # (quantity, norm) -> {kappa: ConvergenceReport}
     levels: dict  # kappa -> list over levels of its levels.jsonl row
     failures: dict  # kappa -> error message for aborted columns
@@ -227,10 +220,8 @@ class ExperimentResult:
 class ComparisonResult:
     """Per-level solution differences between two pipelines."""
 
-    config_a: ExperimentConfig
-    config_b: ExperimentConfig
-    # rows and failures keep the order of config_a.kappas
-    rows: dict  # kappa -> list of (level, {name: difference norm})
+    # rows and failures keep the order of the first config's kappas
+    rows: dict  # kappa -> list of (level, {cell name: difference norm})
     failures: dict
     paths: list
 
@@ -314,9 +305,9 @@ def _run_column(config, root, kappa):
     """One kappa column: its rate reports and one row per level.
 
     The reports map (quantity, norm) to a ConvergenceReport; a row holds
-    the level, its SOLVER_FIELDS and its step ``seconds``.  The level
-    differences are taken here, so the column's solutions are dropped
-    when it returns.
+    every LevelRecord field but the solution Fields, in their declared
+    order.  The level differences are taken here, so the column's
+    solutions are dropped when it returns.
     """
     meshes = refine_hierarchy(root, config.levels, kappa)
     f, F = _chain(config)
@@ -335,11 +326,10 @@ def _run_column(config, root, kappa):
                 diffs[(quantity, norm)].append(
                     diff_norm(*pairs[norm], norm, geometry))
     levels = [rec.level for rec in records[1:]]
-    reports = {key: rate_table(*key, levels, values)
+    reports = {key: rate_table(levels, values)
                for key, values in diffs.items()}
-    rows = [{"level": rec.level,
-             **{name: getattr(rec, name) for name in SOLVER_FIELDS},
-             "seconds": rec.seconds} for rec in records]
+    rows = [{field.name: getattr(rec, field.name) for field in fields(rec)
+             if field.type is not Field} for rec in records]
     return reports, rows
 
 
@@ -412,7 +402,7 @@ def run_experiment(config, jobs=None):
     paths = []
     if config.out:
         paths = _write_artifacts(config, reports, levels, failures)
-    return ExperimentResult(config, reports, levels, failures, paths)
+    return ExperimentResult(reports, levels, failures, paths)
 
 
 def _write_artifacts(config, reports, levels, failures):
@@ -459,12 +449,18 @@ def _tables_markdown(config, reports, failures):
     return "\n\n".join(chunks) + "\n"
 
 
-_COMPARE_NAMES = ("phi_h1", "phi_l2", "u_h1", "u_l2", "p_l2")
-_COMPARE_LABELS = ("phi H1", "phi L2", "u H1", "u L2", "p L2")
+# The cells of a comparison row, in column order: comparison.csv names
+# one (quantity, norm) cell as "phi_h1", comparison.md as "phi H1".
+_COMPARE_CELLS = (("phi", "H1"), ("phi", "L2"), ("u", "H1"), ("u", "L2"),
+                  ("p", "L2"))
+
+
+def _cell_name(quantity, norm):
+    return f"{quantity}_{norm.lower()}"
 
 
 def _compare_column(config_a, config_b, root, kappa):
-    """[(level, {name: difference norm})] for levels 1.. of one column.
+    """[(level, {cell name: difference norm})] for levels 1.. of a column.
 
     Both chains run in one ``run_chains`` call; each cell is the
     ``diff_norm`` of the two solutions on the level, which share its
@@ -476,13 +472,11 @@ def _compare_column(config_a, config_b, root, kappa):
     rows = []
     for rec_a, rec_b in list(zip(*runs))[1:]:
         geometry = jacobians(rec_a.phi.space.mesh)
-        cells = {}
-        for name in _COMPARE_NAMES:
-            quantity, norm = name.split("_")
-            cells[name] = diff_norm(getattr(rec_a, quantity),
-                                    getattr(rec_b, quantity), norm.upper(),
-                                    geometry)
-        rows.append((rec_a.level, cells))
+        rows.append((rec_a.level, {
+            _cell_name(quantity, norm): diff_norm(
+                getattr(rec_a, quantity), getattr(rec_b, quantity), norm,
+                geometry)
+            for quantity, norm in _COMPARE_CELLS}))
     return rows
 
 
@@ -510,16 +504,17 @@ def run_comparison(config_a, config_b):
         functools.partial(_compare_column, config_a, config_b, root))
     paths = (_write_comparison(config_a, config_b, rows, failures)
              if config_a.out else [])
-    return ComparisonResult(config_a, config_b, rows, failures, paths)
+    return ComparisonResult(rows, failures, paths)
 
 
 def _write_comparison(config_a, config_b, rows, failures):
     out = config_a.out
     os.makedirs(out, exist_ok=True)
-    lines = ["kappa,level," + ",".join(_COMPARE_NAMES)]
+    lines = ["kappa,level,"
+             + ",".join(_cell_name(*cell) for cell in _COMPARE_CELLS)]
     for kappa, column in rows.items():
         for level, diffs in column:
-            cells = ",".join(f"{diffs[name]:.6e}" for name in _COMPARE_NAMES)
+            cells = ",".join(f"{diff:.6e}" for diff in diffs.values())
             lines.append(f"{_fmt_kappa(kappa)},{level},{cells}")
     return [_write(os.path.join(out, "comparison.csv"),
                    "\n".join(lines) + "\n"),
@@ -531,13 +526,13 @@ def _comparison_markdown(config_a, config_b, rows, failures):
     chunks = [f"# {config_a.algorithm} (F={config_a.F}) vs "
               f"{config_b.algorithm} (F={config_b.F}) on {config_a.domain}, "
               f"k={config_a.k}"]
+    labels = [f"{quantity} {norm}" for quantity, norm in _COMPARE_CELLS]
     for kappa, column in rows.items():
         lines = [f"### differences (kappa={_fmt_kappa(kappa)})", ""]
-        lines.append("| j | " + " | ".join(_COMPARE_LABELS) + " |")
-        lines.append("|" + " --- |" * (1 + len(_COMPARE_LABELS)))
+        lines.append("| j | " + " | ".join(labels) + " |")
+        lines.append("|" + " --- |" * (1 + len(labels)))
         for level, diffs in column:
-            cells = " | ".join(f"{diffs[name]:.5e}"
-                               for name in _COMPARE_NAMES)
+            cells = " | ".join(f"{diff:.5e}" for diff in diffs.values())
             lines.append(f"| {level} | {cells} |")
         chunks.append("\n".join(lines))
     if failures:

@@ -97,7 +97,7 @@ class Mesh:
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.corner_vertex = np.asarray(self.corner_vertex, dtype=np.int64)
         areas = self.areas()
-        if np.any(areas <= 0.0):
+        if not np.all(areas > 0.0):  # a NaN area fails too
             bad = int(np.argmin(areas))
             raise ValueError(f"triangle {bad} is degenerate or clockwise")
         # both edge arrays from one sort of the codes lo * npoints + hi;
@@ -333,6 +333,8 @@ def read_mesh(path):
         try:
             if parts[0] == "p":
                 points.append((float(parts[1]), float(parts[2])))
+                if not np.all(np.isfinite(points[-1])):
+                    raise ValueError
                 corner.append(int(parts[3]) if len(parts) > 3 else -1)
             elif parts[0] == "t":
                 tris.append((int(parts[1]), int(parts[2]), int(parts[3])))

@@ -131,7 +131,8 @@ class SpdFactor:
     orthogonal to those of P1 on every triangle), solved by that factor
     and a division.  Each ``solve`` takes one right-hand side or a block
     of columns and raises when the relative residual against ``a``
-    reaches 1e-10, so coupling that ``lead`` ignores fails loudly.
+    reaches 1e-10 or is NaN, so coupling that ``lead`` ignores, or a
+    non-finite right-hand side, fails loudly.
     ``solves`` counts the LU back-solves, one per call, and
     ``residual_max`` keeps the largest relative residual the gate
     measured; a factor built on ``lead`` records its calls on ``lead``,
@@ -176,7 +177,7 @@ class SpdFactor:
         rel = (float(np.linalg.norm(self.matrix @ x - b))
                / (bnorm if bnorm > 0.0 else 1.0))
         owner.residual_max = max(owner.residual_max, rel)
-        if rel >= 1e-10:
+        if not rel < 1e-10:  # a NaN residual fails too
             raise ArithmeticError(f"direct solve residual too large: {rel:.3e}")
         return x
 
@@ -330,16 +331,17 @@ def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
     mean = float(mvec @ xp)
     residual = float(np.sqrt(np.sum((a_mul(xu) + bt @ xp - f) ** 2)
                              + div @ div + mean ** 2))
-    if residual >= 1e-10 * (fnorm if fnorm > 0.0 else 1.0):
+    # each gate is written so that a NaN measurement fails it
+    if not residual < 1e-10 * (fnorm if fnorm > 0.0 else 1.0):
         raise ArithmeticError(
             f"stokes solve residual too large: {residual:.3e}")
     pnorm = float(np.sqrt(xp @ (mass_p @ xp)))
     floor = 1e-13 * (1.0 + float(np.linalg.norm(rhs)))
-    if abs(mean) > 1e-10 * pnorm + floor:
+    if not abs(mean) <= 1e-10 * pnorm + floor:
         raise ArithmeticError(f"pressure mean {abs(mean):.3e} not zero")
     unorm = float(np.sqrt(xu @ a_mul(xu)))
     divmax = float(np.max(np.abs(div))) if npres else 0.0
-    if divmax > 1e-9 * unorm + floor:
+    if not divmax <= 1e-9 * unorm + floor:
         raise ArithmeticError(f"divergence residual {divmax:.3e} too large")
     return StokesSolution(Field(vspace, 2, xu), Field(pspace, 1, xp),
                           len(steps), residual, mean, divmax,
@@ -377,7 +379,7 @@ def validate_curl(mesh, f, F):
     fv = call_on_points(f, pts)
     resid = float(np.max(np.abs(curl - fv)))
     tol = 1e-8 * (1.0 + float(np.max(np.abs(fv))))
-    if resid >= tol:
+    if not resid < tol:  # a NaN residual fails too
         raise ValueError(
             f"curl F does not match f: residual {resid:.3e} exceeds {tol:.3e}"
         )
@@ -404,13 +406,13 @@ def run_chains(meshes, k, chains):
 
     Each chain is ``(f, F)``: sp with the analytic force F, whose curl
     F = f is checked on the first refinement before any level is
-    solved, or psp when F is None.  A level runs every chain's w (psp)
-    and Stokes solves, drops the velocity factor, then runs every phi
-    solve.  Each chain's CG starts from its own coarser pressure, so
-    each chain's returned list of LevelRecords, one per mesh, equals a
-    run of that chain alone, except that the records report the shared
-    factor: its ``factor_nnz``, and ``lu_solves``, ``lu_residual_max``
-    and ``seconds["factor"]`` over all chains.  The level's geometry
+    solved, or psp when F is None.  On each level every chain in turn
+    runs its w (psp), Stokes and phi solves and ends as one LevelRecord.
+    Each chain's CG starts from its own coarser pressure, so each
+    chain's returned list of LevelRecords, one per mesh, equals a run of
+    that chain alone, except that the records report the shared factor:
+    its ``factor_nnz``, and ``lu_solves``, ``lu_residual_max`` and
+    ``seconds["factor"]`` over all chains.  The level's geometry
     (``jacobians``) is computed once and serves every assembly on it.
     Each finished level writes one progress line to stderr, led by the
     kappa that graded the hierarchy's refinements.
@@ -429,9 +431,9 @@ def run_chains(meshes, k, chains):
             t0 = time.perf_counter()
             sspace, sfactor, vfactor = _level_factors(vspace, pspace,
                                                       geometry)
-            seconds = [{"factor": time.perf_counter() - t0} for _ in chains]
-            ws, sols = [], []
-            for (f, F), run, secs in zip(chains, runs, seconds):
+            factor_s = time.perf_counter() - t0
+            for (f, F), run in zip(chains, runs):
+                secs = {"factor": factor_s}
                 w = None
                 if F is None:
                     t0 = time.perf_counter()
@@ -443,40 +445,38 @@ def run_chains(meshes, k, chains):
                        if w is None else
                        assemble_stokes_rhs_discrete_curl(vspace, w, geometry))
                 rhs_s = time.perf_counter() - t0
-                ws.append(w)
-                sols.append(solve_stokes(
-                    vspace, pspace, rhs, vfactor, geometry,
-                    run[-1].p if run else None))
-                secs["stokes_assembly"] = rhs_s + sols[-1].assembly_seconds
+                sol = solve_stokes(vspace, pspace, rhs, vfactor, geometry,
+                                   run[-1].p if run else None)
+                secs["stokes_assembly"] = rhs_s + sol.assembly_seconds
                 secs["stokes"] = (time.perf_counter() - t0
                                   - secs["stokes_assembly"])
-            del vfactor
-            phis = []
-            for sol, secs in zip(sols, seconds):
                 t0 = time.perf_counter()
-                phis.append(solve_poisson(
+                phi = solve_poisson(
                     sspace, assemble_curl_rhs(sspace, sol.u, geometry),
-                    sfactor))
+                    sfactor)
                 secs["poisson_phi"] = time.perf_counter() - t0
+                run.append(LevelRecord(
+                    mesh.level, sol.u, sol.p, phi, w=w,
+                    iterations=sol.iterations,
+                    residual_norm=sol.residual_norm,
+                    pressure_mean=sol.pressure_mean,
+                    divergence_max=sol.divergence_max, seconds=secs))
         except ArithmeticError as exc:
             raise ArithmeticError(f"level {mesh.level}: {exc}") from exc
         # ru_maxrss is in KiB on Linux, for the whole process
         maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        for run, w, sol, phi, secs in zip(runs, ws, sols, phis, seconds):
-            run.append(LevelRecord(
-                mesh.level, sol.u, sol.p, phi, w=w,
-                iterations=sol.iterations, residual_norm=sol.residual_norm,
-                pressure_mean=sol.pressure_mean,
-                divergence_max=sol.divergence_max,
-                lu_solves=sfactor.solves,
-                lu_residual_max=sfactor.residual_max,
-                factor_nnz=sfactor.nnz, maxrss_mb=maxrss_mb, seconds=secs))
-        steps = "/".join(str(sol.iterations) for sol in sols)
+        level = [run[-1] for run in runs]
+        for rec in level:  # totals of the factor every chain solved on
+            rec.lu_solves = sfactor.solves
+            rec.lu_residual_max = sfactor.residual_max
+            rec.factor_nnz = sfactor.nnz
+            rec.maxrss_mb = maxrss_mb
+        steps = "/".join(str(rec.iterations) for rec in level)
         sys.stderr.write(
             f"{label}level {mesh.level}: {len(mesh.triangles)} triangles, "
             f"factor_nnz {sfactor.nnz}, cg {steps} steps, "
             f"{time.perf_counter() - start:.2f} s, maxrss_mb {maxrss_mb:.1f}\n")
-        del sfactor, geometry
+        del sfactor, vfactor, geometry
     return runs
 
 

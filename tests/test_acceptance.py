@@ -81,7 +81,7 @@ def _reports_from_run(recs):
                           jacobians(recs[i].phi.space.mesh))
                 for i in range(1, len(recs))
             ]
-            out[(quantity, norm)] = rate_table(quantity, norm, levels, diffs)
+            out[(quantity, norm)] = rate_table(levels, diffs)
     return out
 
 

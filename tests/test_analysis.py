@@ -39,10 +39,10 @@ def square_meshes():
 
 
 def test_rate_table_exact_geometric():
-    rep = rate_table("phi", "H1", [1, 2, 3], [0.4, 0.1, 0.025])
+    rep = rate_table([1, 2, 3], [0.4, 0.1, 0.025])
     assert rep.rates[0] is None
     np.testing.assert_allclose(rep.rates[1:], [2.0, 2.0], rtol=0, atol=1e-13)
-    rep = rate_table("phi", "L2", [1, 2, 3, 4], [1.0, 0.5, 0.25, 0.125])
+    rep = rate_table([1, 2, 3, 4], [1.0, 0.5, 0.25, 0.125])
     np.testing.assert_allclose(rep.rates[1:], [1.0, 1.0, 1.0], rtol=0,
                                atol=1e-13)
 
@@ -50,23 +50,23 @@ def test_rate_table_exact_geometric():
 def test_rate_table_published_sequence():
     # successive stream-function H1 differences whose rates print as
     # 3.76 and 3.69
-    rep = rate_table("phi", "H1", [3, 4, 5], [7.97e-9, 5.88e-10, 4.56e-11])
+    rep = rate_table([3, 4, 5], [7.97e-9, 5.88e-10, 4.56e-11])
     assert round(rep.rates[1], 2) == 3.76
     assert round(rep.rates[2], 2) == 3.69
 
 
 def test_rate_table_marks_degenerate_cells_absent():
-    rep = rate_table("u", "L2", [1, 2, 3, 4], [0.4, 0.0, 0.025, 0.01])
+    rep = rate_table([1, 2, 3, 4], [0.4, 0.0, 0.025, 0.01])
     assert rep.rates == [None, None, None, pytest.approx(math.log2(2.5))]
-    rep = rate_table("u", "L2", [1, 2, 3], [0.4, None, 0.1])
+    rep = rate_table([1, 2, 3], [0.4, None, 0.1])
     assert rep.rates == [None, None, None]
 
 
 def test_rate_table_validation():
     with pytest.raises(ValueError, match="three"):
-        rate_table("phi", "H1", [1, 2], [0.4, 0.1])
+        rate_table([1, 2], [0.4, 0.1])
     with pytest.raises(ValueError, match="length"):
-        rate_table("phi", "H1", [1, 2, 3], [0.4, 0.1])
+        rate_table([1, 2, 3], [0.4, 0.1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,7 +76,7 @@ def test_rate_table_validation():
 )
 def test_rate_table_recovers_exponent_of_geometric_decay(base, rate):
     diffs = [base * 2.0 ** (-rate * j) for j in range(4)]
-    rep = rate_table("phi", "H1", [1, 2, 3, 4], diffs)
+    rep = rate_table([1, 2, 3, 4], diffs)
     for r in rep.rates[1:]:
         assert abs(r - rate) < 1e-11
 
@@ -360,10 +360,10 @@ def test_infsup_rejects_large_problems():
 
 def test_markdown_table_layout():
     reports = {
-        0.5: ConvergenceReport("phi", "H1", [1, 2, 3],
-                               [0.4, 0.1, 0.025], [None, 2.0, 2.0]),
-        0.1: ConvergenceReport("phi", "H1", [1, 2, 3],
-                               [0.8, 0.2, 0.05], [None, 2.0, 2.0]),
+        0.5: ConvergenceReport([1, 2, 3], [0.4, 0.1, 0.025],
+                               [None, 2.0, 2.0]),
+        0.1: ConvergenceReport([1, 2, 3], [0.8, 0.2, 0.05],
+                               [None, 2.0, 2.0]),
     }
     text = markdown_table(reports, "phi in H1")
     lines = text.strip().split("\n")

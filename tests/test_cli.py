@@ -96,6 +96,8 @@ def after_wrote_lines(stdout, out, names):
     (dict(norms=("H1", "H1")), "norms contains duplicates"),
     # both columns would print as kappa 0.2
     (dict(kappas=(0.2, 0.2000001)), "duplicates as printed: 0.2, 0.2"),
+    (dict(f="const:nan"), "'const:nan' needs a finite number"),
+    (dict(f="const:inf"), "'const:inf' needs a finite number"),
 ])
 def test_config_rejects_bad_fields(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -327,10 +329,10 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
     meshes = cli.refine_hierarchy(cli._root_mesh(config.domain),
                                   config.levels, 0.25)
     for row in rows:
-        assert set(row) == {"kappa", "level", "iterations", "residual_norm",
-                            "pressure_mean", "divergence_max", "lu_solves",
-                            "lu_residual_max", "factor_nnz", "maxrss_mb",
-                            "seconds"}
+        assert list(row) == ["kappa", "level", "iterations", "residual_norm",
+                             "pressure_mean", "divergence_max", "lu_solves",
+                             "lu_residual_max", "factor_nnz", "maxrss_mb",
+                             "seconds"]
         assert set(row["seconds"]) == {"factor", "stokes_assembly", "stokes",
                                        "poisson_phi"}
         assert row["iterations"] >= 1
@@ -515,6 +517,27 @@ def test_study_rooted_on_a_written_mesh_file(tmp_path, capsys):
     result = run_comparison(tiny_config(domain=str(path), algorithm="psp"),
                             tiny_config(domain=str(path), algorithm="sp"))
     assert [level for level, _ in result.rows[0.5]] == [1, 2, 3]
+
+
+def test_non_finite_input_exits_2_naming_it(tmp_path, capsys):
+    # a NaN load or mesh coordinate is bad input, refused before any solve
+    config = write_config(tmp_path / "nan.ini", domain="square",
+                          algorithm="sp", k=2, levels=3, f="const:nan")
+    assert main(["run", config]) == 2
+    assert "'const:nan' needs a finite number" in capsys.readouterr().err
+    path = tmp_path / "square.mesh"
+    assert main(["mesh", "--domain", "square", "--levels", "0",
+                 "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines)
+             if line.startswith("p ") and len(line.split()) == 3)
+    lines[n] = "p nan 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    config = write_config(tmp_path / "mesh.ini", domain=str(path),
+                          algorithm="sp", k=2, levels=3)
+    assert main(["run", config]) == 2
+    assert f"line {n + 1}: cannot read 'p nan 0.0'" in capsys.readouterr().err
 
 
 # -- parse_omega --------------------------------------------------------------

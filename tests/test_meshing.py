@@ -461,6 +461,21 @@ def test_read_mesh_rejects_bad_header(tmp_path):
     p.write_text("mesh 3 1 0\np 0 0 0\np 1 0 1\np 0 1 2\nt 0 1 3\n")
     with pytest.raises(ValueError, match="point that does not exist"):
         msh.read_mesh(p)
+    for value in ("nan", "inf", "-inf"):  # a non-finite coordinate
+        p.write_text(f"mesh 3 1 0\np 0 0 0\np 1 0 1\np 0 {value} 2\n"
+                     "t 0 1 2\n")
+        with pytest.raises(ValueError, match=f"line 4: .*'p 0 {value} 2'"):
+            msh.read_mesh(p)
+
+
+def test_mesh_rejects_nan_area():
+    # a NaN area is not positive, so it fails the area check
+    _, m0 = msh.builtin_domain("square")
+    points = m0.points.copy()
+    points[m0.triangles[0, 0], 0] = np.nan
+    with pytest.raises(ValueError, match="degenerate"):
+        msh.Mesh(domain=m0.domain, points=points, triangles=m0.triangles,
+                 level=0, parent=m0.parent, corner_vertex=m0.corner_vertex)
 
 
 def test_domain_validation():

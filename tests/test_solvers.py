@@ -120,6 +120,16 @@ def test_solve_spd_singular_rejected():
         SpdFactor(a).solve(np.ones(2))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_spd_gate_rejects_non_finite_rhs(bad):
+    # a NaN residual fails the gate; the finite entries alone solve fine
+    factor = SpdFactor(2.0 * sps.identity(3, format="csr"))
+    with pytest.raises(ArithmeticError, match="residual"):
+        factor.solve(np.array([bad, 1.0, 1.0]))
+    assert factor.solves == 1
+
+
 def test_solve_spd_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         SpdFactor(sps.identity(3, format="csr")).solve(np.ones(4))
@@ -265,6 +275,20 @@ def test_stokes_solution_invariants(lshape_meshes, k):
 
     assert np.all(xu[vector_boundary_dofs(vspace)] == 0.0)
     assert sol.residual_norm < 1e-10 * (1 + np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stokes_non_finite_rhs_fails_its_first_back_solve(square_meshes, k):
+    # the Schur right-hand side's back-solve raises; no CG step runs
+    vspace, pspace = stokes_spaces(square_meshes[2], k)
+    geometry = jacobians(vspace.mesh)
+    sfactor, vfactor = _level_factors(vspace, pspace, geometry)[1:]
+    rhs = np.zeros(2 * vspace.ndof)
+    rhs[np.setdiff1d(np.arange(vspace.ndof),
+                     vspace.boundary_dofs)[0]] = np.nan
+    with pytest.raises(ArithmeticError, match="direct solve residual"):
+        solve_stokes(vspace, pspace, rhs, vfactor, geometry)
+    assert sfactor.solves == 1
 
 
 def test_stokes_mesh_mismatch_rejected(square_meshes):
@@ -492,6 +516,16 @@ def test_comparison_factors_each_level_once(monkeypatch, k):
                 if exp is not None:
                     np.testing.assert_array_equal(got.coefficients,
                                                   exp.coefficients)
+    # both chains' records of a level report the one shared factor: its
+    # entries, and its back-solves and their largest residual over both
+    for rec_a, rec_b, ref_a, ref_b in zip(*runs, *alone):
+        for name in ("lu_solves", "lu_residual_max", "factor_nnz",
+                     "maxrss_mb"):
+            assert getattr(rec_a, name) == getattr(rec_b, name)
+        assert rec_a.lu_solves == ref_a.lu_solves + ref_b.lu_solves
+        assert rec_a.lu_residual_max == max(ref_a.lu_residual_max,
+                                            ref_b.lu_residual_max)
+        assert rec_a.factor_nnz == ref_a.factor_nnz == ref_b.factor_nnz
 
 
 @pytest.mark.parametrize("k", [1, 2])
