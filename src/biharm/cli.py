@@ -4,9 +4,9 @@
 factor, runs the configured pipeline on it, writes rate tables (CSV and
 markdown) and a per-level record, and prints the markdown tables.
 ``biharm compare a.ini b.ini`` runs two pipelines that differ only in
-algorithm or force construction on shared meshes and factors, and
-tabulates the norm differences of their solutions level by level, in a
-CSV and in the markdown it prints.  ``biharm
+algorithm or force construction on shared meshes, factors and Stokes
+matrices, and tabulates the norm differences of their solutions level
+by level, in a CSV and in the markdown it prints.  ``biharm
 corner-exponents --omega r`` prints the corner exponents for an
 opening angle; ``biharm mesh`` dumps a graded mesh to a text file.
 
@@ -37,6 +37,7 @@ import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -158,6 +159,10 @@ class ExperimentConfig:
                 f"algorithm must be one of {', '.join(ALGORITHMS)}, "
                 f"got {self.algorithm!r}"
             )
+        for name in ("k", "levels"):  # a bool is an Integral too
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k not in (1, 2, 3):
             raise ValueError(f"k must be 1, 2, or 3, got {self.k!r}")
         if self.levels < 3:
@@ -626,11 +631,11 @@ def build_parser():
         "compare", help="difference table between two pipeline configs",
         description="Runs both configs (same domain/k/levels/kappas/f, "
                     "differing only in algorithm or F) on shared meshes, "
-                    "tabulates per-level solution differences in "
-                    "comparison.csv and comparison.md, and prints the "
-                    "latter.  The columns are always phi and u in H1 "
-                    "and L2 and p in L2; the configs' norms are not "
-                    "read.")
+                    "factors and Stokes matrices, tabulates per-level "
+                    "solution differences in comparison.csv and "
+                    "comparison.md, and prints the latter.  The columns "
+                    "are always phi and u in H1 and L2 and p in L2; the "
+                    "configs' norms are not read.")
     cmp_p.add_argument("config_a")
     cmp_p.add_argument("config_b")
     cmp_p.add_argument("--out", help="output directory (default: config_a's)")

@@ -53,12 +53,6 @@ class PolygonDomain:
         if bad:
             raise ValueError(f"degenerate interior angle at vertices {bad}")
 
-    def __repr__(self):
-        return (
-            f"PolygonDomain({len(self.vertices)} vertices, "
-            f"graded={sorted(self.graded_corners)})"
-        )
-
 
 def _signed_area(pts):
     x, y = pts[:, 0], pts[:, 1]

@@ -20,7 +20,8 @@ pressure by conjugate gradients on the Schur complement.  For k >= 2
 the Poisson space is the velocity space; for Mini the P1+bubble
 stiffness is the P1 stiffness plus a diagonal bubble block, so the
 velocity solves reuse the P1 factor.  Either way one factorization
-serves every solve of the level, for every chain run on it.
+serves every solve of the level, for every chain run on it, as one
+StokesOperator (B, pressure mass, preconditioner) serves its Stokes solves.
 
 The pressure CG is preconditioned by a fixed Chebyshev semi-iteration
 on the consistent pressure mass matrix, whose Jacobi-scaled spectrum is
@@ -55,13 +56,13 @@ from .quadrature import physical_points, triangle_rule
 from .spaces import Field, build_space, call_on_points, jacobians, prolongate
 
 __all__ = [
-    "StokesSolution",
     "LevelRecord",
     "SpdFactor",
     "stiffness_factor",
     "stokes_spaces",
     "mass_bounds",
     "chebyshev_mass_inverse",
+    "StokesOperator",
     "solve_stokes",
     "solve_poisson",
     "validate_curl",
@@ -72,22 +73,11 @@ __all__ = [
 
 
 @dataclass
-class StokesSolution:
-    u: Field
-    p: Field
-    iterations: int
-    residual_norm: float
-    pressure_mean: float     # m . p, bounded by the mean gate
-    divergence_max: float    # largest |B u| entry, bounded by its gate
-    assembly_seconds: float  # assembling B, pressure mass and load
-
-
-@dataclass
 class LevelRecord:
     level: int
     u: Field
     p: Field
-    phi: Field
+    phi: Field = None
     w: Field = None
     iterations: int = 0           # Stokes pressure CG steps
     residual_norm: float = 0.0    # Stokes full-system gate residual
@@ -258,50 +248,56 @@ def chebyshev_mass_inverse(mass, bounds):
     return spla.LinearOperator(mass.shape, matvec=apply, dtype=float)
 
 
-def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
-    """Solve the Stokes system with zero-mean pressure.
+class StokesOperator:
+    """A level's Stokes matrices, assembled once for every right-hand side.
 
-    With A the scalar stiffness of ``vspace`` (Dirichlet rows
-    eliminated; ``factor`` is its SpdFactor, for Mini one built on the
-    P1 factor) acting on both velocity components, and B the divergence
-    with its boundary-velocity columns zeroed in place (their entries
-    stay stored, as zeros), the pressure solves
-    B A^-1 B^T p = B A^-1 f by conjugate gradients.  The preconditioner
-    is ``chebyshev_mass_inverse`` of the pressure mass matrix, with the
-    ``mass_bounds`` of ``pspace``; B A^-1 B^T is spectrally equivalent
-    to that matrix, so the step count stays flat under refinement.  CG
-    starts from zero, or from the exact prolongation onto ``pspace`` of
-    ``p0``, a pressure Field on the same or a coarser mesh of the
-    hierarchy (the pipelines pass the coarser level's pressure).  The CG
-    residual is B u for the velocity u = A^-1 (f - B^T p), and CG stops
-    once it falls below 1e-13 |f| (not relative to B A^-1 f, which psp's
-    discrete curl load makes nearly zero).  The Schur complement is
-    singular on constants only, so p is shifted to zero mean against
-    m_i = integral of q_i before u is recovered; the pressure basis sums
-    to 1, so m is M 1, the row sums of the pressure mass M.
+    ``factor`` is the SpdFactor of A, the scalar stiffness of ``vspace``
+    (Dirichlet rows eliminated; for Mini built on the P1 factor), which
+    acts on both velocity components.  ``keep`` is 0 on the boundary
+    velocities and 1 elsewhere; ``b`` is the divergence B with those
+    columns zeroed in place (stored as zeros), ``mass`` the pressure
+    mass M, ``mvec`` m = M 1 (m_i = int q_i: the basis sums to 1) and
+    ``precond`` ``chebyshev_mass_inverse`` of M on the ``mass_bounds``
+    of ``pspace``.  ``geometry`` is ``jacobians`` of the spaces' mesh.
+    """
+
+    def __init__(self, vspace, pspace, factor, geometry):
+        self.vspace, self.pspace, self.factor = vspace, pspace, factor
+        self.keep = np.ones(2 * vspace.ndof)
+        self.keep[vector_boundary_dofs(vspace)] = 0.0
+        self.b = assemble_divergence(vspace, pspace, geometry)
+        self.b.data *= self.keep[self.b.indices]
+        self.mass = assemble_mass(pspace, geometry)
+        self.mvec = self.mass @ np.ones(pspace.ndof)
+        self.precond = chebyshev_mass_inverse(self.mass, mass_bounds(pspace))
+
+
+def solve_stokes(op, rhs, p0=None):
+    """Solve the Stokes system of the StokesOperator ``op``, zero-mean pressure.
+
+    The pressure solves B A^-1 B^T p = B A^-1 f by conjugate gradients,
+    preconditioned by ``op.precond``; B A^-1 B^T is spectrally
+    equivalent to the pressure mass, so the step count stays flat under
+    refinement.  CG starts from zero, or from the exact prolongation
+    onto the pressure space of ``p0``, a pressure Field on the same or a
+    coarser mesh of the hierarchy (the pipelines pass the coarser
+    level's pressure).  The CG residual is B u for the velocity
+    u = A^-1 (f - B^T p), and CG stops once it falls below 1e-13 |f|
+    (not relative to B A^-1 f, which psp's discrete curl load makes
+    nearly zero).  The Schur complement is singular on constants only,
+    so p is shifted to zero mean against m before u is recovered.
     The result must meet the gates of the multiplier-bordered system
     [[A, B^T, 0], [B, 0, m], [0, m^T, 0]], whose multiplier is zero:
     a 1e-10 relative residual, zero pressure mean and zero divergence.
-    The solution carries the mean m . p and the largest entry of |B u|
-    that the last two gates bound.  ``geometry`` is ``jacobians`` of the
-    spaces' mesh.
+    It returns the level's LevelRecord without ``phi``, ``w`` or timings.
     """
-    if vspace.mesh is not pspace.mesh:
-        raise ValueError("velocity and pressure spaces use different meshes")
+    vspace, pspace, factor, b = op.vspace, op.pspace, op.factor, op.b
     nv = vspace.ndof
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (2 * nv,):
         raise ValueError("rhs length does not match the vector velocity space")
-    t0 = time.perf_counter()
-    keep = np.ones(2 * nv)
-    keep[vector_boundary_dofs(vspace)] = 0.0
-    b = assemble_divergence(vspace, pspace, geometry)
-    b.data *= keep[b.indices]  # boundary-velocity columns, stored as zeros
     bt = b.T  # a CSC view: its matvec sums each row of B^T in column order
-    f = rhs * keep
-    mass_p = assemble_mass(pspace, geometry)
-    mvec = mass_p @ np.ones(pspace.ndof)  # m_i = int q_i: the basis sums to 1
-    assembly_seconds = time.perf_counter() - t0
+    f = rhs * op.keep
 
     # velocity vectors are component-major; the factor solves both
     # components at once as the two columns of an (nv, 2) block
@@ -317,25 +313,24 @@ def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
     steps = []
     fnorm = float(np.linalg.norm(f))
     x0 = None if p0 is None else prolongate(p0, pspace).coefficients
-    precond = chebyshev_mass_inverse(mass_p, mass_bounds(pspace))
     xp, info = spla.cg(schur, b @ a_inv(f), x0=x0, rtol=0.0,
-                       atol=1e-13 * fnorm, maxiter=1000, M=precond,
+                       atol=1e-13 * fnorm, maxiter=1000, M=op.precond,
                        callback=steps.append)
     if info > 0:
         raise ArithmeticError(
             f"pressure CG did not converge in {info} iterations")
-    xp = xp - float(mvec @ xp) / float(mvec.sum())
+    xp = xp - float(op.mvec @ xp) / float(op.mvec.sum())
     xu = a_inv(f - bt @ xp)
 
     div = b @ xu
-    mean = float(mvec @ xp)
+    mean = float(op.mvec @ xp)
     residual = float(np.sqrt(np.sum((a_mul(xu) + bt @ xp - f) ** 2)
                              + div @ div + mean ** 2))
     # each gate is written so that a NaN measurement fails it
     if not residual < 1e-10 * (fnorm if fnorm > 0.0 else 1.0):
         raise ArithmeticError(
             f"stokes solve residual too large: {residual:.3e}")
-    pnorm = float(np.sqrt(xp @ (mass_p @ xp)))
+    pnorm = float(np.sqrt(xp @ (op.mass @ xp)))
     floor = 1e-13 * (1.0 + float(np.linalg.norm(rhs)))
     if not abs(mean) <= 1e-10 * pnorm + floor:
         raise ArithmeticError(f"pressure mean {abs(mean):.3e} not zero")
@@ -343,9 +338,10 @@ def solve_stokes(vspace, pspace, rhs, factor, geometry, p0=None):
     divmax = float(np.max(np.abs(div))) if npres else 0.0
     if not divmax <= 1e-9 * unorm + floor:
         raise ArithmeticError(f"divergence residual {divmax:.3e} too large")
-    return StokesSolution(Field(vspace, 2, xu), Field(pspace, 1, xp),
-                          len(steps), residual, mean, divmax,
-                          assembly_seconds)
+    return LevelRecord(vspace.mesh.level, Field(vspace, 2, xu),
+                       Field(pspace, 1, xp), iterations=len(steps),
+                       residual_norm=residual, pressure_mean=mean,
+                       divergence_max=divmax)
 
 
 def solve_poisson(space, rhs, factor):
@@ -410,12 +406,15 @@ def run_chains(meshes, k, chains):
     runs its w (psp), Stokes and phi solves and ends as one LevelRecord.
     Each chain's CG starts from its own coarser pressure, so each
     chain's returned list of LevelRecords, one per mesh, equals a run of
-    that chain alone, except that the records report the shared factor:
-    its ``factor_nnz``, and ``lu_solves``, ``lu_residual_max`` and
-    ``seconds["factor"]`` over all chains.  The level's geometry
-    (``jacobians``) is computed once and serves every assembly on it.
-    Each finished level writes one progress line to stderr, led by the
-    kappa that graded the hierarchy's refinements.
+    that chain alone, except that the records report what the chains
+    share: the factor's ``factor_nnz``, ``lu_solves``, ``lu_residual_max``
+    and ``seconds["factor"]``, and in ``seconds["stokes_assembly"]`` the
+    build of the level's one StokesOperator, made after the level's first
+    Stokes right-hand side and dropped once the last chain's Stokes solve
+    returns.  The level's geometry (``jacobians``) is computed once and
+    serves every assembly on it.  Each finished level writes one progress
+    line to stderr, led by the kappa that graded the hierarchy's
+    refinements.
     """
     for f, F in chains:
         if F is not None:
@@ -432,6 +431,7 @@ def run_chains(meshes, k, chains):
             sspace, sfactor, vfactor = _level_factors(vspace, pspace,
                                                       geometry)
             factor_s = time.perf_counter() - t0
+            op = None
             for (f, F), run in zip(chains, runs):
                 secs = {"factor": factor_s}
                 w = None
@@ -445,22 +445,22 @@ def run_chains(meshes, k, chains):
                        if w is None else
                        assemble_stokes_rhs_discrete_curl(vspace, w, geometry))
                 rhs_s = time.perf_counter() - t0
-                sol = solve_stokes(vspace, pspace, rhs, vfactor, geometry,
-                                   run[-1].p if run else None)
-                secs["stokes_assembly"] = rhs_s + sol.assembly_seconds
-                secs["stokes"] = (time.perf_counter() - t0
-                                  - secs["stokes_assembly"])
+                if op is None:  # after the level's first right-hand side
+                    op = StokesOperator(vspace, pspace, vfactor, geometry)
+                    op_s = time.perf_counter() - t0 - rhs_s
+                secs["stokes_assembly"] = rhs_s + op_s
                 t0 = time.perf_counter()
-                phi = solve_poisson(
-                    sspace, assemble_curl_rhs(sspace, sol.u, geometry),
+                rec = solve_stokes(op, rhs, run[-1].p if run else None)
+                secs["stokes"] = time.perf_counter() - t0
+                if run is runs[-1]:  # no phi solve holds B and M
+                    op = None
+                t0 = time.perf_counter()
+                rec.phi = solve_poisson(
+                    sspace, assemble_curl_rhs(sspace, rec.u, geometry),
                     sfactor)
                 secs["poisson_phi"] = time.perf_counter() - t0
-                run.append(LevelRecord(
-                    mesh.level, sol.u, sol.p, phi, w=w,
-                    iterations=sol.iterations,
-                    residual_norm=sol.residual_norm,
-                    pressure_mean=sol.pressure_mean,
-                    divergence_max=sol.divergence_max, seconds=secs))
+                rec.w, rec.seconds = w, secs
+                run.append(rec)
         except ArithmeticError as exc:
             raise ArithmeticError(f"level {mesh.level}: {exc}") from exc
         # ru_maxrss is in KiB on Linux, for the whole process

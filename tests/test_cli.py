@@ -98,6 +98,10 @@ def after_wrote_lines(stdout, out, names):
     (dict(kappas=(0.2, 0.2000001)), "duplicates as printed: 0.2, 0.2"),
     (dict(f="const:nan"), "'const:nan' needs a finite number"),
     (dict(f="const:inf"), "'const:inf' needs a finite number"),
+    (dict(k=2.0), "k must be an integer, got 2.0"),
+    (dict(k=True), "k must be an integer, got True"),
+    (dict(levels=3.5), "levels must be an integer, got 3.5"),
+    (dict(levels=4.0), "levels must be an integer, got 4.0"),
 ])
 def test_config_rejects_bad_fields(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -35,6 +35,7 @@ from biharm.solvers import (
     solve_poisson,
     solve_stokes,
     stiffness_factor,
+    StokesOperator,
     stokes_spaces,
     validate_curl,
 )
@@ -72,7 +73,8 @@ def stokes(vspace, pspace, rhs, p0=None):
     Mini."""
     geometry = jacobians(vspace.mesh)
     factor = _level_factors(vspace, pspace, geometry)[2]
-    return solve_stokes(vspace, pspace, rhs, factor, geometry, p0)
+    return solve_stokes(StokesOperator(vspace, pspace, factor, geometry),
+                        rhs, p0)
 
 
 def poisson(space, rhs):
@@ -287,7 +289,7 @@ def test_stokes_non_finite_rhs_fails_its_first_back_solve(square_meshes, k):
     rhs[np.setdiff1d(np.arange(vspace.ndof),
                      vspace.boundary_dofs)[0]] = np.nan
     with pytest.raises(ArithmeticError, match="direct solve residual"):
-        solve_stokes(vspace, pspace, rhs, vfactor, geometry)
+        solve_stokes(StokesOperator(vspace, pspace, vfactor, geometry), rhs)
     assert sfactor.solves == 1
 
 
@@ -483,12 +485,28 @@ def test_one_scalar_factor_per_level(monkeypatch, square_meshes, algorithm,
     assert counting.splu_calls == per_level * len(square_meshes)
 
 
+def _count_calls(monkeypatch, name):
+    """The arguments of each call of solvers' ``name`` from now on."""
+    calls, real = [], getattr(biharm.solvers, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(biharm.solvers, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_comparison_factors_each_level_once(monkeypatch, k):
-    # sp and psp solve on each level's one factor, and each chain's
-    # records equal those of a run of it alone, bit for bit: a warm
-    # start shared between the chains would move the CG iterates
+    # sp and psp solve on each level's one factor and one Stokes
+    # operator, and each chain's records equal those of a run of it
+    # alone, bit for bit: a warm start shared between the chains would
+    # move the CG iterates
     calls = []
+    built = {name: _count_calls(monkeypatch, name)
+             for name in ("assemble_divergence", "assemble_mass",
+                          "chebyshev_mass_inverse")}
 
     def recording(meshes, k, chains):
         runs = run_chains(meshes, k, chains)
@@ -503,6 +521,12 @@ def test_comparison_factors_each_level_once(monkeypatch, k):
                    ExperimentConfig(algorithm="psp", **config))
     [(meshes, runs)] = calls
     shared = counting.splu_calls
+    # B, the pressure mass and its preconditioner once per level
+    pspaces = [id(rec.p.space) for rec in runs[0]]
+    assert [id(rec.p.space) for rec in runs[1]] == pspaces
+    assert [id(args[1]) for args in built["assemble_divergence"]] == pspaces
+    assert [id(args[0]) for args in built["assemble_mass"]] == pspaces
+    assert len(built["chebyshev_mass_inverse"]) == len(meshes)
     alone = [run_sp(meshes, fone, FORCE_INT_X, k)]
     assert shared == counting.splu_calls - shared == len(meshes)
     alone.append(run_psp(meshes, fone, k))
@@ -526,6 +550,44 @@ def test_comparison_factors_each_level_once(monkeypatch, k):
         assert rec_a.lu_residual_max == max(ref_a.lu_residual_max,
                                             ref_b.lu_residual_max)
         assert rec_a.factor_nnz == ref_a.factor_nnz == ref_b.factor_nnz
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stokes_operator_lives_from_first_rhs_to_last_stokes_solve(
+        monkeypatch, lshape_meshes, k):
+    # B is assembled after the level's first Stokes right-hand side and
+    # is freed, without a cyclic collection, once the last chain's
+    # Stokes solve returns: before that chain's phi right-hand side
+    events, refs = [], []
+
+    def spy(name):
+        real = getattr(biharm.solvers, name)
+
+        def wrapper(*args):
+            events.append((name, bool(refs) and refs[-1]() is not None))
+            result = real(*args)
+            if name == "assemble_divergence":
+                refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(biharm.solvers, name, wrapper)
+
+    for name in ("assemble_stokes_rhs_analytic",
+                 "assemble_stokes_rhs_discrete_curl", "assemble_divergence",
+                 "assemble_curl_rhs"):
+        spy(name)
+    gc.disable()
+    try:
+        run_chains(lshape_meshes, k, [(fone, FORCE_INT_X), (fone, None)])
+    finally:
+        gc.enable()
+    # each pair is (call, whether the latest B was alive when it began)
+    level = [("assemble_stokes_rhs_analytic", False),
+             ("assemble_divergence", False),
+             ("assemble_curl_rhs", True),
+             ("assemble_stokes_rhs_discrete_curl", True),
+             ("assemble_curl_rhs", False)]
+    assert events == level * len(lshape_meshes)
 
 
 @pytest.mark.parametrize("k", [1, 2])
