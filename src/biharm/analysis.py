@@ -8,9 +8,7 @@ mesh that holds both: the finer field's own space when it holds the
 coarser field, else the Lagrange space of the larger degree (P_k
 spaces on refined meshes are nested; the Mini bubble is cubic, so a
 Mini field lifts exactly into P3), so no representation error enters.
-Norms take the ``geometry`` of the mesh they integrate on, the pair
-``spaces.jacobians(mesh)``, from their caller, who computes it once for
-every norm on that mesh.
+Norms integrate with the ``det`` and ``inv_t`` that the mesh holds.
 """
 
 import math
@@ -68,13 +66,12 @@ def _quad_order(space, norm):
     return 2 * p if norm == "L2" else max(1, 2 * (p - 1))
 
 
-def field_norm(field, norm, geometry):
+def field_norm(field, norm):
     """L2 norm, H1 seminorm, or nodal max of a field (components summed).
 
-    ``geometry`` is ``jacobians`` of the field's mesh (the nodal max does
-    not use it).  The squared integrand is formed TRANSFER_ROWS
-    triangles at a time; each block leaves only its per-triangle
-    quadrature sums, and one product with |det| adds them up.
+    The squared integrand is formed TRANSFER_ROWS triangles at a time;
+    each block leaves only its per-triangle quadrature sums, and one
+    product with |det| adds them up.
     """
     _check_norm(norm)
     space = field.space
@@ -83,7 +80,7 @@ def field_norm(field, norm, geometry):
         return max(float(np.max(np.abs(field.component(c)[:n])))
                    for c in range(field.components))
     lam, w = triangle_rule(_quad_order(space, norm))
-    det, inv_t = geometry
+    det, inv_t = space.mesh.det, space.mesh.inv_t
     ed = space.element_dofs
     vals = basis_values(space, lam)
     gref = basis_ref_grads(space, lam)
@@ -149,19 +146,17 @@ def lift_pairs(fine, coarse, norms):
     return out
 
 
-def diff_norm(fine, coarse, norm, geometry):
+def diff_norm(fine, coarse, norm):
     """Norm of fine - coarse for fields in hierarchy order.
 
     ``fine`` lives on the same mesh as ``coarse`` or on a descendant of
     it.  Both fields are lifted exactly into one space on the finer mesh
     (see ``lift_pairs``) and the norm of their difference is taken
-    there, with ``geometry`` the ``jacobians`` of that mesh; for Linf
-    that samples the finer field's Lagrange nodes.
+    there; for Linf that samples the finer field's Lagrange nodes.
     """
     fine, coarse = lift_pairs(fine, coarse, (norm,))[norm]
     delta = fine.coefficients - coarse.coefficients
-    return field_norm(Field(fine.space, fine.components, delta), norm,
-                      geometry)
+    return field_norm(Field(fine.space, fine.components, delta), norm)
 
 
 def rate_table(levels, diffs):

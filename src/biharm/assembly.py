@@ -2,15 +2,15 @@
 
 All integrals are evaluated with triangle rules whose exactness degree
 covers the integrand: polynomial parts exactly, analytic data with the
-order k+2.  Every assembler takes the ``geometry`` of its mesh, the
-pair ``spaces.jacobians(mesh)``, which the level loop computes once and
-passes to each of them.  Matrices are summed from per-element blocks
-into int32-indexed CSR one block of SCATTER_ROWS rows at a time; each row
-takes its entries in element-index order, as one coo->csr of all
-triplets would, so the result is deterministic and the same to the
-bit.  Load vectors sum their element vectors in element order with
-``np.bincount``.  Velocity vectors use component-major layout (all
-x-coefficients, then all y-coefficients).
+order k+2.  Every assembler reads its mesh's per-triangle ``det`` and
+``inv_t``, which the mesh computed once when it was made.  Matrices are
+summed from per-element blocks into int32-indexed CSR one block of
+SCATTER_ROWS rows at a time; each row takes its entries in
+element-index order, as one coo->csr of all triplets would, so the
+result is deterministic and the same to the bit.  Load vectors sum
+their element vectors in element order with ``np.bincount``.  Velocity
+vectors use component-major layout (all x-coefficients, then all
+y-coefficients).
 """
 
 import numpy as np
@@ -71,25 +71,27 @@ def _scatter(element_block, rows, cols, shape):
     return sps.vstack(blocks, format="csr")
 
 
-def assemble_stiffness(space, geometry):
+def assemble_stiffness(space):
     """A_ij = int grad(phi_j) . grad(phi_i); symmetric CSR."""
     lam, w = triangle_rule(max(1, 2 * (poly_degree(space) - 1)))
     gref = basis_ref_grads(space, lam)
     ed = space.element_dofs
-    return _scatter(lambda: kernels.element_stiffness(*geometry, gref, w),
+    mesh = space.mesh
+    return _scatter(lambda: kernels.element_stiffness(mesh.det, mesh.inv_t,
+                                                      gref, w),
                     ed, ed, (space.ndof, space.ndof))
 
 
-def assemble_mass(space, geometry):
+def assemble_mass(space):
     """M_ij = int phi_j phi_i; symmetric CSR."""
     lam, w = triangle_rule(2 * poly_degree(space))
     vals = basis_values(space, lam)
     ed = space.element_dofs
-    return _scatter(lambda: kernels.element_mass(geometry[0], vals, w),
+    return _scatter(lambda: kernels.element_mass(space.mesh.det, vals, w),
                     ed, ed, (space.ndof, space.ndof))
 
 
-def assemble_divergence(vspace, pspace, geometry):
+def assemble_divergence(vspace, pspace):
     """B with B[(q, v)] = -int (div v) q, shape npressure x 2 nvelocity."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces live on different meshes")
@@ -101,8 +103,9 @@ def assemble_divergence(vspace, pspace, geometry):
     nv = vspace.ndof
     cols = vspace.element_dofs.astype(np.int32)
     cols = np.hstack([cols, cols + nv])  # component-major velocity columns
+    mesh = vspace.mesh
     return _scatter(lambda: kernels.element_divergence(
-        *geometry, gref_v, vals_p, w),
+        mesh.det, mesh.inv_t, gref_v, vals_p, w),
         pspace.element_dofs, cols, (pspace.ndof, 2 * nv))
 
 
@@ -112,7 +115,7 @@ def _sum_loads(space, local):
                        minlength=space.ndof)
 
 
-def _analytic_loads(space, fs, geometry):
+def _analytic_loads(space, fs):
     """b_i = int f phi_i for each f of ``fs``, on points mapped once."""
     lam, w = triangle_rule(poly_degree(space) + 2)
     vals = basis_values(space, lam)
@@ -120,32 +123,33 @@ def _analytic_loads(space, fs, geometry):
     shape = pts.shape[:2]
     pts = pts.reshape(-1, 2)
     return [_sum_loads(space, kernels.element_load(
-        geometry[0], vals, call_on_points(f, pts).reshape(shape), w))
+        space.mesh.det, vals, call_on_points(f, pts).reshape(shape), w))
         for f in fs]
 
 
-def assemble_load(space, f, geometry):
+def assemble_load(space, f):
     """b_i = int f phi_i with a rule of order k + 2."""
-    return _analytic_loads(space, (f,), geometry)[0]
+    return _analytic_loads(space, (f,))[0]
 
 
-def assemble_stokes_rhs_analytic(vspace, F, geometry):
+def assemble_stokes_rhs_analytic(vspace, F):
     """<F, v> for an analytic pair F = (f1, f2); stacked component blocks."""
     f1, f2 = F
-    return np.concatenate(_analytic_loads(vspace, (f1, f2), geometry))
+    return np.concatenate(_analytic_loads(vspace, (f1, f2)))
 
 
-def _component_grads_at_quad(field, lam, geometry):
+def _component_grads_at_quad(field, lam):
     space = field.space
     gref = basis_ref_grads(space, lam)
     ed = space.element_dofs
     return [
-        kernels.field_grads_at_quad(*geometry, gref, field.component(c)[ed])
+        kernels.field_grads_at_quad(space.mesh.det, space.mesh.inv_t, gref,
+                                    field.component(c)[ed])
         for c in range(field.components)
     ]
 
 
-def assemble_stokes_rhs_discrete_curl(vspace, w_field, geometry):
+def assemble_stokes_rhs_discrete_curl(vspace, w_field):
     """<curl w, v> = int (dw/dy) v1 - (dw/dx) v2 for a scalar FE field w."""
     if w_field.space.mesh is not vspace.mesh:
         raise ValueError("w lives on a different mesh than the velocity space")
@@ -153,15 +157,15 @@ def assemble_stokes_rhs_discrete_curl(vspace, w_field, geometry):
         raise ValueError("w must be a scalar field")
     order = max(1, poly_degree(w_field.space) - 1 + poly_degree(vspace))
     lam, w = triangle_rule(order)
-    (gw,) = _component_grads_at_quad(w_field, lam, geometry)
+    (gw,) = _component_grads_at_quad(w_field, lam)
     vals = basis_values(vspace, lam)
-    det = geometry[0]
+    det = vspace.mesh.det
     b1 = kernels.element_load(det, vals, np.ascontiguousarray(gw[:, :, 1]), w)
     b2 = kernels.element_load(det, vals, np.ascontiguousarray(-gw[:, :, 0]), w)
     return np.concatenate([_sum_loads(vspace, b1), _sum_loads(vspace, b2)])
 
 
-def assemble_curl_rhs(space, u_field, geometry):
+def assemble_curl_rhs(space, u_field):
     """b_i = int (du2/dx - du1/dy) psi_i for a vector FE field u."""
     if u_field.space.mesh is not space.mesh:
         raise ValueError("u lives on a different mesh than the scalar space")
@@ -169,10 +173,10 @@ def assemble_curl_rhs(space, u_field, geometry):
         raise ValueError("u must be a vector field")
     order = max(1, poly_degree(u_field.space) - 1 + poly_degree(space))
     lam, w = triangle_rule(order)
-    g1, g2 = _component_grads_at_quad(u_field, lam, geometry)
+    g1, g2 = _component_grads_at_quad(u_field, lam)
     curl = np.ascontiguousarray(g2[:, :, 0] - g1[:, :, 1])
     vals = basis_values(space, lam)
-    return _sum_loads(space, kernels.element_load(geometry[0], vals, curl, w))
+    return _sum_loads(space, kernels.element_load(space.mesh.det, vals, curl, w))
 
 
 def apply_dirichlet(A, dofs):

@@ -45,7 +45,7 @@ from .analysis import NORMS, diff_norm, lift_pairs, markdown_table, rate_table
 from .corners import beta0, solve_alpha0
 from .meshing import builtin_domain, read_mesh, refine_hierarchy, write_mesh
 from .solvers import run_chains, run_psp, run_sp
-from .spaces import Field, jacobians
+from .spaces import Field
 
 __all__ = [
     "ExperimentConfig",
@@ -321,15 +321,13 @@ def _run_column(config, root, kappa):
     diffs = {(quantity, norm): [] for quantity in config.quantities
              for norm in config.norms}
     for fine, coarse in zip(records[1:], records):
-        # one geometry per level pair serves every quantity and norm;
         # each quantity is lifted once and serves every norm
-        geometry = jacobians(fine.phi.space.mesh)
         for quantity in config.quantities:
             pairs = lift_pairs(getattr(fine, quantity),
                                getattr(coarse, quantity), config.norms)
             for norm in config.norms:
                 diffs[(quantity, norm)].append(
-                    diff_norm(*pairs[norm], norm, geometry))
+                    diff_norm(*pairs[norm], norm))
     levels = [rec.level for rec in records[1:]]
     reports = {key: rate_table(levels, values)
                for key, values in diffs.items()}
@@ -476,11 +474,9 @@ def _compare_column(config_a, config_b, root, kappa):
                       [_chain(config_a), _chain(config_b)])
     rows = []
     for rec_a, rec_b in list(zip(*runs))[1:]:
-        geometry = jacobians(rec_a.phi.space.mesh)
         rows.append((rec_a.level, {
             _cell_name(quantity, norm): diff_norm(
-                getattr(rec_a, quantity), getattr(rec_b, quantity), norm,
-                geometry)
+                getattr(rec_a, quantity), getattr(rec_b, quantity), norm)
             for quantity, norm in _COMPARE_CELLS}))
     return rows
 

@@ -8,7 +8,9 @@ midpoint, which grades the mesh geometrically toward the corner while
 keeping all triangles shape regular.  Point indices are stable across
 levels (refinement only appends points), and each mesh keeps a reference
 to the mesh it was refined from and the kappa of that refinement, so
-ancestry of any triangle can be walked back to level 0.
+ancestry of any triangle can be walked back to level 0.  Each mesh
+computes its triangles' affine maps once, when it is made: ``det`` and
+``inv_t``, which every assembler and norm on it reads.
 """
 
 import math
@@ -84,16 +86,25 @@ class Mesh:
     # order, and the rows of those with one incident triangle
     edges: np.ndarray = field(init=False, repr=False)
     boundary_edges: np.ndarray = field(init=False, repr=False)
+    # affine map of each triangle, J = [p1 - p0, p2 - p0]: det J (twice
+    # the signed area) and the transposed inverse invJ^T, (nt, 2, 2)
+    det: np.ndarray = field(init=False, repr=False)
+    inv_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.corner_vertex = np.asarray(self.corner_vertex, dtype=np.int64)
-        areas = self.areas()
-        if not np.all(areas > 0.0):  # a NaN area fails too
-            bad = int(np.argmin(areas))
+        p = self.points[self.triangles]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        self.det = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
+        if not np.all(self.det > 0.0):  # a NaN determinant fails too
+            bad = int(np.argmin(self.det))
             raise ValueError(f"triangle {bad} is degenerate or clockwise")
+        self.inv_t = np.stack([d2[:, 1], -d1[:, 1], -d2[:, 0], d1[:, 0]],
+                              axis=1).reshape(-1, 2, 2) / self.det[:, None, None]
+        del p, d1, d2
         # both edge arrays from one sort of the codes lo * npoints + hi;
         # an edge with more than two triangles is non-manifold
         raw = self.triangles[:, [0, 1, 1, 2, 2, 0]]
@@ -106,14 +117,6 @@ class Mesh:
         self.edges = np.column_stack([codes // npts, codes % npts])
         self.boundary_edges = self.edges[counts == 1]
 
-    # -- geometry ---------------------------------------------------------
-
-    def areas(self):
-        p = self.points[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def edge_index(self, u, v):
         """Rows of the edges {u, v} in ``edges``.
 
@@ -123,24 +126,6 @@ class Mesh:
         n = len(self.points)
         codes = self.edges[:, 0] * n + self.edges[:, 1]
         return np.searchsorted(codes, np.minimum(u, v) * n + np.maximum(u, v))
-
-    def corner_point(self, corner):
-        """Point index of a domain corner on this mesh."""
-        hits = np.nonzero(self.corner_vertex == corner)[0]
-        if len(hits) != 1:
-            raise ValueError(f"corner {corner} not present on mesh")
-        return int(hits[0])
-
-    def min_angle(self):
-        p = self.points[self.triangles]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-            dot = np.sum(a * b, axis=1)
-            angles.append(np.arctan2(np.abs(cross), dot))
-        return float(np.min(angles))
 
 
 # -- builtin domains ------------------------------------------------------
@@ -268,7 +253,7 @@ def graded_refine(mesh, kappa=0.5):
         kappa=kappa,
     )
     # degenerate children would violate the minimum-area contract
-    ratio = fine.areas().reshape(-1, 4) / mesh.areas()[:, None]
+    ratio = fine.det.reshape(-1, 4) / mesh.det[:, None]
     if np.any(ratio < 1e-14):
         t = int(np.nonzero(ratio < 1e-14)[0][0])
         raise ValueError(f"refinement produced a degenerate child of triangle {t}")
@@ -311,7 +296,11 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Rebuild a mesh from the text format (inverse of write_mesh)."""
+    """Rebuild a mesh from the text format (inverse of write_mesh).
+
+    The corner ids of the points are 0..n-1, each on exactly one point,
+    and every ``corner`` line names one of them.
+    """
     with open(path) as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
     n, head = lines[0] if lines else (1, [])
@@ -348,6 +337,12 @@ def read_mesh(path):
     corner = np.asarray(corner)
     ids = corner[corner >= 0]
     order = np.argsort(ids)
+    if not np.array_equal(ids[order], np.arange(len(ids))):
+        raise ValueError(f"corner ids {sorted(ids.tolist())} are not "
+                         f"0..{len(ids) - 1}, each on exactly one point")
+    if not set(graded) <= set(range(len(ids))):
+        raise ValueError(f"'corner' lines name corners {sorted(graded)}, "
+                         f"but the points carry only 0..{len(ids) - 1}")
     verts = np.asarray(points)[corner >= 0][order]
     domain = PolygonDomain(verts, {c for c, g in graded.items() if g})
     return Mesh(

@@ -53,7 +53,7 @@ from .assembly import (
     vector_boundary_dofs,
 )
 from .quadrature import physical_points, triangle_rule
-from .spaces import Field, build_space, call_on_points, jacobians, prolongate
+from .spaces import Field, build_space, call_on_points, prolongate
 
 __all__ = [
     "LevelRecord",
@@ -172,15 +172,14 @@ class SpdFactor:
         return x
 
 
-def stiffness_factor(space, geometry, lead=None):
+def stiffness_factor(space, lead=None):
     """SpdFactor of the stiffness matrix with Dirichlet rows eliminated.
 
-    ``geometry`` is ``jacobians`` of the space's mesh.  ``lead`` is
-    passed on to SpdFactor: for a Mini space, the P1 stiffness factor of
-    the same mesh.
+    ``lead`` is passed on to SpdFactor: for a Mini space, the P1
+    stiffness factor of the same mesh.
     """
     # the CSR is dropped before SpdFactor factors its CSC copy
-    return SpdFactor(apply_dirichlet(assemble_stiffness(space, geometry),
+    return SpdFactor(apply_dirichlet(assemble_stiffness(space),
                                      space.boundary_dofs).tocsc(), lead)
 
 
@@ -258,16 +257,16 @@ class StokesOperator:
     columns zeroed in place (stored as zeros), ``mass`` the pressure
     mass M, ``mvec`` m = M 1 (m_i = int q_i: the basis sums to 1) and
     ``precond`` ``chebyshev_mass_inverse`` of M on the ``mass_bounds``
-    of ``pspace``.  ``geometry`` is ``jacobians`` of the spaces' mesh.
+    of ``pspace``.
     """
 
-    def __init__(self, vspace, pspace, factor, geometry):
+    def __init__(self, vspace, pspace, factor):
         self.vspace, self.pspace, self.factor = vspace, pspace, factor
         self.keep = np.ones(2 * vspace.ndof)
         self.keep[vector_boundary_dofs(vspace)] = 0.0
-        self.b = assemble_divergence(vspace, pspace, geometry)
+        self.b = assemble_divergence(vspace, pspace)
         self.b.data *= self.keep[self.b.indices]
-        self.mass = assemble_mass(pspace, geometry)
+        self.mass = assemble_mass(pspace)
         self.mvec = self.mass @ np.ones(pspace.ndof)
         self.precond = chebyshev_mass_inverse(self.mass, mass_bounds(pspace))
 
@@ -382,7 +381,7 @@ def validate_curl(mesh, f, F):
     return resid
 
 
-def _level_factors(vspace, pspace, geometry):
+def _level_factors(vspace, pspace):
     """The level's P_k Poisson space, its factor and the velocity factor.
 
     One splu serves the level: for k >= 2 the Poisson space is the
@@ -391,10 +390,10 @@ def _level_factors(vspace, pspace, geometry):
     diagonal.
     """
     if vspace.kind == "lagrange":
-        factor = stiffness_factor(vspace, geometry)
+        factor = stiffness_factor(vspace)
         return vspace, factor, factor
-    sfactor = stiffness_factor(pspace, geometry)
-    return pspace, sfactor, stiffness_factor(vspace, geometry, sfactor)
+    sfactor = stiffness_factor(pspace)
+    return pspace, sfactor, stiffness_factor(vspace, sfactor)
 
 
 def run_chains(meshes, k, chains):
@@ -411,10 +410,8 @@ def run_chains(meshes, k, chains):
     and ``seconds["factor"]``, and in ``seconds["stokes_assembly"]`` the
     build of the level's one StokesOperator, made after the level's first
     Stokes right-hand side and dropped once the last chain's Stokes solve
-    returns.  The level's geometry (``jacobians``) is computed once and
-    serves every assembly on it.  Each finished level writes one progress
-    line to stderr, led by the kappa that graded the hierarchy's
-    refinements.
+    returns.  Each finished level writes one progress line to stderr,
+    led by the kappa that graded the hierarchy's refinements.
     """
     for f, F in chains:
         if F is not None:
@@ -424,12 +421,10 @@ def run_chains(meshes, k, chains):
     label = "" if kappa is None else f"kappa={kappa:g} "
     for mesh in meshes:
         start = time.perf_counter()
-        geometry = jacobians(mesh)
         vspace, pspace = stokes_spaces(mesh, k)
         try:
             t0 = time.perf_counter()
-            sspace, sfactor, vfactor = _level_factors(vspace, pspace,
-                                                      geometry)
+            sspace, sfactor, vfactor = _level_factors(vspace, pspace)
             factor_s = time.perf_counter() - t0
             op = None
             for (f, F), run in zip(chains, runs):
@@ -438,15 +433,14 @@ def run_chains(meshes, k, chains):
                 if F is None:
                     t0 = time.perf_counter()
                     w = solve_poisson(
-                        sspace, assemble_load(sspace, f, geometry), sfactor)
+                        sspace, assemble_load(sspace, f), sfactor)
                     secs["poisson_w"] = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                rhs = (assemble_stokes_rhs_analytic(vspace, F, geometry)
-                       if w is None else
-                       assemble_stokes_rhs_discrete_curl(vspace, w, geometry))
+                rhs = (assemble_stokes_rhs_analytic(vspace, F) if w is None
+                       else assemble_stokes_rhs_discrete_curl(vspace, w))
                 rhs_s = time.perf_counter() - t0
                 if op is None:  # after the level's first right-hand side
-                    op = StokesOperator(vspace, pspace, vfactor, geometry)
+                    op = StokesOperator(vspace, pspace, vfactor)
                     op_s = time.perf_counter() - t0 - rhs_s
                 secs["stokes_assembly"] = rhs_s + op_s
                 t0 = time.perf_counter()
@@ -456,8 +450,7 @@ def run_chains(meshes, k, chains):
                     op = None
                 t0 = time.perf_counter()
                 rec.phi = solve_poisson(
-                    sspace, assemble_curl_rhs(sspace, rec.u, geometry),
-                    sfactor)
+                    sspace, assemble_curl_rhs(sspace, rec.u), sfactor)
                 secs["poisson_phi"] = time.perf_counter() - t0
                 rec.w, rec.seconds = w, secs
                 run.append(rec)
@@ -476,7 +469,7 @@ def run_chains(meshes, k, chains):
             f"{label}level {mesh.level}: {len(mesh.triangles)} triangles, "
             f"factor_nnz {sfactor.nnz}, cg {steps} steps, "
             f"{time.perf_counter() - start:.2f} s, maxrss_mb {maxrss_mb:.1f}\n")
-        del sfactor, vfactor, geometry
+        del sfactor, vfactor
     return runs
 
 

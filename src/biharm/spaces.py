@@ -6,7 +6,9 @@ lexicographic edge order (nodes on one edge ordered from the lower
 endpoint), then per-triangle interior DOFs.  The bubble space adds one
 cubic bubble lambda0*lambda1*lambda2 per triangle to P1 (unnormalized,
 so its value at the centroid is 1/27); bubble DOFs are never boundary
-DOFs.  Vector fields store two stacked component blocks.
+DOFs.  Vector fields store two stacked component blocks.  The
+reference basis is mapped to each triangle by the affine maps that the
+space's mesh holds (``Mesh.det``, ``Mesh.inv_t``).
 """
 
 from dataclasses import dataclass
@@ -221,20 +223,6 @@ def basis_ref_grads(space, lam):
     return g
 
 
-def jacobians(mesh):
-    """Per-triangle affine data: detJ (nt,) and invJ^T (nt, 2, 2).
-
-    J has the columns p1 - p0 and p2 - p0 of the triangle's corners.
-    Callers compute this ``geometry`` once per mesh and pass it to every
-    assembler and norm on that mesh; it is kept on no object.
-    """
-    p = mesh.points[mesh.triangles]
-    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
-    inv_t = np.stack([d2[:, 1], -d1[:, 1], -d2[:, 0], d1[:, 0]], axis=1)
-    return det, inv_t.reshape(-1, 2, 2) / det[:, None, None]
-
-
 # -- user callables and prolongation ----------------------------------------
 
 
@@ -257,7 +245,7 @@ def _barycentric(mesh, tri, xy):
     d1 = mesh.points[mesh.triangles[tri, 1]] - corner
     d2 = mesh.points[mesh.triangles[tri, 2]] - corner
     r = xy - corner
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    det = mesh.det[tri]
     l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
     l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
     return np.column_stack([1.0 - l1 - l2, l1, l2])

@@ -1,14 +1,14 @@
-"""Reference checks that only the tests use: nodal interpolation and
-pointwise evaluation of fields, errors against an exact solution, an
-exact corner-singular solution on the L-shape, the discrete inf-sup
-constant of a Stokes pair, the one-shot sparse
-assembly that row-blocked assembly must reproduce, a stiffness matrix
-from a rule of any order, custom level-0 meshes, and the grading
+"""Reference checks that only the tests use: the geometry each kernel
+call reads, nodal interpolation and pointwise evaluation of fields,
+errors against an exact solution, an exact corner-singular solution on
+the L-shape, the discrete inf-sup constant of a Stokes pair, the
+one-shot sparse assembly that row-blocked assembly must reproduce, a
+stiffness matrix from a rule of any order, custom level-0 meshes,
+corner points and smallest angles of meshes, and the grading
 parameters of the paper's theory."""
 
-import importlib
+import inspect
 import math
-import pkgutil
 
 import numpy as np
 import scipy.linalg
@@ -16,7 +16,6 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 import sympy
 
-import biharm
 from biharm import kernels
 from biharm.assembly import (
     apply_dirichlet,
@@ -34,24 +33,46 @@ from biharm.spaces import (
     basis_ref_grads,
     basis_values,
     call_on_points,
-    jacobians,
 )
 
 
-def count_jacobians(monkeypatch):
-    """The meshes of every later ``jacobians`` call, from any biharm module."""
+KERNELS = ("element_stiffness", "element_mass", "element_divergence",
+           "element_load", "field_grads_at_quad")
+
+
+def kernel_geometry(monkeypatch):
+    """The ``det`` and ``inv_t`` arguments of every later kernel call.
+
+    Each call adds a dict of the geometry arguments it was given; the
+    kernels without ``inv_t`` add ``det`` alone.
+    """
     calls = []
-    real = jacobians
 
-    def counting(mesh):
-        calls.append(mesh)
-        return real(mesh)
+    def recording(real):
+        params = list(inspect.signature(real).parameters)[:2]
 
-    for info in pkgutil.iter_modules(biharm.__path__):
-        module = importlib.import_module(f"biharm.{info.name}")
-        if hasattr(module, "jacobians"):
-            monkeypatch.setattr(module, "jacobians", counting)
+        def wrapper(*args):
+            calls.append({name: arg for name, arg in zip(params, args)
+                          if name in ("det", "inv_t")})
+            return real(*args)
+        return wrapper
+
+    for name in KERNELS:
+        monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
     return calls
+
+
+def geometry_owner(call, meshes):
+    """The one mesh of ``meshes`` whose own arrays a kernel call read.
+
+    Every geometry argument of ``call`` must share memory with that
+    mesh's array of the same name, so it is no recomputed copy.
+    """
+    owners = [mesh for mesh in meshes
+              if all(np.shares_memory(arg, getattr(mesh, name))
+                     for name, arg in call.items())]
+    assert len(owners) == 1, f"{len(owners)} meshes own {sorted(call)}"
+    return owners[0]
 
 
 def interpolate(space, f):
@@ -92,8 +113,7 @@ def gradient(field, triangle, bary):
     if len(tri) == 1 and len(lam) > 1:
         tri = np.full(len(lam), tri[0])
     gref = basis_ref_grads(field.space, lam)  # (n, nloc, 2)
-    _, inv_t = jacobians(field.space.mesh)
-    gphys = np.einsum("nde,nle->nld", inv_t[tri], gref)
+    gphys = np.einsum("nde,nle->nld", field.space.mesh.inv_t[tri], gref)
     dofs = field.space.element_dofs[tri]
     out = []
     for c in range(field.components):
@@ -105,14 +125,14 @@ def gradient(field, triangle, bary):
 
 def assemble_vector_stiffness(space):
     """Block-diagonal two-component copy of the scalar stiffness."""
-    a = assemble_stiffness(space, jacobians(space.mesh))
+    a = assemble_stiffness(space)
     return sps.block_diag([a, a], format="csr")
 
 
 def stiffness_of_order(space, order):
     """Stiffness matrix integrated by the triangle rule of ``order``."""
     lam, w = triangle_rule(order)
-    local = kernels.element_stiffness(*jacobians(space.mesh),
+    local = kernels.element_stiffness(space.mesh.det, space.mesh.inv_t,
                                       basis_ref_grads(space, lam), w)
     ed = space.element_dofs
     return one_shot_csr(local, ed, ed, (space.ndof, space.ndof))
@@ -149,7 +169,7 @@ def manufactured_error(field, exact, norm="L2", exact_grad=None):
     order = 2 * poly_degree(space) + 4
     lam, w = triangle_rule(order)
     pts = physical_points(lam, mesh.points[mesh.triangles])
-    det, inv_t = jacobians(mesh)
+    det, inv_t = mesh.det, mesh.inv_t
     if norm == "L2":
         vals = basis_values(space, lam)
         vq = np.einsum("tl,ql->tq", field.coefficients[space.element_dofs], vals)
@@ -235,9 +255,9 @@ def infsup_diagnostic(vspace, pspace):
     a = assemble_vector_stiffness(vspace)
     bdofs = vector_boundary_dofs(vspace)
     a = apply_dirichlet(a, bdofs)
-    b = assemble_divergence(vspace, pspace, jacobians(vspace.mesh)).toarray()
+    b = assemble_divergence(vspace, pspace).toarray()
     b[:, bdofs] = 0.0
-    m = assemble_mass(pspace, jacobians(pspace.mesh)).toarray()
+    m = assemble_mass(pspace).toarray()
     ainv_bt = spla.spsolve(a.tocsc(), b.T)
     if ainv_bt.ndim == 1:
         ainv_bt = ainv_bt[:, None]
@@ -269,6 +289,27 @@ def make_domain(vertices, graded_corners, triangles=None):
         corner_vertex=np.arange(n),
     )
     return domain, mesh
+
+
+def corner_point(mesh, corner):
+    """Point index of a domain corner on ``mesh``."""
+    hits = np.nonzero(mesh.corner_vertex == corner)[0]
+    if len(hits) != 1:
+        raise ValueError(f"corner {corner} not present on mesh")
+    return int(hits[0])
+
+
+def min_angle(mesh):
+    """Smallest interior angle of the triangles of ``mesh``."""
+    p = mesh.points[mesh.triangles]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        dot = np.sum(a * b, axis=1)
+        angles.append(np.arctan2(np.abs(cross), dot))
+    return float(np.min(angles))
 
 
 def grading_kappa(theta, a):

@@ -19,7 +19,7 @@ from biharm.assembly import assemble_load
 from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.quadrature import physical_points, triangle_rule
 from biharm.solvers import solve_poisson, stiffness_factor
-from biharm.spaces import Field, build_space, jacobians
+from biharm.spaces import Field, build_space
 
 from oracles import (
     evaluate,
@@ -86,39 +86,34 @@ def test_rate_table_recovers_exponent_of_geometric_decay(base, rate):
 
 def test_field_norm_exact_linear(square_meshes):
     f = interpolate(build_space(square_meshes[2], 1), lambda x, y: x + y)
-    geo = jacobians(square_meshes[2])
-    assert abs(field_norm(f, "L2", geo) - math.sqrt(8.0 / 3.0)) < 1e-13
-    assert abs(field_norm(f, "H1", geo) - math.sqrt(8.0)) < 1e-13
-    assert abs(field_norm(f, "Linf", geo) - 2.0) < 1e-14
+    assert abs(field_norm(f, "L2") - math.sqrt(8.0 / 3.0)) < 1e-13
+    assert abs(field_norm(f, "H1") - math.sqrt(8.0)) < 1e-13
+    assert abs(field_norm(f, "Linf") - 2.0) < 1e-14
     with pytest.raises(ValueError, match="norm"):
-        field_norm(f, "H2", geo)
+        field_norm(f, "H2")
 
 
 def test_diff_norm_identical_fields(square_meshes):
     f = interpolate(build_space(square_meshes[2], 2),
                     lambda x, y: np.sin(x) * y)
-    geo = jacobians(square_meshes[2])
     for norm in ("L2", "H1", "Linf"):
-        assert diff_norm(f, f, norm, geo) == 0.0
+        assert diff_norm(f, f, norm) == 0.0
 
 
 def test_diff_norm_prolongation_exactness(square_meshes):
     coarse = interpolate(build_space(square_meshes[1], 2), lambda x, y: x)
     fine = interpolate(build_space(square_meshes[3], 2), lambda x, y: x)
-    geo = jacobians(square_meshes[3])
     for norm in ("L2", "H1", "Linf"):
-        assert diff_norm(fine, coarse, norm, geo) < 1e-13
+        assert diff_norm(fine, coarse, norm) < 1e-13
 
 
 def test_diff_norm_exact_linear_pair(square_meshes):
     # (x + y) - 2x = y - x has exactly computable norms on the square
     coarse = interpolate(build_space(square_meshes[1], 1), lambda x, y: x + y)
     fine = interpolate(build_space(square_meshes[2], 1), lambda x, y: 2 * x)
-    geo = jacobians(square_meshes[2])
-    assert abs(diff_norm(fine, coarse, "L2", geo)
-               - math.sqrt(8.0 / 3.0)) < 1e-13
-    assert abs(diff_norm(fine, coarse, "H1", geo) - math.sqrt(8.0)) < 1e-13
-    assert abs(diff_norm(fine, coarse, "Linf", geo) - 2.0) < 1e-13
+    assert abs(diff_norm(fine, coarse, "L2") - math.sqrt(8.0 / 3.0)) < 1e-13
+    assert abs(diff_norm(fine, coarse, "H1") - math.sqrt(8.0)) < 1e-13
+    assert abs(diff_norm(fine, coarse, "Linf") - 2.0) < 1e-13
 
 
 def _ancestor(mesh, coarse_mesh, t):
@@ -171,9 +166,8 @@ def test_diff_norm_matches_independent_quadrature(
                                                       fp[2] - fp[0]])))
         l2 += fine_det * float(w @ dv**2)
         h1 += fine_det * float(w @ np.sum(dg**2, axis=1))
-    geo = jacobians(fmesh)
-    assert abs(diff_norm(a, b, "L2", geo) - math.sqrt(l2)) < 1e-10
-    assert abs(diff_norm(a, b, "H1", geo) - math.sqrt(h1)) < 1e-10
+    assert abs(diff_norm(a, b, "L2") - math.sqrt(l2)) < 1e-10
+    assert abs(diff_norm(a, b, "H1") - math.sqrt(h1)) < 1e-10
 
 
 def test_diff_norm_integrates_the_bubble_exactly(square_meshes):
@@ -184,12 +178,11 @@ def test_diff_norm_integrates_the_bubble_exactly(square_meshes):
     cf = Field(cspace, 1, np.zeros(cspace.ndof))
     tri = 5
     cf.coefficients[len(square_meshes[1].points) + tri] = 1.0
-    area = square_meshes[1].areas()[tri]
+    area = 0.5 * square_meshes[1].det[tri]
     lam, w = triangle_rule(8)
     hand = math.sqrt(2 * area * float(w @ (lam.prod(axis=1)) ** 2))
     zero = Field(fspace, 1, np.zeros(fspace.ndof))
-    assert abs(diff_norm(zero, cf, "L2", jacobians(square_meshes[3]))
-               - hand) < 1e-15
+    assert abs(diff_norm(zero, cf, "L2") - hand) < 1e-15
 
 
 def test_diff_norm_vector_component_sum(square_meshes):
@@ -198,14 +191,12 @@ def test_diff_norm_vector_component_sum(square_meshes):
     g = lambda x, y: x * y
     zero2 = Field(fspace, 2, np.zeros(2 * fspace.ndof))
     gc = interpolate(cspace, g).coefficients
-    geo = jacobians(square_meshes[2])
     scalar = diff_norm(Field(fspace, 1, np.zeros(fspace.ndof)),
-                       interpolate(cspace, g), "L2", geo)
-    both = diff_norm(zero2, Field(cspace, 2, np.concatenate([gc, gc])), "L2",
-                     geo)
+                       interpolate(cspace, g), "L2")
+    both = diff_norm(zero2, Field(cspace, 2, np.concatenate([gc, gc])), "L2")
     assert abs(both - math.sqrt(2.0) * scalar) < 1e-13
     with pytest.raises(ValueError, match="component"):
-        diff_norm(zero2, interpolate(cspace, g), "L2", geo)
+        diff_norm(zero2, interpolate(cspace, g), "L2")
 
 
 def test_diff_norm_triangle_inequality(square_meshes):
@@ -215,10 +206,9 @@ def test_diff_norm_triangle_inequality(square_meshes):
     a = Field(fspace, 1, rng.normal(size=fspace.ndof))
     b = Field(cspace, 1, rng.normal(size=cspace.ndof))
     c = Field(fspace, 1, rng.normal(size=fspace.ndof))
-    geo = jacobians(square_meshes[2])
     for norm in ("L2", "H1", "Linf"):
-        ab, bc, ac = (diff_norm(a, b, norm, geo), diff_norm(c, b, norm, geo),
-                      diff_norm(a, c, norm, geo))
+        ab, bc, ac = (diff_norm(a, b, norm), diff_norm(c, b, norm),
+                      diff_norm(a, c, norm))
         assert ac <= ab + bc + 1e-12
 
 
@@ -239,10 +229,8 @@ def test_lift_pairs_lifts_once_per_space(square_meshes, kind, shared):
     assert fine.space.kind == coarse.space.kind == "lagrange"
     assert fine.space.degree == (1 if shared else 3)
     assert pairs["Linf"][0] is a and pairs["Linf"][1].space is fspace
-    geo = jacobians(square_meshes[2])
     for norm, (fine, coarse) in pairs.items():
-        assert (diff_norm(fine, coarse, norm, geo)
-                == diff_norm(a, b, norm, geo))
+        assert diff_norm(fine, coarse, norm) == diff_norm(a, b, norm)
 
 
 def test_diff_norm_rejects_unrelated_meshes(square_meshes):
@@ -250,7 +238,7 @@ def test_diff_norm_rejects_unrelated_meshes(square_meshes):
     f1 = interpolate(build_space(square_meshes[1], 1), lambda x, y: x)
     f2 = interpolate(build_space(other, 1), lambda x, y: x)
     with pytest.raises(ValueError, match="not a descendant"):
-        diff_norm(f1, f2, "L2", jacobians(other))
+        diff_norm(f1, f2, "L2")
 
 
 @pytest.mark.parametrize("degrees", [(2, 2), (1, 2), (2, 1)])
@@ -264,7 +252,7 @@ def test_diff_norm_rejects_a_pair_out_of_hierarchy_order(square_meshes,
                        lambda x, y: x)
     for norm in ("L2", "H1", "Linf"):
         with pytest.raises(ValueError, match="not a descendant"):
-            diff_norm(coarse, fine, norm, jacobians(square_meshes[1]))
+            diff_norm(coarse, fine, norm)
 
 
 def test_lift_pairs_lifts_nothing_for_one_shared_space(square_meshes):
@@ -276,10 +264,9 @@ def test_lift_pairs_lifts_nothing_for_one_shared_space(square_meshes):
     b = Field(space, 2, rng.normal(size=2 * space.ndof))
     pairs = lift_pairs(a, b, ("H1", "L2", "Linf"))
     assert all(pair[0] is a and pair[1] is b for pair in pairs.values())
-    geo = jacobians(square_meshes[2])
     delta = Field(space, 2, a.coefficients - b.coefficients)
     for norm in ("H1", "L2", "Linf"):
-        assert diff_norm(a, b, norm, geo) == field_norm(delta, norm, geo)
+        assert diff_norm(a, b, norm) == field_norm(delta, norm)
 
 
 # -- manufactured_error -------------------------------------------------------
@@ -311,9 +298,8 @@ def test_poisson_manufactured_rate_three(square_meshes):
     errs, interps = [], []
     for mesh in square_meshes[1:]:
         space = build_space(mesh, 2)
-        geo = jacobians(mesh)
-        w = solve_poisson(space, assemble_load(space, f, geo),
-                          stiffness_factor(space, geo))
+        w = solve_poisson(space, assemble_load(space, f),
+                          stiffness_factor(space))
         errs.append(manufactured_error(w, wstar, "L2"))
         interps.append(manufactured_error(interpolate(space, wstar), wstar,
                                           "L2"))

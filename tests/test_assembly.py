@@ -42,8 +42,7 @@ def square2():
 
 def test_p1_stiffness_unit_right_triangle():
     _, mesh = make_domain([(0, 0), (1, 0), (0, 1)], graded_corners=set())
-    a = asm.assemble_stiffness(sp.build_space(mesh, 1),
-                                sp.jacobians(mesh)).toarray()
+    a = asm.assemble_stiffness(sp.build_space(mesh, 1)).toarray()
     expect = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
     assert np.max(np.abs(a - expect)) == 0.0
 
@@ -52,7 +51,7 @@ def test_p1_stiffness_unit_right_triangle():
                                          (3, "lagrange"), (1, "lagrange_bubble")])
 def test_stiffness_symmetric_with_constant_kernel(square2, degree, kind):
     space = sp.build_space(square2, degree, kind)
-    a = asm.assemble_stiffness(space, sp.jacobians(square2))
+    a = asm.assemble_stiffness(space)
     assert abs(a - a.T).max() < 1e-13 * abs(a).max()
     ones = np.ones(space.ndof)
     if kind == "lagrange_bubble":
@@ -62,7 +61,7 @@ def test_stiffness_symmetric_with_constant_kernel(square2, degree, kind):
 
 def test_stiffness_spd_after_elimination(square2):
     space = sp.build_space(square2, 2)
-    a = asm.assemble_stiffness(space, sp.jacobians(square2))
+    a = asm.assemble_stiffness(space)
     a2 = asm.apply_dirichlet(a, space.boundary_dofs)
     evals = scipy.linalg.eigvalsh(a2.toarray())
     assert evals.min() > 0.0
@@ -70,14 +69,14 @@ def test_stiffness_spd_after_elimination(square2):
 
 def test_stiffness_quadrature_order_robust(square2):
     space = sp.build_space(square2, 3)
-    a = asm.assemble_stiffness(space, sp.jacobians(square2))
+    a = asm.assemble_stiffness(space)
     b = stiffness_of_order(space, 2 * (3 - 1) + 2)
     assert abs(a - b).max() < 1e-12
 
 
 def test_vector_stiffness_blocks(square2):
     space = sp.build_space(square2, 2)
-    a = asm.assemble_stiffness(space, sp.jacobians(square2))
+    a = asm.assemble_stiffness(space)
     av = assemble_vector_stiffness(space)
     n = space.ndof
     assert av.shape == (2 * n, 2 * n)
@@ -91,18 +90,17 @@ def test_vector_stiffness_blocks(square2):
 
 def _stiffness(degree, kind):
     return lambda mesh: asm.assemble_stiffness(
-        sp.build_space(mesh, degree, kind), sp.jacobians(mesh))
+        sp.build_space(mesh, degree, kind))
 
 
 def _mass(degree, kind):
     return lambda mesh: asm.assemble_mass(
-        sp.build_space(mesh, degree, kind), sp.jacobians(mesh))
+        sp.build_space(mesh, degree, kind))
 
 
 def _divergence(vdegree, vkind):
     return lambda mesh: asm.assemble_divergence(
-        sp.build_space(mesh, vdegree, vkind), sp.build_space(mesh, 1),
-        sp.jacobians(mesh))
+        sp.build_space(mesh, vdegree, vkind), sp.build_space(mesh, 1))
 
 
 SCATTERED = {
@@ -187,17 +185,16 @@ def test_scatter_row_blocks_match_one_shot_build(lshape3, monkeypatch, name):
 def test_divergence_row_action_is_minus_pressure_load(square2):
     vspace = sp.build_space(square2, 2)
     pspace = sp.build_space(square2, 1)
-    geo = sp.jacobians(square2)
-    b = asm.assemble_divergence(vspace, pspace, geo)
+    b = asm.assemble_divergence(vspace, pspace)
     v = vector_field(vspace, lambda x, y: x, lambda x, y: 0.0)
-    expect = -asm.assemble_load(pspace, lambda x, y: 1.0, geo)
+    expect = -asm.assemble_load(pspace, lambda x, y: 1.0)
     assert np.allclose(b @ v.coefficients, expect, atol=1e-13)
 
 
 def test_divergence_free_fields_in_kernel(square2):
     vspace = sp.build_space(square2, 2)
     pspace = sp.build_space(square2, 1)
-    b = asm.assemble_divergence(vspace, pspace, sp.jacobians(square2))
+    b = asm.assemble_divergence(vspace, pspace)
     rigid = vector_field(vspace, lambda x, y: y, lambda x, y: -x)
     assert np.max(np.abs(b @ rigid.coefficients)) < 1e-12
     # curl of a cubic is a quadratic divergence-free field
@@ -211,11 +208,10 @@ def test_divergence_validates_spaces(square2):
     v1 = sp.build_space(square2, 1)
     p2 = sp.build_space(square2, 2)
     with pytest.raises(ValueError, match="degree"):
-        asm.assemble_divergence(v1, p2, sp.jacobians(v1.mesh))
+        asm.assemble_divergence(v1, p2)
     _, other = msh.builtin_domain("lshape")
     with pytest.raises(ValueError, match="mesh"):
-        asm.assemble_divergence(p2, sp.build_space(other, 1),
-                                sp.jacobians(square2))
+        asm.assemble_divergence(p2, sp.build_space(other, 1))
 
 
 # -- loads ----------------------------------------------------------------------
@@ -223,16 +219,15 @@ def test_divergence_validates_spaces(square2):
 
 def test_load_zero_and_area(square2):
     space = sp.build_space(square2, 1)
-    geo = sp.jacobians(square2)
-    assert np.all(asm.assemble_load(space, lambda x, y: 0.0, geo) == 0.0)
-    b = asm.assemble_load(space, lambda x, y: 1.0, geo)
+    assert np.all(asm.assemble_load(space, lambda x, y: 0.0) == 0.0)
+    b = asm.assemble_load(space, lambda x, y: 1.0)
     assert b.sum() == pytest.approx(4.0, rel=1e-13)  # area of (-1,1)^2
 
 
 def test_load_f1_p1_is_patch_area_over_three(square2):
     space = sp.build_space(square2, 1)
-    b = asm.assemble_load(space, lambda x, y: 1.0, sp.jacobians(square2))
-    areas = square2.areas()
+    b = asm.assemble_load(space, lambda x, y: 1.0)
+    areas = 0.5 * square2.det
     patch = np.zeros(space.ndof)
     np.add.at(patch, square2.triangles.ravel(), np.repeat(areas, 3))
     assert np.allclose(b, patch / 3.0, atol=1e-14)
@@ -247,25 +242,23 @@ def test_mass_row_sums_are_the_load_of_one(domain, kappa, degree):
     _, m0 = msh.builtin_domain(domain)
     mesh = msh.refine_hierarchy(m0, 3, kappa)[3]
     space = sp.build_space(mesh, degree)
-    geo = sp.jacobians(mesh)
-    rows = asm.assemble_mass(space, geo) @ np.ones(space.ndof)
-    load = asm.assemble_load(space, lambda x, y: 1.0, geo)
+    rows = asm.assemble_mass(space) @ np.ones(space.ndof)
+    load = asm.assemble_load(space, lambda x, y: 1.0)
     assert np.max(np.abs(rows - load)) <= 1e-14 * np.max(np.abs(load))
 
 
 def test_stokes_rhs_analytic_blocks(square2):
     vspace = sp.build_space(square2, 2)
     n = vspace.ndof
-    geo = sp.jacobians(square2)
     rhs = asm.assemble_stokes_rhs_analytic(
-        vspace, (lambda x, y: 0.0, lambda x, y: x), geo)
+        vspace, (lambda x, y: 0.0, lambda x, y: x))
     assert np.all(rhs[:n] == 0.0)
-    assert np.allclose(rhs[n:], asm.assemble_load(vspace, lambda x, y: x, geo),
+    assert np.allclose(rhs[n:], asm.assemble_load(vspace, lambda x, y: x),
                        atol=0)
     rhs2 = asm.assemble_stokes_rhs_analytic(
-        vspace, (lambda x, y: -y, lambda x, y: 0.0), geo)
+        vspace, (lambda x, y: -y, lambda x, y: 0.0))
     assert np.allclose(rhs2[:n],
-                       asm.assemble_load(vspace, lambda x, y: -y, geo), atol=0)
+                       asm.assemble_load(vspace, lambda x, y: -y), atol=0)
     assert np.all(rhs2[n:] == 0.0)
 
 
@@ -275,18 +268,17 @@ def test_stokes_rhs_analytic_blocks(square2):
 def test_discrete_curl_matches_analytic(square2):
     vspace = sp.build_space(square2, 2)
     w = interpolate(vspace, lambda x, y: x)
-    geo = sp.jacobians(square2)
-    got = asm.assemble_stokes_rhs_discrete_curl(vspace, w, geo)
+    got = asm.assemble_stokes_rhs_discrete_curl(vspace, w)
     expect = asm.assemble_stokes_rhs_analytic(
-        vspace, (lambda x, y: 0.0, lambda x, y: -1.0), geo)
+        vspace, (lambda x, y: 0.0, lambda x, y: -1.0))
     assert np.allclose(got, expect, atol=1e-13)
     w2 = interpolate(vspace, lambda x, y: x**2 + y**2)
-    got2 = asm.assemble_stokes_rhs_discrete_curl(vspace, w2, geo)
+    got2 = asm.assemble_stokes_rhs_discrete_curl(vspace, w2)
     expect2 = asm.assemble_stokes_rhs_analytic(
-        vspace, (lambda x, y: 2 * y, lambda x, y: -2 * x), geo)
+        vspace, (lambda x, y: 2 * y, lambda x, y: -2 * x))
     assert np.allclose(got2, expect2, atol=1e-12)
     zero = sp.Field(vspace, 1, np.zeros(vspace.ndof))
-    assert np.all(asm.assemble_stokes_rhs_discrete_curl(vspace, zero, geo)
+    assert np.all(asm.assemble_stokes_rhs_discrete_curl(vspace, zero)
                   == 0.0)
 
 
@@ -294,14 +286,13 @@ def test_curl_rhs_constant_and_gradient_fields(square2):
     space = sp.build_space(square2, 1)
     vspace = sp.build_space(square2, 2)
     u = vector_field(vspace, lambda x, y: y, lambda x, y: -x)
-    geo = sp.jacobians(square2)
-    got = asm.assemble_curl_rhs(space, u, geo)
-    load1 = asm.assemble_load(space, lambda x, y: 1.0, geo)
+    got = asm.assemble_curl_rhs(space, u)
+    load1 = asm.assemble_load(space, lambda x, y: 1.0)
     assert np.allclose(got, -2.0 * load1, atol=1e-13)
     grad = vector_field(vspace, lambda x, y: 2 * x, lambda x, y: 2 * y)
-    assert np.max(np.abs(asm.assemble_curl_rhs(space, grad, geo))) < 1e-12
+    assert np.max(np.abs(asm.assemble_curl_rhs(space, grad))) < 1e-12
     assert np.all(asm.assemble_curl_rhs(
-        space, sp.Field(vspace, 2, np.zeros(2 * vspace.ndof)), geo) == 0.0)
+        space, sp.Field(vspace, 2, np.zeros(2 * vspace.ndof))) == 0.0)
 
 
 def test_curl_integration_by_parts(square2):
@@ -312,12 +303,12 @@ def test_curl_integration_by_parts(square2):
     coeffs = rng.normal(size=2 * vspace.ndof)
     coeffs[asm.vector_boundary_dofs(vspace)] = 0.0
     u = sp.Field(vspace, 2, coeffs)
-    lhs = asm.assemble_curl_rhs(space, u, sp.jacobians(square2))
+    lhs = asm.assemble_curl_rhs(space, u)
 
     lam, w = triangle_rule(2 * vspace.degree)
     vals_u = sp.basis_values(vspace, lam)
     gref = sp.basis_ref_grads(space, lam)
-    det, inv_t = sp.jacobians(square2)
+    det, inv_t = square2.det, square2.inv_t
     gphys = np.einsum("tde,qle->tqld", inv_t, gref)
     ed_v, ed_s = vspace.element_dofs, space.element_dofs
     u1q = np.einsum("tl,ql->tq", u.component(0)[ed_v], vals_u)
@@ -339,7 +330,7 @@ def test_curl_rhs_includes_mini_bubbles(square2):
     c = np.zeros(2 * vb.ndof)
     c[vb.ndof + nv] = 1.0  # bubble in the y-component of triangle 0
     u = sp.Field(vb, 2, c)
-    got = asm.assemble_curl_rhs(space, u, sp.jacobians(square2))
+    got = asm.assemble_curl_rhs(space, u)
     # curl u = d(bubble)/dx is odd around the triangle, but weighted by
     # the P1 hats it must not vanish identically
     assert np.max(np.abs(got)) > 1e-10
@@ -350,9 +341,8 @@ def test_curl_rhs_includes_mini_bubbles(square2):
 
 def test_apply_dirichlet_unit_rows(square2):
     space = sp.build_space(square2, 1)
-    geo = sp.jacobians(square2)
-    a = asm.assemble_stiffness(space, geo)
-    b = asm.assemble_load(space, lambda x, y: 1.0, geo)
+    a = asm.assemble_stiffness(space)
+    b = asm.assemble_load(space, lambda x, y: 1.0)
     a2 = asm.apply_dirichlet(a, space.boundary_dofs)
     assert abs(a2 - a2.T).max() < 1e-13 * abs(a2).max()
     dense = a2.toarray()
@@ -368,7 +358,7 @@ def test_apply_dirichlet_unit_rows(square2):
 
 def test_apply_dirichlet_masks_in_place_like_diagonal_products(square2):
     space = sp.build_space(square2, 2)
-    a = asm.assemble_stiffness(space, sp.jacobians(square2))
+    a = asm.assemble_stiffness(space)
     dofs = space.boundary_dofs
     # one pinned DOF whose diagonal is not in the pattern, and one kept
     # row with a stored exact zero
@@ -400,10 +390,9 @@ def test_single_interior_dof_system():
     # level-1 fan of the kite: exactly one interior vertex patch? use square
     _, m0 = msh.builtin_domain("square")
     space = sp.build_space(m0, 1)
-    geo = sp.jacobians(m0)
-    a = asm.assemble_stiffness(space, geo)
+    a = asm.assemble_stiffness(space)
     a2 = asm.apply_dirichlet(a, space.boundary_dofs)
-    b2 = asm.assemble_load(space, lambda x, y: 1.0, geo)
+    b2 = asm.assemble_load(space, lambda x, y: 1.0)
     b2[space.boundary_dofs] = 0.0
     x = scipy.sparse.linalg.spsolve(a2.tocsc(), b2)
     free = np.setdiff1d(np.arange(space.ndof), space.boundary_dofs)

@@ -16,7 +16,7 @@ import biharm.cli as cli
 import biharm.corners as corners
 import biharm.solvers
 from biharm.solvers import stiffness_factor
-from biharm.spaces import build_space, jacobians
+from biharm.spaces import build_space
 from biharm.cli import (
     ExperimentConfig,
     main,
@@ -26,7 +26,7 @@ from biharm.cli import (
     run_experiment,
 )
 
-from oracles import count_jacobians
+from oracles import geometry_owner, kernel_geometry
 
 COMPARE_NAMES = ("phi_h1", "phi_l2", "u_h1", "u_l2", "p_l2")
 EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -174,19 +174,28 @@ def test_checked_in_experiments_parse(path):
 # -- run_experiment -----------------------------------------------------------
 
 
-def test_run_experiment_one_geometry_per_mesh_and_level_pair(monkeypatch):
-    # run_chains computes each level's geometry once; the rate loop once
-    # per level pair, for the finer mesh, serving every quantity and norm
-    calls = count_jacobians(monkeypatch)
+def test_run_experiment_one_geometry_per_mesh(monkeypatch):
+    # every kernel call, in the level loops and in the rate loop's norms,
+    # reads one mesh's own det and inv_t, and every mesh of the two
+    # columns is read: no kernel gets a recomputed geometry
+    hierarchies = []
+    real = cli.refine_hierarchy
+
+    def refine(*args):
+        hierarchies.append(real(*args))
+        return hierarchies[-1]
+
+    monkeypatch.setattr(cli, "refine_hierarchy", refine)
+    calls = kernel_geometry(monkeypatch)
     config = tiny_config(kappas=(0.5, 0.25), norms=("H1", "L2", "Linf"))
     result = run_experiment(config, jobs=1)
     assert result.failures == {}
-    # both columns share the level-0 root, which is never the finer mesh
-    # of a pair; every finer mesh belongs to one column
-    per_level = collections.Counter(mesh.level for mesh in calls)
-    assert per_level == {0: 2, **{j: 4 for j in range(1, config.levels + 1)}}
-    per_mesh = collections.Counter(id(mesh) for mesh in calls)
-    assert set(per_mesh.values()) == {2}
+    # both columns share the level-0 root
+    meshes = list({id(mesh): mesh for meshes in hierarchies
+                   for mesh in meshes}.values())
+    assert len(meshes) == 2 * config.levels + 1
+    read = {id(geometry_owner(call, meshes)) for call in calls}
+    assert read == {id(mesh) for mesh in meshes}
 
 
 def test_run_experiment_poisson_reports_and_timings():
@@ -352,7 +361,7 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
         if row["kappa"] == 0.25:
             # the level's one factor is the P1 factor Mini's solves reuse
             space = build_space(meshes[row["level"]], config.k)
-            factor = stiffness_factor(space, jacobians(space.mesh))
+            factor = stiffness_factor(space)
             assert row["factor_nnz"] == factor.nnz
     assert [row["factor_nnz"] for row in rows[:config.levels + 1]] == sorted(
         row["factor_nnz"] for row in rows[:config.levels + 1])

@@ -7,6 +7,7 @@ by hand from the refinement rule and are frozen here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharm import meshing as msh
+from biharm.cli import main
 
-from oracles import make_domain
+from oracles import corner_point, make_domain, min_angle
 
 
 def dist_to_boundary(domain, p):
@@ -61,8 +63,8 @@ def test_builtin_counts(name, npts, ntri, nedges, area):
     assert len(mesh.edges) == nedges
     assert mesh.level == 0
     assert np.all(mesh.parent == -1)
-    assert np.all(mesh.areas() > 0.0)  # counterclockwise
-    total = float(mesh.areas().sum())
+    assert np.all(mesh.det > 0.0)  # counterclockwise
+    total = float((0.5 * mesh.det).sum())
     if area is not None:
         assert total == pytest.approx(area, rel=1e-14)
     # triangulation fills the polygon exactly
@@ -86,7 +88,7 @@ def test_lshape_domain():
     assert np.allclose(domain.interior_angles[1:], math.pi / 2.0, atol=1e-14)
     # all six triangles fan the reentrant corner
     assert np.all(mesh.triangles[:, 0] == 0)
-    assert mesh.corner_point(0) == 0
+    assert corner_point(mesh, 0) == 0
 
 
 def test_kite_domain():
@@ -191,14 +193,14 @@ def test_refine_conserves_area(name):
     exact = msh._signed_area(domain.vertices)
     for _ in range(3):
         mesh = msh.graded_refine(mesh, 0.15)
-        assert float(mesh.areas().sum()) == pytest.approx(exact, rel=1e-12)
+        assert float((0.5 * mesh.det).sum()) == pytest.approx(exact, rel=1e-12)
 
 
 def test_corner_triangles_shrink_by_kappa_squared():
     _, m0 = msh.builtin_domain("lshape")
     hier = msh.refine_hierarchy(m0, 2, 0.2)
     m2 = hier[2]
-    cp = m2.corner_point(0)
+    cp = corner_point(m2, 0)
 
     def diam(mesh, t):
         p = mesh.points[mesh.triangles[t]]
@@ -220,13 +222,13 @@ def test_corner_triangles_shrink_by_kappa_squared():
 def test_min_angle_constant_across_levels():
     _, m0 = msh.builtin_domain("lshape")
     hier = msh.refine_hierarchy(m0, 4, 0.2)
-    angles = [m.min_angle() for m in hier[1:]]
+    angles = [min_angle(m) for m in hier[1:]]
     assert all(a == pytest.approx(angles[0], abs=1e-12) for a in angles)
     assert angles[0] > 0.19
     # pure midpoint refinement preserves shapes exactly
     _, s0 = msh.builtin_domain("square")
     for m in msh.refine_hierarchy(s0, 3):
-        assert m.min_angle() == pytest.approx(math.pi / 4.0, abs=1e-13)
+        assert min_angle(m) == pytest.approx(math.pi / 4.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -0.1, 0.6, 1.0])
@@ -298,7 +300,7 @@ def mesh_layers(mesh, corner):
     """
     if corner not in mesh.domain.graded_corners:
         raise ValueError(f"corner {corner} is not flagged for grading")
-    cp = mesh.corner_point(corner)
+    cp = corner_point(mesh, corner)
     anc = np.arange(len(mesh.triangles))
     layers = np.full(len(anc), -1)
     m = mesh
@@ -326,7 +328,7 @@ def test_layers_lshape():
     lay = mesh_layers(hier[2], 0)
     assert {int(k): int((lay == k).sum()) for k in set(lay)} == {0: 72, 1: 18, 2: 6}
     # the innermost layer is exactly the corner-attached triangles
-    cp = hier[2].corner_point(0)
+    cp = corner_point(hier[2], 0)
     attached = np.any(hier[2].triangles == cp, axis=1)
     assert np.array_equal(lay == 2, attached)
 
@@ -468,6 +470,59 @@ def test_read_mesh_rejects_bad_header(tmp_path):
             msh.read_mesh(p)
 
 
+def square_file(last=3, centre="", extra=""):
+    """The builtin level-0 square as a mesh file, with the corner id of
+    its last vertex, an id for its centre point and extra lines."""
+    return (f"mesh 5 4 0\np -1.0 -1.0 0\np 1.0 -1.0 1\np 1.0 1.0 2\n"
+            f"p -1.0 1.0 {last}\np 0.0 0.0{centre}\n"
+            "t 0 1 4\nt 1 2 4\nt 2 3 4\nt 3 0 4\n"
+            f"corner 0 0\ncorner 1 0\ncorner 2 0\ncorner {last} 0\n{extra}")
+
+
+@pytest.mark.parametrize("body,match", [
+    (square_file(centre=" 1"), r"corner ids \[0, 1, 1, 2, 3\] are not 0..4"),
+    (square_file(last=5), r"corner ids \[0, 1, 2, 5\] are not 0..3"),
+    (square_file(extra="corner 7 0\n"), r"name corners \[0, 1, 2, 3, 7\]"),
+], ids=["repeated", "skipped", "unknown-corner-line"])
+def test_read_mesh_rejects_corner_ids_other_than_0_to_n(tmp_path, body,
+                                                      match):
+    path = tmp_path / "square.mesh"
+    path.write_text(square_file())  # read as is: only the ids are at fault
+    _, square = msh.builtin_domain("square")
+    assert np.array_equal(msh.read_mesh(path).corner_vertex,
+                          square.corner_vertex)
+    path.write_text(body)
+    with pytest.raises(ValueError, match=match):
+        msh.read_mesh(path)
+    assert main(["mesh", "--domain", str(path),
+                 "--out", str(tmp_path / "out.mesh")]) == 2
+
+
+@pytest.mark.parametrize("name,kappa", [("convex_11pi12", 0.2),
+                                        ("lshape", 0.3)])
+def test_mesh_geometry_matches_inverse_jacobian(name, kappa):
+    _, m0 = msh.builtin_domain(name)
+    for mesh in msh.refine_hierarchy(m0, 4, kappa):
+        # det J from J = [p1 - p0, p2 - p0], summed in this order: the
+        # rates and comparisons depend on its bits
+        p = mesh.points[mesh.triangles]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        det = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
+        assert np.array_equal(mesh.det, det)
+        want = np.linalg.inv(np.stack([d1, d2], axis=2)).transpose(0, 2, 1)
+        err = np.max(np.abs(mesh.inv_t - want), axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
+    # a zero determinant is refused before anything divides by it
+    points = m0.points.copy()
+    points[m0.triangles[0, 2]] = points[m0.triangles[0, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="triangle 0 is degenerate"):
+            msh.Mesh(domain=m0.domain, points=points, triangles=m0.triangles,
+                     level=0, parent=m0.parent,
+                     corner_vertex=m0.corner_vertex)
+
+
 def test_mesh_rejects_nan_area():
     # a NaN area is not positive, so it fails the area check
     _, m0 = msh.builtin_domain("square")
@@ -499,5 +554,5 @@ def test_refinement_invariants_hold_for_any_kappa(kappa, levels):
     for _ in range(levels):
         mesh = msh.graded_refine(mesh, kappa)
     check_conforming(mesh)
-    assert float(mesh.areas().sum()) == pytest.approx(3.0, rel=1e-12)
-    assert mesh.min_angle() > 0.0
+    assert float((0.5 * mesh.det).sum()) == pytest.approx(3.0, rel=1e-12)
+    assert min_angle(mesh) > 0.0

@@ -49,13 +49,12 @@ ASSEMBLY_BOUNDS = {"peak": 3.5, "kept": 1.05}
 @pytest.mark.parametrize("operator", ["divergence", "stiffness"])
 def test_mini_assembly_transients(kite67, operator, measure):
     mini = sp.build_space(kite67[1], 1, "lagrange_bubble")
-    geo = sp.jacobians(kite67[1])
     if operator == "divergence":
         pressure = sp.build_space(kite67[1], 1)
         a, peak, kept = traced(
-            lambda: asm.assemble_divergence(mini, pressure, geo))
+            lambda: asm.assemble_divergence(mini, pressure))
     else:
-        a, peak, kept = traced(lambda: asm.assemble_stiffness(mini, geo))
+        a, peak, kept = traced(lambda: asm.assemble_stiffness(mini))
     measured = {"peak": peak, "kept": kept}[measure]
     assert measured <= ASSEMBLY_BOUNDS[measure] * compact_bytes(a)
 
@@ -83,6 +82,5 @@ def test_mini_difference_in_p3_norm_transients(kite67, norm):
     lifted, lifted_coarse = analysis.lift_pairs(fine, coarse, (norm,))[norm]
     delta = sp.Field(lifted.space, 2,
                      lifted.coefficients - lifted_coarse.coefficients)
-    geo = sp.jacobians(kite67[1])
-    _, peak, _ = traced(lambda: analysis.field_norm(delta, norm, geo))
+    _, peak, _ = traced(lambda: analysis.field_norm(delta, norm))
     assert peak <= 2.5 * delta.coefficients.nbytes
