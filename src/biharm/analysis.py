@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .assembly import poly_degree
 from .quadrature import triangle_rule
 from .spaces import (
     TRANSFER_ROWS,
@@ -62,7 +61,7 @@ def _check_norm(norm):
 
 def _quad_order(space, norm):
     """Exact for the squared field (L2) or its squared gradient (H1)."""
-    p = poly_degree(space)
+    p = space.poly_degree
     return 2 * p if norm == "L2" else max(1, 2 * (p - 1))
 
 
@@ -100,17 +99,6 @@ def field_norm(field, norm):
     return math.sqrt(float(np.abs(det) @ sums))
 
 
-def _same_space(a, b):
-    return a.mesh is b.mesh and a.degree == b.degree and a.kind == b.kind
-
-
-def _lift(field, space):
-    """``field`` represented in ``space``, which must contain it."""
-    if _same_space(field.space, space):
-        return field
-    return prolongate(field, space)
-
-
 def lift_pairs(fine, coarse, norms):
     """Both fields in the space where each norm of fine - coarse is taken.
 
@@ -128,20 +116,21 @@ def lift_pairs(fine, coarse, norms):
     if fine.components != coarse.components:
         raise ValueError("fields have different component counts")
     own = fine.space
-    same = _same_space(own, coarse.space)
+    same = own.same_as(coarse.space)
     lifted, out = {}, {}
     for norm in norms:
         _check_norm(norm)
         if norm == "Linf" or same:
             spec = (own.degree, own.kind)
         else:
-            spec = (max(poly_degree(own), poly_degree(coarse.space)),
+            spec = (max(own.poly_degree, coarse.space.poly_degree),
                     "lagrange")
         if spec not in lifted:
             space = own
             if (own.degree, own.kind) != spec:
                 space = build_space(own.mesh, spec[0])
-            lifted[spec] = (_lift(fine, space), _lift(coarse, space))
+            lifted[spec] = (prolongate(fine, space),
+                            prolongate(coarse, space))
         out[norm] = lifted[spec]
     return out
 

@@ -21,7 +21,6 @@ from .quadrature import physical_points, triangle_rule
 from .spaces import basis_ref_grads, basis_values, call_on_points
 
 __all__ = [
-    "poly_degree",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_divergence",
@@ -32,11 +31,6 @@ __all__ = [
     "apply_dirichlet",
     "vector_boundary_dofs",
 ]
-
-
-def poly_degree(space):
-    """Actual polynomial degree of the space (the bubble is cubic)."""
-    return 3 if space.kind == "lagrange_bubble" else space.degree
 
 
 # Rows that _scatter compresses at once: besides the element blocks, no
@@ -73,7 +67,7 @@ def _scatter(element_block, rows, cols, shape):
 
 def assemble_stiffness(space):
     """A_ij = int grad(phi_j) . grad(phi_i); symmetric CSR."""
-    lam, w = triangle_rule(max(1, 2 * (poly_degree(space) - 1)))
+    lam, w = triangle_rule(max(1, 2 * (space.poly_degree - 1)))
     gref = basis_ref_grads(space, lam)
     ed = space.element_dofs
     mesh = space.mesh
@@ -84,7 +78,7 @@ def assemble_stiffness(space):
 
 def assemble_mass(space):
     """M_ij = int phi_j phi_i; symmetric CSR."""
-    lam, w = triangle_rule(2 * poly_degree(space))
+    lam, w = triangle_rule(2 * space.poly_degree)
     vals = basis_values(space, lam)
     ed = space.element_dofs
     return _scatter(lambda: kernels.element_mass(space.mesh.det, vals, w),
@@ -97,7 +91,7 @@ def assemble_divergence(vspace, pspace):
         raise ValueError("velocity and pressure spaces live on different meshes")
     if pspace.degree > vspace.degree:
         raise ValueError("pressure degree exceeds velocity degree")
-    lam, w = triangle_rule(max(1, poly_degree(vspace) - 1 + poly_degree(pspace)))
+    lam, w = triangle_rule(max(1, vspace.poly_degree - 1 + pspace.poly_degree))
     gref_v = basis_ref_grads(vspace, lam)
     vals_p = basis_values(pspace, lam)
     nv = vspace.ndof
@@ -117,7 +111,7 @@ def _sum_loads(space, local):
 
 def _analytic_loads(space, fs):
     """b_i = int f phi_i for each f of ``fs``, on points mapped once."""
-    lam, w = triangle_rule(poly_degree(space) + 2)
+    lam, w = triangle_rule(space.poly_degree + 2)
     vals = basis_values(space, lam)
     pts = physical_points(lam, space.mesh.points[space.mesh.triangles])
     shape = pts.shape[:2]
@@ -155,7 +149,7 @@ def assemble_stokes_rhs_discrete_curl(vspace, w_field):
         raise ValueError("w lives on a different mesh than the velocity space")
     if w_field.components != 1:
         raise ValueError("w must be a scalar field")
-    order = max(1, poly_degree(w_field.space) - 1 + poly_degree(vspace))
+    order = max(1, w_field.space.poly_degree - 1 + vspace.poly_degree)
     lam, w = triangle_rule(order)
     (gw,) = _component_grads_at_quad(w_field, lam)
     vals = basis_values(vspace, lam)
@@ -171,7 +165,7 @@ def assemble_curl_rhs(space, u_field):
         raise ValueError("u lives on a different mesh than the scalar space")
     if u_field.components != 2:
         raise ValueError("u must be a vector field")
-    order = max(1, poly_degree(u_field.space) - 1 + poly_degree(space))
+    order = max(1, u_field.space.poly_degree - 1 + space.poly_degree)
     lam, w = triangle_rule(order)
     g1, g2 = _component_grads_at_quad(u_field, lam)
     curl = np.ascontiguousarray(g2[:, :, 0] - g1[:, :, 1])

@@ -36,7 +36,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -284,17 +284,11 @@ def parse_config(path):
 
 
 def _root_mesh(domain):
-    """Builtin level-0 mesh, or one read from a mesh file.
-
-    A mesh file holds one level without its ancestry, so the study
-    roots at it as level 0 with no parents.
-    """
+    """Builtin level-0 mesh, or the level-0 mesh of a mesh file."""
     if domain in BUILTIN_DOMAINS:
         return builtin_domain(domain)[1]
     if os.path.exists(domain):
-        mesh = read_mesh(domain)
-        return replace(
-            mesh, level=0, parent=np.full(len(mesh.triangles), -1))
+        return read_mesh(domain)
     raise ValueError(
         f"domain must be one of {', '.join(BUILTIN_DOMAINS)} or a mesh "
         f"file path, got {domain!r}"

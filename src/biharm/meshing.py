@@ -275,8 +275,9 @@ def refine_hierarchy(mesh, levels, kappa=0.5):
 
 
 def write_mesh(mesh, path):
-    """Line-oriented text dump; floats use shortest round-trip decimals."""
-    lines = [f"mesh {len(mesh.points)} {len(mesh.triangles)} {mesh.level}"]
+    """Line-oriented text dump of the mesh as a root mesh, without its
+    level or ancestry; floats use shortest round-trip decimals."""
+    lines = [f"mesh {len(mesh.points)} {len(mesh.triangles)}"]
     for i in range(len(mesh.points)):
         x, y = float(mesh.points[i, 0]), float(mesh.points[i, 1])
         c = int(mesh.corner_vertex[i])
@@ -284,8 +285,7 @@ def write_mesh(mesh, path):
         lines.append(f"p {x!r} {y!r}{tail}")
     for t in range(len(mesh.triangles)):
         a, b, c = (int(v) for v in mesh.triangles[t])
-        tail = f" {int(mesh.parent[t])}" if mesh.level > 0 else ""
-        lines.append(f"t {a} {b} {c}{tail}")
+        lines.append(f"t {a} {b} {c}")
     for c in range(len(mesh.domain.vertices)):
         graded = 1 if c in mesh.domain.graded_corners else 0
         lines.append(f"corner {c} {graded}")
@@ -296,37 +296,40 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Rebuild a mesh from the text format (inverse of write_mesh).
+    """The level-0 mesh of a file in the text format of write_mesh.
 
-    The corner ids of the points are 0..n-1, each on exactly one point,
-    and every ``corner`` line names one of them.
+    After the header ``mesh <npoints> <ntriangles>`` come lines ``p <x>
+    <y> [<corner id>]``, ``t <a> <b> <c>`` and ``corner <id> <0|1>``,
+    each with exactly these fields.  The corner ids of the points are
+    0..n-1, each on exactly one point, and each ``corner`` line names
+    one of them, a different one.
     """
     with open(path) as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
     n, head = lines[0] if lines else (1, [])
     try:
-        if head[0] != "mesh" or len(head) != 4:
+        if head[0] != "mesh" or len(head) != 3:
             raise ValueError
-        npts, ntri, level = int(head[1]), int(head[2]), int(head[3])
+        npts, ntri = int(head[1]), int(head[2])
     except (IndexError, ValueError):
-        raise ValueError(f"line {n}: missing 'mesh <npoints> <ntriangles> "
-                         "<level>' header") from None
-    points, corner, tris, parents, graded = [], [], [], [], {}
+        raise ValueError(f"line {n}: missing 'mesh <npoints> <ntriangles>' "
+                         "header") from None
+    points, corner, tris, graded = [], [], [], {}
     for n, parts in lines[1:]:
         try:
-            if parts[0] == "p":
+            if parts[0] == "p" and len(parts) in (3, 4):
                 points.append((float(parts[1]), float(parts[2])))
                 if not np.all(np.isfinite(points[-1])):
                     raise ValueError
                 corner.append(int(parts[3]) if len(parts) > 3 else -1)
-            elif parts[0] == "t":
+            elif parts[0] == "t" and len(parts) == 4:
                 tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
-                parents.append(int(parts[4]) if len(parts) > 4 else -1)
-            elif parts[0] == "corner":
-                graded[int(parts[1])] = bool(int(parts[2]))
+            elif (parts[0] == "corner" and len(parts) == 3
+                  and parts[2] in ("0", "1") and int(parts[1]) not in graded):
+                graded[int(parts[1])] = parts[2] == "1"
             else:
                 raise ValueError
-        except (IndexError, ValueError):
+        except ValueError:
             raise ValueError(
                 f"line {n}: cannot read {' '.join(parts)!r}") from None
     if len(points) != npts or len(tris) != ntri:
@@ -349,7 +352,7 @@ def read_mesh(path):
         domain=domain,
         points=np.asarray(points),
         triangles=tris,
-        level=level,
-        parent=np.asarray(parents),
+        level=0,
+        parent=np.full(len(tris), -1),
         corner_vertex=corner,
     )

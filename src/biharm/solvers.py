@@ -49,7 +49,6 @@ from .assembly import (
     assemble_stiffness,
     assemble_stokes_rhs_analytic,
     assemble_stokes_rhs_discrete_curl,
-    poly_degree,
     vector_boundary_dofs,
 )
 from .quadrature import physical_points, triangle_rule
@@ -206,7 +205,7 @@ def mass_bounds(space):
     the same interval: [1/2, 2] for P1 and [(5 - sqrt 7) / 6,
     (8 + sqrt 19) / 6] for P2 (Wathen, IMA J. Numer. Anal. 7, 1987).
     """
-    degree = poly_degree(space)
+    degree = space.poly_degree
     if degree == 1:
         return 0.5, 2.0
     if degree == 2:

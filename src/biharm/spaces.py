@@ -36,6 +36,16 @@ class FeSpace:
     boundary_dofs: np.ndarray # sorted DOF indices on the domain boundary
     element_dofs: np.ndarray  # (ntriangles, nlocal)
 
+    @property
+    def poly_degree(self):
+        """Actual polynomial degree of the space (the bubble is cubic)."""
+        return 3 if self.kind == "lagrange_bubble" else self.degree
+
+    def same_as(self, other):
+        """Whether ``other`` is this space: one mesh, degree and kind."""
+        return (other.mesh is self.mesh and other.degree == self.degree
+                and other.kind == self.kind)
+
 
 @dataclass
 class Field:
@@ -269,8 +279,11 @@ def prolongate(coarse, fine_space):
     whenever the fine space contains the coarse one elementwise (P_k in
     P_m for k <= m, Mini in P3).  P is not kept between calls: caching
     transfer operators on the meshes raised a Mini study's peak memory
-    by about half.
+    by about half.  A field already on ``fine_space`` (``same_as``) is
+    returned as it is, bubble coefficients included.
     """
+    if fine_space.same_as(coarse.space):
+        return coarse
     cmesh = coarse.space.mesh
     fmesh = fine_space.mesh
     anc = np.arange(len(fmesh.triangles))

@@ -22,7 +22,6 @@ from biharm.assembly import (
     assemble_divergence,
     assemble_mass,
     assemble_stiffness,
-    poly_degree,
     vector_boundary_dofs,
 )
 from biharm.corners import solve_alpha0
@@ -166,7 +165,7 @@ def manufactured_error(field, exact, norm="L2", exact_grad=None):
         nodes = space.dof_coords[:n]
         return float(np.max(np.abs(field.coefficients[:n]
                                    - exact(nodes[:, 0], nodes[:, 1]))))
-    order = 2 * poly_degree(space) + 4
+    order = 2 * space.poly_degree + 4
     lam, w = triangle_rule(order)
     pts = physical_points(lam, mesh.points[mesh.triangles])
     det, inv_t = mesh.det, mesh.inv_t

@@ -15,6 +15,7 @@ import scipy.sparse.linalg as spla
 import biharm.cli as cli
 import biharm.corners as corners
 import biharm.solvers
+from biharm.meshing import Mesh
 from biharm.solvers import stiffness_factor
 from biharm.spaces import build_space
 from biharm.cli import (
@@ -516,14 +517,25 @@ def test_comparison_psp_vs_sp_writes_artifacts(tmp_path):
     assert (out / "comparison.md").exists()
 
 
-def test_study_rooted_on_a_written_mesh_file(tmp_path, capsys):
+def test_study_rooted_on_a_written_mesh_file(tmp_path, capsys,
+                                            monkeypatch):
     # the file holds a level-2 mesh; the study counts its levels from it
     path = tmp_path / "lshape.mesh"
     assert main(["mesh", "--domain", "lshape", "--levels", "2",
                  "--kappa", "0.3", "--out", str(path)]) == 0
     config = tiny_config(domain=str(path), algorithm="sp",
                          out=str(tmp_path / "run"))
+    built = []  # the level of every Mesh made, in order
+    post_init = Mesh.__post_init__
+
+    def counting(mesh):
+        built.append(mesh.level)
+        post_init(mesh)
+
+    monkeypatch.setattr(Mesh, "__post_init__", counting)
     result = run_experiment(config)
+    monkeypatch.undo()
+    assert built == [0, 1, 2, 3]  # the root is read once, not rebuilt
     assert result.failures == {}
     assert result.reports[("phi", "H1")][0.5].levels == [1, 2, 3]
     assert os.path.exists(os.path.join(config.out, "levels.jsonl"))
@@ -700,7 +712,7 @@ def test_cli_compare_prints_comparison_md(tmp_path, capsys, monkeypatch):
                              "- kappa=0.25: injected failure\n")
 
 
-@pytest.mark.parametrize("body,line", [("", 1), ("mesh 1 0 0\np 1\n", 2)],
+@pytest.mark.parametrize("body,line", [("", 1), ("mesh 1 0\np 1\n", 2)],
                          ids=["empty", "short-line"])
 def test_cli_rejects_malformed_mesh_file(tmp_path, capsys, body, line):
     path = tmp_path / "bad.mesh"

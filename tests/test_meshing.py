@@ -435,21 +435,23 @@ def test_refinement_is_deterministic(tmp_path):
 
 @pytest.mark.parametrize("name", ["square", "lshape", "convex_11pi12"])
 def test_roundtrip_bit_exact(name, tmp_path):
+    # a written level-2 mesh reads back as a level-0 root of its own
     _, m0 = msh.builtin_domain(name)
     mesh = msh.refine_hierarchy(m0, 2, 0.2)[2]
     p1 = tmp_path / "m.txt"
     d1 = msh.write_mesh(mesh, p1)
     back = msh.read_mesh(p1)
-    assert back.level == mesh.level
+    assert back.level == 0 and back.coarser is None
+    assert np.array_equal(back.parent, np.full(len(mesh.triangles), -1))
     assert np.array_equal(back.points, mesh.points)
     assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.parent, mesh.parent)
     assert np.array_equal(back.corner_vertex, mesh.corner_vertex)
     assert back.domain.graded_corners == mesh.domain.graded_corners
     assert np.array_equal(back.domain.vertices, mesh.domain.vertices)
     p2 = tmp_path / "m2.txt"
     d2 = msh.write_mesh(back, p2)
     assert d1 == d2
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_read_mesh_rejects_bad_header(tmp_path):
@@ -457,14 +459,14 @@ def test_read_mesh_rejects_bad_header(tmp_path):
     p.write_text("tri 3 1 0\n")
     with pytest.raises(ValueError, match="header"):
         msh.read_mesh(p)
-    p.write_text("mesh 3 1 0\np 0.0 0.0 0\np 1.0 0.0 1\n")
+    p.write_text("mesh 3 1\np 0.0 0.0 0\np 1.0 0.0 1\n")
     with pytest.raises(ValueError, match="counts"):
         msh.read_mesh(p)
-    p.write_text("mesh 3 1 0\np 0 0 0\np 1 0 1\np 0 1 2\nt 0 1 3\n")
+    p.write_text("mesh 3 1\np 0 0 0\np 1 0 1\np 0 1 2\nt 0 1 3\n")
     with pytest.raises(ValueError, match="point that does not exist"):
         msh.read_mesh(p)
     for value in ("nan", "inf", "-inf"):  # a non-finite coordinate
-        p.write_text(f"mesh 3 1 0\np 0 0 0\np 1 0 1\np 0 {value} 2\n"
+        p.write_text(f"mesh 3 1\np 0 0 0\np 1 0 1\np 0 {value} 2\n"
                      "t 0 1 2\n")
         with pytest.raises(ValueError, match=f"line 4: .*'p 0 {value} 2'"):
             msh.read_mesh(p)
@@ -473,7 +475,7 @@ def test_read_mesh_rejects_bad_header(tmp_path):
 def square_file(last=3, centre="", extra=""):
     """The builtin level-0 square as a mesh file, with the corner id of
     its last vertex, an id for its centre point and extra lines."""
-    return (f"mesh 5 4 0\np -1.0 -1.0 0\np 1.0 -1.0 1\np 1.0 1.0 2\n"
+    return (f"mesh 5 4\np -1.0 -1.0 0\np 1.0 -1.0 1\np 1.0 1.0 2\n"
             f"p -1.0 1.0 {last}\np 0.0 0.0{centre}\n"
             "t 0 1 4\nt 1 2 4\nt 2 3 4\nt 3 0 4\n"
             f"corner 0 0\ncorner 1 0\ncorner 2 0\ncorner {last} 0\n{extra}")
@@ -483,7 +485,19 @@ def square_file(last=3, centre="", extra=""):
     (square_file(centre=" 1"), r"corner ids \[0, 1, 1, 2, 3\] are not 0..4"),
     (square_file(last=5), r"corner ids \[0, 1, 2, 5\] are not 0..3"),
     (square_file(extra="corner 7 0\n"), r"name corners \[0, 1, 2, 3, 7\]"),
-], ids=["repeated", "skipped", "unknown-corner-line"])
+    (square_file(extra="corner 0 1\n"),
+     r"line 15: cannot read 'corner 0 1'"),
+    (square_file().replace("corner 1 0", "corner 1 7"),
+     r"line 12: cannot read 'corner 1 7'"),
+    (square_file().replace("mesh 5 4", "mesh 5 4 0"),
+     r"line 1: missing 'mesh <npoints> <ntriangles>' header"),
+    (square_file(centre=" -1 junk"),
+     r"line 6: cannot read 'p 0.0 0.0 -1 junk'"),
+    (square_file().replace("t 0 1 4", "t 0 1 4 9 9"),
+     r"line 7: cannot read 't 0 1 4 9 9'"),
+], ids=["repeated", "skipped", "unknown-corner-line", "second-corner-line",
+        "graded-flag-not-0-or-1", "mesh-line-extra-field",
+        "p-line-extra-fields", "t-line-extra-fields"])
 def test_read_mesh_rejects_corner_ids_other_than_0_to_n(tmp_path, body,
                                                       match):
     path = tmp_path / "square.mesh"
