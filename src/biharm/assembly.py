@@ -65,15 +65,23 @@ def _scatter(element_block, rows, cols, shape):
     return sps.vstack(blocks, format="csr")
 
 
-def assemble_stiffness(space):
-    """A_ij = int grad(phi_j) . grad(phi_i); symmetric CSR."""
+def assemble_stiffness(space, weight=None):
+    """A_ij = sum_T weight_T int_T grad(phi_j) . grad(phi_i); symmetric CSR.
+
+    ``weight`` holds one factor per triangle; without it every factor is 1.
+    """
     lam, w = triangle_rule(max(1, 2 * (space.poly_degree - 1)))
     gref = basis_ref_grads(space, lam)
     ed = space.element_dofs
     mesh = space.mesh
-    return _scatter(lambda: kernels.element_stiffness(mesh.det, mesh.inv_t,
-                                                      gref, w),
-                    ed, ed, (space.ndof, space.ndof))
+
+    def element_block():
+        local = kernels.element_stiffness(mesh.det, mesh.inv_t, gref, w)
+        if weight is not None:
+            local *= weight[:, None, None]
+        return local
+
+    return _scatter(element_block, ed, ed, (space.ndof, space.ndof))
 
 
 def assemble_mass(space):

@@ -300,9 +300,10 @@ def read_mesh(path):
 
     After the header ``mesh <npoints> <ntriangles>`` come lines ``p <x>
     <y> [<corner id>]``, ``t <a> <b> <c>`` and ``corner <id> <0|1>``,
-    each with exactly these fields.  The corner ids of the points are
-    0..n-1, each on exactly one point, and each ``corner`` line names
-    one of them, a different one.
+    each with exactly these fields.  A point without an id, or with the
+    id -1, is no corner; any other negative id is refused.  The corner
+    ids of the points are 0..n-1, each on exactly one point, and each
+    ``corner`` line names one of them, a different one.
     """
     with open(path) as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -322,6 +323,8 @@ def read_mesh(path):
                 if not np.all(np.isfinite(points[-1])):
                     raise ValueError
                 corner.append(int(parts[3]) if len(parts) > 3 else -1)
+                if corner[-1] < -1:
+                    raise ValueError
             elif parts[0] == "t" and len(parts) == 4:
                 tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
             elif (parts[0] == "corner" and len(parts) == 3

@@ -17,11 +17,13 @@ Every solve on a level runs on one sparse LU of the scalar stiffness
 matrix.  The Stokes system (Mini for k = 1, Taylor-Hood P_k / P_{k-1}
 for k >= 2) applies it to both velocity components and solves for the
 pressure by conjugate gradients on the Schur complement.  For k >= 2
-the Poisson space is the velocity space; for Mini the P1+bubble
-stiffness is the P1 stiffness plus a diagonal bubble block, so the
-velocity solves reuse the P1 factor.  Either way one factorization
-serves every solve of the level, for every chain run on it, as one
-StokesOperator (B, pressure mass, preconditioner) serves its Stokes solves.
+the Poisson space is the velocity space.  For Mini it is the P1
+pressure space: on affine triangles each bubble's gradient is
+orthogonal to every P1 gradient, so the bubbles are eliminated triangle
+by triangle and the Stokes solve runs on P1 objects only, the P1
+factor among them.  Either way one factorization serves every solve of
+the level, for every chain run on it, as one StokesOperator (B, pressure
+mass, preconditioner) serves its Stokes solves.
 
 The pressure CG is preconditioned by a fixed Chebyshev semi-iteration
 on the consistent pressure mass matrix, whose Jacobi-scaled spectrum is
@@ -52,7 +54,8 @@ from .assembly import (
     vector_boundary_dofs,
 )
 from .quadrature import physical_points, triangle_rule
-from .spaces import Field, build_space, call_on_points, prolongate
+from .spaces import (Field, basis_ref_grads, build_space, call_on_points,
+                     prolongate)
 
 __all__ = [
     "LevelRecord",
@@ -114,72 +117,51 @@ class SpdFactor:
     stiffnesses SuperLU's default relaxation mostly stores explicit
     zeros (51 % more L+U entries on the graded level-7 kite P1
     stiffness), which cost more to factor and back-solve than its dense
-    blocks save.  Given ``lead``, the SpdFactor of the leading block of
-    ``a``, nothing new is factored: the trailing rows are taken as
-    decoupled and diagonal (the Mini bubbles, whose gradients are
-    orthogonal to those of P1 on every triangle), solved by that factor
-    and a division.  Each ``solve`` takes one right-hand side or a block
-    of columns and raises when the relative residual against ``a``
-    reaches 1e-10 or is NaN, so coupling that ``lead`` ignores, or a
-    non-finite right-hand side, fails loudly.
-    ``solves`` counts the LU back-solves, one per call, and
+    blocks save.  Each ``solve`` takes one right-hand side or a block
+    of columns and raises when the relative residual against the matrix
+    reaches 1e-10 or is NaN, so a non-finite right-hand side fails
+    loudly.  ``solves`` counts the LU back-solves, one per call, and
     ``residual_max`` keeps the largest relative residual the gate
-    measured; a factor built on ``lead`` records its calls on ``lead``,
-    so the owner of an LU holds all of them.  No factor refers to
-    itself, so dropping the last name frees its LU at once rather than
-    at the next cyclic garbage collection.
+    measured.  No factor refers to itself, so dropping the last name
+    frees its LU at once rather than at the next cyclic garbage
+    collection.
     """
 
-    def __init__(self, a, lead=None):
+    def __init__(self, a):
         self.matrix = sps.csc_matrix(a)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("matrix is not square")
-        self._lead = lead
-        if lead is None:
-            self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.0, relax=1,
-                               options={"SymmetricMode": True})
-            self._nlead = self.matrix.shape[0]
-        else:
-            self._lu = lead._lu
-            self._nlead = lead.matrix.shape[0]
-        self._tail = self.matrix.diagonal()[self._nlead:]
+        self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, relax=1,
+                           options={"SymmetricMode": True})
         self.solves = 0
         self.residual_max = 0.0
 
     @property
     def nnz(self):
-        """Stored L+U entries of the LU (shared with ``lead``)."""
+        """Stored L+U entries of the LU."""
         return int(self._lu.nnz)
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.matrix.shape[0]:
             raise ValueError("matrix/vector sizes do not match")
-        n = self._nlead
-        x = np.empty_like(b)
-        owner = self._lead or self
-        owner.solves += 1
-        x[:n] = self._lu.solve(b[:n])
-        x[n:] = b[n:] / self._tail.reshape((-1,) + (1,) * (b.ndim - 1))
+        self.solves += 1
+        x = self._lu.solve(b)
         bnorm = float(np.linalg.norm(b))
         rel = (float(np.linalg.norm(self.matrix @ x - b))
                / (bnorm if bnorm > 0.0 else 1.0))
-        owner.residual_max = max(owner.residual_max, rel)
+        self.residual_max = max(self.residual_max, rel)
         if not rel < 1e-10:  # a NaN residual fails too
             raise ArithmeticError(f"direct solve residual too large: {rel:.3e}")
         return x
 
 
-def stiffness_factor(space, lead=None):
-    """SpdFactor of the stiffness matrix with Dirichlet rows eliminated.
-
-    ``lead`` is passed on to SpdFactor: for a Mini space, the P1
-    stiffness factor of the same mesh.
-    """
+def stiffness_factor(space):
+    """SpdFactor of the stiffness matrix with Dirichlet rows eliminated."""
     # the CSR is dropped before SpdFactor factors its CSC copy
     return SpdFactor(apply_dirichlet(assemble_stiffness(space),
-                                     space.boundary_dofs).tocsc(), lead)
+                                     space.boundary_dofs).tocsc())
 
 
 def stokes_spaces(mesh, k):
@@ -249,53 +231,107 @@ def chebyshev_mass_inverse(mass, bounds):
 class StokesOperator:
     """A level's Stokes matrices, assembled once for every right-hand side.
 
-    ``factor`` is the SpdFactor of A, the scalar stiffness of ``vspace``
-    (Dirichlet rows eliminated; for Mini built on the P1 factor), which
-    acts on both velocity components.  ``keep`` is 0 on the boundary
-    velocities and 1 elsewhere; ``b`` is the divergence B with those
-    columns zeroed in place (stored as zeros), ``mass`` the pressure
-    mass M, ``mvec`` m = M 1 (m_i = int q_i: the basis sums to 1) and
-    ``precond`` ``chebyshev_mass_inverse`` of M on the ``mass_bounds``
-    of ``pspace``.
+    ``factor`` is the SpdFactor of A, the scalar stiffness (Dirichlet
+    rows eliminated) of the velocity's Lagrange part: the velocity space
+    for Taylor-Hood, the P1 space ``pspace`` for Mini.  It acts on both
+    velocity components.  ``keep`` is False on the boundary velocities
+    of that Lagrange part and True elsewhere; ``b`` is its divergence B
+    against ``pspace`` with those columns zeroed in place (stored as
+    zeros), ``mass`` the pressure mass M, ``mvec`` m = M 1 (m_i = int
+    q_i: the basis sums to 1) and ``precond`` ``chebyshev_mass_inverse``
+    of M on the ``mass_bounds`` of ``pspace``.  ``bubbles`` is the Mini
+    velocity's bubble block, ``_Bubbles``, or None for Taylor-Hood.
     """
 
     def __init__(self, vspace, pspace, factor):
         self.vspace, self.pspace, self.factor = vspace, pspace, factor
-        self.keep = np.ones(2 * vspace.ndof)
-        self.keep[vector_boundary_dofs(vspace)] = 0.0
-        self.b = assemble_divergence(vspace, pspace)
+        mini = vspace.kind == "lagrange_bubble"
+        lagrange = pspace if mini else vspace
+        self.keep = np.ones(2 * lagrange.ndof, dtype=bool)
+        self.keep[vector_boundary_dofs(lagrange)] = False
+        self.b = assemble_divergence(lagrange, pspace)
         self.b.data *= self.keep[self.b.indices]
+        self.bubbles = _Bubbles(pspace) if mini else None
         self.mass = assemble_mass(pspace)
         self.mvec = self.mass @ np.ones(pspace.ndof)
         self.precond = chebyshev_mass_inverse(self.mass, mass_bounds(pspace))
 
 
+class _Bubbles:
+    """The bubble block of a Mini Stokes system, eliminated per triangle.
+
+    On an affine triangle T the gradient of the bubble b_T is orthogonal
+    to every P1 gradient, so the Mini stiffness is the P1 stiffness
+    beside the diagonal ``diag``, D_T = int_T |grad b_T|^2 (Arnold,
+    Brezzi & Fortin, Calcolo 21, 1984).  Integrating by parts, b_T's
+    divergence entries are -int_T q_i div(b_T e_d) = (det_T / 120)
+    d lambda_i / dx_d, so the divergence block Bb is applied triangle by
+    triangle (``div``, ``grad``) and never assembled.  Eliminating the
+    bubbles adds ``c``, C = Bb D^-1 Bb^T, to the pressure block: a P1
+    stiffness whose triangle T carries the weight (det_T / 120)^2 / D_T.
+    """
+
+    def __init__(self, pspace):
+        self.mesh = mesh = pspace.mesh
+        self.npres = pspace.ndof
+        self.gref = basis_ref_grads(pspace, np.full((1, 3), 1.0 / 3.0))[0]
+        # grad b_T = sum_i lambda_j lambda_k grad lambda_i ({i, j, k} =
+        # {0, 1, 2}) and sum_i grad lambda_i = 0 give
+        # D_T = (det_T / 360) sum_i |grad lambda_i|^2
+        grads = self.gref @ mesh.inv_t.transpose(0, 2, 1)
+        self.diag = mesh.det / 360.0 * np.einsum("tid,tid->t", grads, grads)
+        del grads
+        # assemble_stiffness weights int_T, which is (det_T / 2) grad.grad
+        self.c = assemble_stiffness(pspace, mesh.det / (7200.0 * self.diag))
+
+    def grad(self, p):
+        """Bb^T p: (det_T / 120) grad p on every triangle, shape (2, nt)."""
+        mesh = self.mesh
+        g = np.einsum("tde,te->dt", mesh.inv_t, p[mesh.triangles] @ self.gref)
+        return g * (mesh.det / 120.0)
+
+    def div(self, ub):
+        """Bb ub for bubble coefficients ``ub`` of shape (2, nt)."""
+        mesh = self.mesh
+        v = np.einsum("tde,dt->te", mesh.inv_t, ub * (mesh.det / 120.0))
+        return np.bincount(mesh.triangles.ravel(), (v @ self.gref.T).ravel(),
+                           minlength=self.npres)
+
+
 def solve_stokes(op, rhs, p0=None):
     """Solve the Stokes system of the StokesOperator ``op``, zero-mean pressure.
 
-    The pressure solves B A^-1 B^T p = B A^-1 f by conjugate gradients,
-    preconditioned by ``op.precond``; B A^-1 B^T is spectrally
-    equivalent to the pressure mass, so the step count stays flat under
-    refinement.  CG starts from zero, or from the exact prolongation
-    onto the pressure space of ``p0``, a pressure Field on the same or a
-    coarser mesh of the hierarchy (the pipelines pass the coarser
-    level's pressure).  The CG residual is B u for the velocity
-    u = A^-1 (f - B^T p), and CG stops once it falls below 1e-13 |f|
-    (not relative to B A^-1 f, which psp's discrete curl load makes
-    nearly zero).  The Schur complement is singular on constants only,
-    so p is shifted to zero mean against m before u is recovered.
-    The result must meet the gates of the multiplier-bordered system
-    [[A, B^T, 0], [B, 0, m], [0, m^T, 0]], whose multiplier is zero:
-    a 1e-10 relative residual, zero pressure mean and zero divergence.
-    It returns the level's LevelRecord without ``phi``, ``w`` or timings.
+    The pressure solves S p = B A^-1 f by conjugate gradients,
+    preconditioned by ``op.precond``, with S = B A^-1 B^T; S is
+    spectrally equivalent to the pressure mass, so the step count stays
+    flat under refinement.  For Mini, f is the right-hand side's P1
+    part, and the bubble part f_b adds C to S and Bb D^-1 f_b to the
+    right-hand side (``_Bubbles``).  CG starts from zero, or from the
+    exact prolongation onto the pressure space of ``p0``, a pressure
+    Field on the same or a coarser mesh of the hierarchy (the pipelines
+    pass the coarser level's pressure).  The CG residual is the
+    divergence of the velocity u = A^-1 (f - B^T p) (with the bubbles
+    u_b = D^-1 (f_b - Bb^T p)), and CG stops once it falls below
+    1e-13 |f| (not relative to the starting residual, which psp's
+    discrete curl load makes nearly zero).  The Schur complement is
+    singular on constants only, so p is shifted to zero mean against m
+    before u is recovered.  The result must meet the gates of the
+    multiplier-bordered system [[A, B^T, 0], [B, 0, m], [0, m^T, 0]]
+    (for Mini, A and B with their bubble blocks), whose multiplier is
+    zero: a 1e-10 relative residual, zero pressure mean and zero
+    divergence.  It returns the level's LevelRecord without ``phi``,
+    ``w`` or timings.
     """
     vspace, pspace, factor, b = op.vspace, op.pspace, op.factor, op.b
-    nv = vspace.ndof
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (2 * nv,):
+    if rhs.shape != (2 * vspace.ndof,):
         raise ValueError("rhs length does not match the vector velocity space")
+    nv = len(op.keep) // 2
     bt = b.T  # a CSC view: its matvec sums each row of B^T in column order
-    f = rhs * op.keep
+    loads = rhs.reshape(2, vspace.ndof)
+    f = loads[:, :nv].reshape(-1) * op.keep
+    fb, bub = loads[:, nv:], op.bubbles  # no bubble loads for Taylor-Hood
+    fnorm = float(np.hypot(np.linalg.norm(f), np.linalg.norm(fb)))
 
     # velocity vectors are component-major; the factor solves both
     # components at once as the two columns of an (nv, 2) block
@@ -306,12 +342,20 @@ def solve_stokes(op, rhs, p0=None):
         return (factor.matrix @ v.reshape(2, nv).T).T.ravel()
 
     npres = pspace.ndof
-    schur = spla.LinearOperator((npres, npres), dtype=float,
-                                matvec=lambda q: b @ a_inv(bt @ q))
+    if bub is None:
+        schur = spla.LinearOperator((npres, npres), dtype=float,
+                                    matvec=lambda q: b @ a_inv(bt @ q))
+        schur_rhs = b @ a_inv(f)
+    else:
+        if not np.isfinite(fb).all():
+            raise ArithmeticError("bubble load is not finite")
+        schur = spla.LinearOperator(
+            (npres, npres), dtype=float,
+            matvec=lambda q: b @ a_inv(bt @ q) + bub.c @ q)
+        schur_rhs = b @ a_inv(f) + bub.div(fb / bub.diag)
     steps = []
-    fnorm = float(np.linalg.norm(f))
     x0 = None if p0 is None else prolongate(p0, pspace).coefficients
-    xp, info = spla.cg(schur, b @ a_inv(f), x0=x0, rtol=0.0,
+    xp, info = spla.cg(schur, schur_rhs, x0=x0, rtol=0.0,
                        atol=1e-13 * fnorm, maxiter=1000, M=op.precond,
                        callback=steps.append)
     if info > 0:
@@ -322,8 +366,16 @@ def solve_stokes(op, rhs, p0=None):
 
     div = b @ xu
     mean = float(op.mvec @ xp)
-    residual = float(np.sqrt(np.sum((a_mul(xu) + bt @ xp - f) ** 2)
-                             + div @ div + mean ** 2))
+    squares = np.sum((a_mul(xu) + bt @ xp - f) ** 2)
+    energy = xu @ a_mul(xu)
+    if bub is not None:
+        gp = bub.grad(xp)
+        xb = (fb - gp) / bub.diag
+        div += bub.div(xb)
+        squares += np.sum((bub.diag * xb + gp - fb) ** 2)
+        energy += np.sum(bub.diag * xb ** 2)
+        xu = np.concatenate([xu.reshape(2, nv), xb], axis=1).ravel()
+    residual = float(np.sqrt(squares + div @ div + mean ** 2))
     # each gate is written so that a NaN measurement fails it
     if not residual < 1e-10 * (fnorm if fnorm > 0.0 else 1.0):
         raise ArithmeticError(
@@ -332,7 +384,7 @@ def solve_stokes(op, rhs, p0=None):
     floor = 1e-13 * (1.0 + float(np.linalg.norm(rhs)))
     if not abs(mean) <= 1e-10 * pnorm + floor:
         raise ArithmeticError(f"pressure mean {abs(mean):.3e} not zero")
-    unorm = float(np.sqrt(xu @ a_mul(xu)))
+    unorm = float(np.sqrt(energy))
     divmax = float(np.max(np.abs(div))) if npres else 0.0
     if not divmax <= 1e-9 * unorm + floor:
         raise ArithmeticError(f"divergence residual {divmax:.3e} too large")
@@ -380,19 +432,15 @@ def validate_curl(mesh, f, F):
     return resid
 
 
-def _level_factors(vspace, pspace):
-    """The level's P_k Poisson space, its factor and the velocity factor.
+def _level_factor(vspace, pspace):
+    """The level's P_k Poisson space and the one factor of its stiffness.
 
-    One splu serves the level: for k >= 2 the Poisson space is the
-    velocity space, and for Mini it is the P1 pressure space, whose
-    factor the velocity factor reuses before dividing by the bubble
-    diagonal.
+    For k >= 2 the Poisson space is the velocity space; for Mini it is
+    the P1 pressure space, whose stiffness is also the one the Mini
+    Stokes solve factors (``StokesOperator``).
     """
-    if vspace.kind == "lagrange":
-        factor = stiffness_factor(vspace)
-        return vspace, factor, factor
-    sfactor = stiffness_factor(pspace)
-    return pspace, sfactor, stiffness_factor(vspace, sfactor)
+    sspace = vspace if vspace.kind == "lagrange" else pspace
+    return sspace, stiffness_factor(sspace)
 
 
 def run_chains(meshes, k, chains):
@@ -423,7 +471,7 @@ def run_chains(meshes, k, chains):
         vspace, pspace = stokes_spaces(mesh, k)
         try:
             t0 = time.perf_counter()
-            sspace, sfactor, vfactor = _level_factors(vspace, pspace)
+            sspace, sfactor = _level_factor(vspace, pspace)
             factor_s = time.perf_counter() - t0
             op = None
             for (f, F), run in zip(chains, runs):
@@ -439,7 +487,7 @@ def run_chains(meshes, k, chains):
                        else assemble_stokes_rhs_discrete_curl(vspace, w))
                 rhs_s = time.perf_counter() - t0
                 if op is None:  # after the level's first right-hand side
-                    op = StokesOperator(vspace, pspace, vfactor)
+                    op = StokesOperator(vspace, pspace, sfactor)
                     op_s = time.perf_counter() - t0 - rhs_s
                 secs["stokes_assembly"] = rhs_s + op_s
                 t0 = time.perf_counter()
@@ -468,7 +516,7 @@ def run_chains(meshes, k, chains):
             f"{label}level {mesh.level}: {len(mesh.triangles)} triangles, "
             f"factor_nnz {sfactor.nnz}, cg {steps} steps, "
             f"{time.perf_counter() - start:.2f} s, maxrss_mb {maxrss_mb:.1f}\n")
-        del sfactor, vfactor
+        del sfactor
     return runs
 
 

@@ -360,7 +360,7 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
         # the residual of the coarse-level start
         assert row["lu_solves"] == row["iterations"] + 3 + (row["level"] > 0)
         if row["kappa"] == 0.25:
-            # the level's one factor is the P1 factor Mini's solves reuse
+            # the level's one factor is the P1 factor Mini's Stokes solve uses
             space = build_space(meshes[row["level"]], config.k)
             factor = stiffness_factor(space)
             assert row["factor_nnz"] == factor.nnz

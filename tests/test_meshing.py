@@ -493,11 +493,12 @@ def square_file(last=3, centre="", extra=""):
      r"line 1: missing 'mesh <npoints> <ntriangles>' header"),
     (square_file(centre=" -1 junk"),
      r"line 6: cannot read 'p 0.0 0.0 -1 junk'"),
+    (square_file(centre=" -7"), r"line 6: cannot read 'p 0.0 0.0 -7'"),
     (square_file().replace("t 0 1 4", "t 0 1 4 9 9"),
      r"line 7: cannot read 't 0 1 4 9 9'"),
 ], ids=["repeated", "skipped", "unknown-corner-line", "second-corner-line",
         "graded-flag-not-0-or-1", "mesh-line-extra-field",
-        "p-line-extra-fields", "t-line-extra-fields"])
+        "p-line-extra-fields", "negative-corner-id", "t-line-extra-fields"])
 def test_read_mesh_rejects_corner_ids_other_than_0_to_n(tmp_path, body,
                                                       match):
     path = tmp_path / "square.mesh"
@@ -510,6 +511,15 @@ def test_read_mesh_rejects_corner_ids_other_than_0_to_n(tmp_path, body,
         msh.read_mesh(path)
     assert main(["mesh", "--domain", str(path),
                  "--out", str(tmp_path / "out.mesh")]) == 2
+
+
+def test_read_mesh_reads_corner_id_minus_one_as_no_corner(tmp_path):
+    # -1 is the id write_mesh leaves out; the file reads as without it
+    path = tmp_path / "square.mesh"
+    path.write_text(square_file(centre=" -1"))
+    mesh = msh.read_mesh(path)
+    assert mesh.corner_vertex[-1] == -1
+    assert msh.write_mesh(mesh, tmp_path / "out.mesh") == square_file()
 
 
 @pytest.mark.parametrize("name,kappa", [("convex_11pi12", 0.2),

@@ -24,7 +24,7 @@ from biharm.assembly import (
 from biharm.cli import ExperimentConfig, run_comparison
 from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.solvers import (
-    _level_factors,
+    _level_factor,
     CHEBYSHEV_STEPS,
     chebyshev_mass_inverse,
     mass_bounds,
@@ -67,10 +67,10 @@ FORCE_BLEND = (lambda x, y: -0.5 * fy(x, y), lambda x, y: 0.5 * fx(x, y))
 
 
 def stokes(vspace, pspace, rhs, p0=None):
-    """solve_stokes on the velocity factor the pipelines build for vspace:
-    its own LU for Taylor-Hood, the P1 LU and the bubble diagonal for
+    """solve_stokes on the one factor the pipelines build for the level:
+    the velocity stiffness's for Taylor-Hood, the P1 stiffness's for
     Mini."""
-    factor = _level_factors(vspace, pspace)[2]
+    factor = _level_factor(vspace, pspace)[1]
     return solve_stokes(StokesOperator(vspace, pspace, factor),
                         rhs, p0)
 
@@ -136,31 +136,48 @@ def test_solve_spd_shape_mismatch_rejected():
 
 
 def test_mini_stiffness_is_p1_block_plus_bubble_diagonal(lshape_meshes):
-    # on every triangle the bubble gradient is orthogonal to the P1 ones
-    mesh = lshape_meshes[3]
-    nv = len(mesh.points)
-    a = assemble_stiffness(build_space(mesh, 1, "lagrange_bubble")).tocoo()
-    coupled = (a.row >= nv) != (a.col >= nv)
-    bubble_off = (a.row >= nv) & (a.col >= nv) & (a.row != a.col)
-    assert np.all(a.data[coupled | bubble_off] == 0.0)
-    p1 = assemble_stiffness(build_space(mesh, 1))
-    block = a.tocsr()[:nv, :nv]
-    assert abs(block - p1).max() < 1e-13 * abs(p1).max()
+    # what the condensed Mini Stokes solve relies on, on graded meshes:
+    # on every triangle the bubble gradient is orthogonal to the P1 ones,
+    # and the bubble divergence entries are (det / 120) grad lambda_i
+    kite = refine_hierarchy(builtin_domain("convex_11pi12")[1], 3, 0.3)
+    for mesh in (lshape_meshes[3], kite[3]):
+        nv, nt = len(mesh.points), len(mesh.triangles)
+        vspace, pspace = stokes_spaces(mesh, 1)
+        a = assemble_stiffness(vspace).tocoo()
+        coupled = (a.row >= nv) != (a.col >= nv)
+        bubble_off = (a.row >= nv) & (a.col >= nv) & (a.row != a.col)
+        assert np.all(a.data[coupled | bubble_off] == 0.0)
+        a = a.tocsr()
+        p1 = assemble_stiffness(pspace)
+        assert abs(a[:nv, :nv] - p1).max() < 1e-13 * abs(p1).max()
+        bubbles = biharm.solvers._Bubbles(pspace)
+        d = bubbles.diag
+        np.testing.assert_allclose(a.diagonal()[nv:], d, rtol=1e-13, atol=0)
+        bbt = np.column_stack([bubbles.grad(e).ravel()
+                               for e in np.eye(pspace.ndof)])  # Bb^T
+        rng = np.random.default_rng(7)
+        ub, q = rng.normal(size=(2, nt)), rng.normal(size=pspace.ndof)
+        assert bubbles.div(ub) @ q == pytest.approx(ub.ravel() @ (bbt @ q),
+                                                    rel=1e-13)
+        mini = assemble_divergence(vspace, pspace).toarray()
+        b1 = assemble_divergence(pspace, pspace).toarray()
+        cols = np.arange(2 * vspace.ndof).reshape(2, -1)
+        scale = np.abs(mini).max()
+        assert np.abs(mini[:, cols[:, :nv].ravel()] - b1).max() < 1e-13 * scale
+        assert np.abs(mini[:, cols[:, nv:].ravel()] - bbt.T).max() < (
+            1e-13 * scale)
+        c = bbt.T @ (bbt / np.tile(d, 2)[:, None])  # Bb D^-1 Bb^T
+        assert np.abs(bubbles.c.toarray() - c).max() < 1e-13 * np.abs(c).max()
 
 
 def test_factor_matrix_stores_no_zeros(lshape_meshes):
-    # the assembled Mini stiffness stores its zero bubble-vertex entries,
-    # but the sparse products of the Dirichlet elimination drop exact
-    # zeros, so the matrix every gate multiplies holds none of them
+    # the assembled P1 stiffness stores exact zeros (on edges whose
+    # opposite angles' cotangents cancel), but the Dirichlet elimination
+    # drops them, so the matrix every gate multiplies holds none
     mesh = lshape_meshes[3]
-    vspace = build_space(mesh, 1, "lagrange_bubble")
-    assert np.any(assemble_stiffness(vspace).data == 0.0)
-    p1 = stiffness_factor(build_space(mesh, 1))
-    mini = stiffness_factor(vspace, p1)
-    nv = len(mesh.points)
-    assert mini.matrix[nv:, :nv].nnz == 0
-    assert mini.matrix[nv:, nv:].nnz == len(mesh.triangles)
-    for factor in (p1, mini, stiffness_factor(build_space(mesh, 2))):
+    assert np.any(assemble_stiffness(build_space(mesh, 1)).data == 0.0)
+    for degree in (1, 2):
+        factor = stiffness_factor(build_space(mesh, degree))
         assert np.all(factor.matrix.data != 0.0)
 
 
@@ -187,29 +204,6 @@ def test_factor_stores_less_than_relaxed_supernodes(domain, kappa, level,
     assert 0.0 < factor.residual_max < 1e-10
 
 
-@pytest.mark.parametrize("columns", [1, 2])
-def test_mini_velocity_solve_reuses_p1_factor(lshape_meshes, columns):
-    mesh = lshape_meshes[3]
-    p1 = stiffness_factor(build_space(mesh, 1))
-    vspace = build_space(mesh, 1, "lagrange_bubble")
-    mini = stiffness_factor(vspace, p1)
-    rng = np.random.default_rng(5)
-    b = rng.normal(size=(vspace.ndof, columns)).squeeze()
-    b[vspace.boundary_dofs] = 0.0
-    exact = spla.spsolve(mini.matrix, b)
-    x = mini.solve(b)
-    assert np.max(np.abs(x - exact)) < 1e-12 * np.max(np.abs(exact))
-
-
-def test_lead_factor_gate_rejects_coupling():
-    # a trailing row that is not decoupled breaks the solve's residual gate
-    a = sps.csr_matrix(np.array([[2.0, 0.0, 0.5], [0.0, 2.0, 0.0],
-                                 [0.5, 0.0, 1.0]]))
-    lead = SpdFactor(a[:2, :2])
-    with pytest.raises(ArithmeticError, match="residual"):
-        SpdFactor(a, lead).solve(np.ones(3))
-
-
 def test_factor_is_freed_without_cyclic_collection():
     # a level's LU must go when its last name does, before the next level
     # is factored; a reference cycle would hold it until gc runs
@@ -217,15 +211,13 @@ def test_factor_is_freed_without_cyclic_collection():
                                  [0.0, 0.0, 4.0]]))
     gc.disable()
     try:
-        lead = SpdFactor(a[:2, :2])
-        mini = SpdFactor(a, lead)
-        mini.solve(np.ones(3))
-        lead.solve(np.ones(2))
-        assert lead.solves == 2 and mini.solves == 0
-        assert 0.0 <= lead.residual_max < 1e-10 and mini.residual_max == 0.0
-        refs = [weakref.ref(lead), weakref.ref(mini)]
-        del lead, mini
-        assert all(ref() is None for ref in refs)
+        factor = SpdFactor(a)
+        factor.solve(np.ones(3))
+        factor.solve(np.ones((3, 2)))
+        assert factor.solves == 2 and 0.0 <= factor.residual_max < 1e-10
+        ref = weakref.ref(factor)
+        del factor
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -278,13 +270,25 @@ def test_stokes_solution_invariants(lshape_meshes, k):
 def test_stokes_non_finite_rhs_fails_its_first_back_solve(square_meshes, k):
     # the Schur right-hand side's back-solve raises; no CG step runs
     vspace, pspace = stokes_spaces(square_meshes[2], k)
-    sfactor, vfactor = _level_factors(vspace, pspace)[1:]
+    sfactor = _level_factor(vspace, pspace)[1]
     rhs = np.zeros(2 * vspace.ndof)
     rhs[np.setdiff1d(np.arange(vspace.ndof),
                      vspace.boundary_dofs)[0]] = np.nan
     with pytest.raises(ArithmeticError, match="direct solve residual"):
-        solve_stokes(StokesOperator(vspace, pspace, vfactor), rhs)
+        solve_stokes(StokesOperator(vspace, pspace, sfactor), rhs)
     assert sfactor.solves == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stokes_non_finite_bubble_load_rejected(square_meshes, bad):
+    # no LU solve sees the Mini bubble loads, so they are checked first
+    vspace, pspace = stokes_spaces(square_meshes[2], 1)
+    sfactor = _level_factor(vspace, pspace)[1]
+    rhs = np.zeros(2 * vspace.ndof)
+    rhs[-1] = bad  # the last triangle's bubble, second component
+    with pytest.raises(ArithmeticError, match="bubble load"):
+        solve_stokes(StokesOperator(vspace, pspace, sfactor), rhs)
+    assert sfactor.solves == 0
 
 
 def test_stokes_mesh_mismatch_rejected(square_meshes):
@@ -463,15 +467,25 @@ class _CountingLinalg:
 def test_one_scalar_factor_per_level(monkeypatch, square_meshes, algorithm,
                                      k, per_level):
     # Taylor-Hood factors the P_k stiffness once per level for all three
-    # solves; Mini factors only its P1 stiffness, which the P1+bubble
-    # velocity solves reuse
+    # solves; Mini factors only its P1 stiffness, on which its Stokes
+    # solve runs once the bubbles are eliminated: no Mini stiffness or
+    # Mini divergence is assembled
     counting = _CountingLinalg()
     monkeypatch.setattr(biharm.solvers, "spla", counting)
+    calls = {name: _count_calls(monkeypatch, name)
+             for name in ("assemble_stiffness", "assemble_divergence")}
     if algorithm == "sp":
-        run_sp(square_meshes, fone, FORCE_INT_X, k)
+        run = run_sp(square_meshes, fone, FORCE_INT_X, k)
     else:
-        run_psp(square_meshes, fone, k)
+        run = run_psp(square_meshes, fone, k)
     assert counting.splu_calls == per_level * len(square_meshes)
+    assert run[-1].u.space.kind == ("lagrange_bubble" if k == 1
+                                    else "lagrange")
+    assert len(calls["assemble_divergence"]) == len(square_meshes)
+    spaces = [args[0] for args in calls["assemble_stiffness"]]
+    spaces += [space for args in calls["assemble_divergence"]
+               for space in args]
+    assert spaces and all(space.kind == "lagrange" for space in spaces)
 
 
 def _count_calls(monkeypatch, name):
