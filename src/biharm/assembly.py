@@ -7,8 +7,11 @@ order k+2.  Every assembler reads its mesh's per-triangle ``det`` and
 summed from per-element blocks into int32-indexed CSR one block of
 SCATTER_ROWS rows at a time; each row takes its entries in
 element-index order, as one coo->csr of all triplets would, so the
-result is deterministic and the same to the bit.  Load vectors sum
-their element vectors in element order with ``np.bincount``.  Velocity
+result is deterministic and the same to the bit.  Load vectors form
+their quadrature points, data values, field gradients and element
+vectors TRANSFER_ROWS triangles at a time, write the element vectors
+into one (nt, nloc) array, and sum it in element order with one
+``np.bincount``, so they do not depend on the block size.  Velocity
 vectors use component-major layout (all x-coefficients, then all
 y-coefficients).
 """
@@ -18,7 +21,7 @@ import scipy.sparse as sps
 
 from . import kernels
 from .quadrature import physical_points, triangle_rule
-from .spaces import basis_ref_grads, basis_values, call_on_points
+from .spaces import TRANSFER_ROWS, basis_ref_grads, basis_values, call_on_points
 
 __all__ = [
     "assemble_stiffness",
@@ -111,22 +114,46 @@ def assemble_divergence(vspace, pspace):
         pspace.element_dofs, cols, (pspace.ndof, 2 * nv))
 
 
-def _sum_loads(space, local):
-    """Global load vector of the element vectors ``local`` (nt, nlocal)."""
-    return np.bincount(space.element_dofs.ravel(), local.ravel(),
-                       minlength=space.ndof)
+def _block_loads(space, count, element_loads):
+    """``count`` load vectors of ``space`` summed from element vectors.
+
+    ``element_loads(rows)`` returns ``count`` arrays of element vectors,
+    (len(rows), nloc), for the triangles ``rows``, a slice of
+    TRANSFER_ROWS of them (the last may hold fewer, or one more).  They
+    are written into one preallocated (count, nt, nloc) array, and
+    ``np.bincount`` sums each load's element vectors in element order.
+    A last block of one triangle
+    joins the block before it: numpy hands a one-row product to BLAS
+    gemv, which rounds differently from the gemm of every other block.
+    """
+    ed = space.element_dofs
+    local = np.empty((count,) + ed.shape)
+    starts = list(range(0, len(ed), TRANSFER_ROWS))
+    if len(starts) > 1 and len(ed) - starts[-1] == 1:
+        starts.pop()
+    for t0, t1 in zip(starts, starts[1:] + [len(ed)]):
+        rows = slice(t0, t1)
+        for out, block in zip(local, element_loads(rows)):
+            out[rows] = block
+    return [np.bincount(ed.ravel(), b.ravel(), minlength=space.ndof)
+            for b in local]
 
 
 def _analytic_loads(space, fs):
     """b_i = int f phi_i for each f of ``fs``, on points mapped once."""
     lam, w = triangle_rule(space.poly_degree + 2)
     vals = basis_values(space, lam)
-    pts = physical_points(lam, space.mesh.points[space.mesh.triangles])
-    shape = pts.shape[:2]
-    pts = pts.reshape(-1, 2)
-    return [_sum_loads(space, kernels.element_load(
-        space.mesh.det, vals, call_on_points(f, pts).reshape(shape), w))
-        for f in fs]
+    mesh = space.mesh
+
+    def element_loads(rows):
+        pts = physical_points(lam, mesh.points[mesh.triangles[rows]])
+        shape = pts.shape[:2]
+        pts = pts.reshape(-1, 2)
+        return [kernels.element_load(
+            mesh.det[rows], vals, call_on_points(f, pts).reshape(shape), w)
+            for f in fs]
+
+    return _block_loads(space, len(fs), element_loads)
 
 
 def assemble_load(space, f):
@@ -140,15 +167,17 @@ def assemble_stokes_rhs_analytic(vspace, F):
     return np.concatenate(_analytic_loads(vspace, (f1, f2)))
 
 
-def _component_grads_at_quad(field, lam):
+def _field_grads(field, lam):
+    """grads(c, rows): gradients of component c at quad points of ``rows``."""
     space = field.space
     gref = basis_ref_grads(space, lam)
     ed = space.element_dofs
-    return [
-        kernels.field_grads_at_quad(space.mesh.det, space.mesh.inv_t, gref,
-                                    field.component(c)[ed])
-        for c in range(field.components)
-    ]
+    det, inv_t = space.mesh.det, space.mesh.inv_t
+
+    def grads(c, rows):
+        return kernels.field_grads_at_quad(det[rows], inv_t[rows], gref,
+                                           field.component(c)[ed[rows]])
+    return grads
 
 
 def assemble_stokes_rhs_discrete_curl(vspace, w_field):
@@ -159,12 +188,17 @@ def assemble_stokes_rhs_discrete_curl(vspace, w_field):
         raise ValueError("w must be a scalar field")
     order = max(1, w_field.space.poly_degree - 1 + vspace.poly_degree)
     lam, w = triangle_rule(order)
-    (gw,) = _component_grads_at_quad(w_field, lam)
+    grads = _field_grads(w_field, lam)
     vals = basis_values(vspace, lam)
     det = vspace.mesh.det
-    b1 = kernels.element_load(det, vals, np.ascontiguousarray(gw[:, :, 1]), w)
-    b2 = kernels.element_load(det, vals, np.ascontiguousarray(-gw[:, :, 0]), w)
-    return np.concatenate([_sum_loads(vspace, b1), _sum_loads(vspace, b2)])
+
+    def element_loads(rows):
+        gw = grads(0, rows)
+        return [kernels.element_load(det[rows], vals, fq, w) for fq in (
+            np.ascontiguousarray(gw[:, :, 1]),
+            np.ascontiguousarray(-gw[:, :, 0]))]
+
+    return np.concatenate(_block_loads(vspace, 2, element_loads))
 
 
 def assemble_curl_rhs(space, u_field):
@@ -175,10 +209,16 @@ def assemble_curl_rhs(space, u_field):
         raise ValueError("u must be a vector field")
     order = max(1, u_field.space.poly_degree - 1 + space.poly_degree)
     lam, w = triangle_rule(order)
-    g1, g2 = _component_grads_at_quad(u_field, lam)
-    curl = np.ascontiguousarray(g2[:, :, 0] - g1[:, :, 1])
+    grads = _field_grads(u_field, lam)
     vals = basis_values(space, lam)
-    return _sum_loads(space, kernels.element_load(space.mesh.det, vals, curl, w))
+    det = space.mesh.det
+
+    def element_loads(rows):
+        g1, g2 = grads(0, rows), grads(1, rows)
+        curl = np.ascontiguousarray(g2[:, :, 0] - g1[:, :, 1])
+        return [kernels.element_load(det[rows], vals, curl, w)]
+
+    return _block_loads(space, 1, element_loads)[0]
 
 
 def apply_dirichlet(A, dofs):

@@ -88,8 +88,9 @@ Config file schema (INI, one [experiment] section):
 Outputs under `out`: rates_<quantity>.csv (deterministic), levels.jsonl
 (per level: Stokes CG iterations, gate residual, pressure mean, largest
 divergence entry, LU back-solves and their largest residual, factor
-entries, process peak RSS in MiB, and the only wall-clock seconds, per
-pipeline step), tables.md (also printed on stdout).
+entries, process peak RSS in MiB and the step during which it last
+rose, and the only wall-clock seconds, per pipeline step), tables.md
+(also printed on stdout).
 """
 
 

@@ -89,6 +89,7 @@ class LevelRecord:
     lu_residual_max: float = 0.0  # largest relative residual of those
     factor_nnz: int = 0           # stored L+U entries of that LU
     maxrss_mb: float = 0.0        # process peak RSS (MiB) when it ended
+    peak_step: str = None         # the step during which that last rose
     seconds: dict = dc_field(default_factory=dict)
 
 
@@ -443,6 +444,29 @@ def _level_factor(vspace, pspace):
     return sspace, stiffness_factor(sspace)
 
 
+def _maxrss_mb():
+    # ru_maxrss is in KiB on Linux, for the whole process
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+class _PeakStep:
+    """The step of a level during which the process's peak RSS last rose.
+
+    ``ended(step)`` reads ``ru_maxrss`` once, as ``step`` ends; ``mb``
+    holds the last reading and ``step`` the last step that raised it
+    above the reading made when the level began (None if none did).  A
+    rise while the level builds its spaces counts to its first step.
+    """
+
+    def __init__(self):
+        self.mb, self.step = _maxrss_mb(), None
+
+    def ended(self, step):
+        mb = _maxrss_mb()
+        if mb > self.mb:
+            self.mb, self.step = mb, step
+
+
 def run_chains(meshes, k, chains):
     """Run every chain on ``meshes`` with one factorization per level.
 
@@ -457,8 +481,10 @@ def run_chains(meshes, k, chains):
     and ``seconds["factor"]``, and in ``seconds["stokes_assembly"]`` the
     build of the level's one StokesOperator, made after the level's first
     Stokes right-hand side and dropped once the last chain's Stokes solve
-    returns.  Each finished level writes one progress line to stderr,
-    led by the kappa that graded the hierarchy's refinements.
+    returns, and the process's ``maxrss_mb`` as the level ends with the
+    ``peak_step`` during which it last rose.  Each finished level writes
+    one progress line to stderr, led by the kappa that graded the
+    hierarchy's refinements.
     """
     for f, F in chains:
         if F is not None:
@@ -468,11 +494,13 @@ def run_chains(meshes, k, chains):
     label = "" if kappa is None else f"kappa={kappa:g} "
     for mesh in meshes:
         start = time.perf_counter()
+        peak = _PeakStep()
         vspace, pspace = stokes_spaces(mesh, k)
         try:
             t0 = time.perf_counter()
             sspace, sfactor = _level_factor(vspace, pspace)
             factor_s = time.perf_counter() - t0
+            peak.ended("factor")
             op = None
             for (f, F), run in zip(chains, runs):
                 secs = {"factor": factor_s}
@@ -482,6 +510,7 @@ def run_chains(meshes, k, chains):
                     w = solve_poisson(
                         sspace, assemble_load(sspace, f), sfactor)
                     secs["poisson_w"] = time.perf_counter() - t0
+                    peak.ended("poisson_w")
                 t0 = time.perf_counter()
                 rhs = (assemble_stokes_rhs_analytic(vspace, F) if w is None
                        else assemble_stokes_rhs_discrete_curl(vspace, w))
@@ -490,27 +519,30 @@ def run_chains(meshes, k, chains):
                     op = StokesOperator(vspace, pspace, sfactor)
                     op_s = time.perf_counter() - t0 - rhs_s
                 secs["stokes_assembly"] = rhs_s + op_s
+                peak.ended("stokes_assembly")
                 t0 = time.perf_counter()
                 rec = solve_stokes(op, rhs, run[-1].p if run else None)
                 secs["stokes"] = time.perf_counter() - t0
+                peak.ended("stokes")
                 if run is runs[-1]:  # no phi solve holds B and M
                     op = None
                 t0 = time.perf_counter()
                 rec.phi = solve_poisson(
                     sspace, assemble_curl_rhs(sspace, rec.u), sfactor)
                 secs["poisson_phi"] = time.perf_counter() - t0
+                peak.ended("poisson_phi")
                 rec.w, rec.seconds = w, secs
                 run.append(rec)
         except ArithmeticError as exc:
             raise ArithmeticError(f"level {mesh.level}: {exc}") from exc
-        # ru_maxrss is in KiB on Linux, for the whole process
-        maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        maxrss_mb = peak.mb
         level = [run[-1] for run in runs]
         for rec in level:  # totals of the factor every chain solved on
             rec.lu_solves = sfactor.solves
             rec.lu_residual_max = sfactor.residual_max
             rec.factor_nnz = sfactor.nnz
             rec.maxrss_mb = maxrss_mb
+            rec.peak_step = peak.step
         steps = "/".join(str(rec.iterations) for rec in level)
         sys.stderr.write(
             f"{label}level {mesh.level}: {len(mesh.triangles)} triangles, "

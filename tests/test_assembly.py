@@ -336,6 +336,38 @@ def test_curl_rhs_includes_mini_bubbles(square2):
     assert np.max(np.abs(got)) > 1e-10
 
 
+@pytest.fixture(scope="module")
+def kite7():
+    _, k0 = msh.builtin_domain("convex_11pi12")
+    return msh.refine_hierarchy(k0, 7, 0.3)[7]
+
+
+def _all_loads(space):
+    rng = np.random.default_rng(11)
+    w = sp.Field(space, 1, rng.normal(size=space.ndof))
+    u = sp.Field(space, 2, rng.normal(size=2 * space.ndof))
+    return [asm.assemble_load(space, lambda x, y: np.sin(3 * x) * y),
+            asm.assemble_stokes_rhs_analytic(
+                space, (lambda x, y: np.exp(x) - y, lambda x, y: x * y)),
+            asm.assemble_stokes_rhs_discrete_curl(space, w),
+            asm.assemble_curl_rhs(space, u)]
+
+
+# 7 splits the 65,536 triangles into 9,362 blocks of 7 and one of 2;
+# 65,535 leaves one triangle, which joins the block before it
+@pytest.mark.parametrize("rows", [7, 65535])
+@pytest.mark.parametrize("degree,kind", [(1, "lagrange_bubble"), (1, "lagrange"),
+                                         (2, "lagrange"), (3, "lagrange")])
+def test_loads_do_not_depend_on_the_block_size(kite7, monkeypatch, rows,
+                                               degree, kind):
+    space = sp.build_space(kite7, degree, kind)
+    assert len(kite7.triangles) == 65536
+    ref = _all_loads(space)
+    monkeypatch.setattr(asm, "TRANSFER_ROWS", rows)
+    for got, want in zip(_all_loads(space), ref):
+        assert np.array_equal(got, want)
+
+
 # -- boundary conditions -----------------------------------------------------------
 
 

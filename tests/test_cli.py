@@ -346,9 +346,11 @@ def test_levels_jsonl_records_each_level(sp_artifacts):
         assert list(row) == ["kappa", "level", "iterations", "residual_norm",
                              "pressure_mean", "divergence_max", "lu_solves",
                              "lu_residual_max", "factor_nnz", "maxrss_mb",
-                             "seconds"]
+                             "peak_step", "seconds"]
         assert set(row["seconds"]) == {"factor", "stokes_assembly", "stokes",
                                        "poisson_phi"}
+        # the step during which maxrss_mb last rose on the level, if it did
+        assert row["peak_step"] is None or row["peak_step"] in row["seconds"]
         assert row["iterations"] >= 1
         assert 0.0 <= row["residual_norm"] < 1e-10
         # the values the pressure-mean and divergence gates bounded

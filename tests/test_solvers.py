@@ -547,7 +547,7 @@ def test_comparison_factors_each_level_once(monkeypatch, k):
     # entries, and its back-solves and their largest residual over both
     for rec_a, rec_b, ref_a, ref_b in zip(*runs, *alone):
         for name in ("lu_solves", "lu_residual_max", "factor_nnz",
-                     "maxrss_mb"):
+                     "maxrss_mb", "peak_step"):
             assert getattr(rec_a, name) == getattr(rec_b, name)
         assert rec_a.lu_solves == ref_a.lu_solves + ref_b.lu_solves
         assert rec_a.lu_residual_max == max(ref_a.lu_residual_max,
@@ -705,6 +705,25 @@ def test_one_progress_line_per_level_on_stderr(capsys, lshape_meshes):
                                f"factor_nnz {psp.factor_nnz}, "
                                f"cg {psp.iterations}/{sp.iterations} steps, ")
         assert line.endswith(f" s, maxrss_mb {psp.maxrss_mb:.1f}")
+
+
+def test_peak_step_is_the_step_that_last_raised_maxrss(monkeypatch,
+                                                       lshape_meshes):
+    # one ru_maxrss reading as a level begins and one as each step ends:
+    # factor, the psp chain's poisson_w, stokes_assembly, stokes and
+    # poisson_phi, then the sp chain's stokes_assembly, stokes, poisson_phi
+    readings = iter([
+        10, 10, 10, 10, 10, 10, 12, 12, 12,  # sp's stokes_assembly
+        12, 12, 12, 12, 12, 12, 12, 12, 12,  # no rise
+        12, 15, 16, 16, 16, 16, 16, 16, 16,  # psp's poisson_w
+        16, 17, 17, 17, 17, 18, 18, 18, 18])  # psp's poisson_phi
+    monkeypatch.setattr(biharm.solvers, "_maxrss_mb", lambda: next(readings))
+    runs = run_chains(lshape_meshes, 2, [(fone, None), (fone, FORCE_INT_X)])
+    assert next(readings, None) is None
+    for run in runs:
+        assert [rec.peak_step for rec in run] == [
+            "stokes_assembly", None, "poisson_w", "poisson_phi"]
+        assert [rec.maxrss_mb for rec in run] == [12, 12, 16, 18]
 
 
 def test_solver_error_carries_level(monkeypatch, square_meshes):
