@@ -19,10 +19,10 @@ import numpy as np
 from . import kernels
 from .quadrature import triangle_rule
 from .spaces import (
-    TRANSFER_ROWS,
     Field,
     basis_ref_grads,
     basis_values,
+    blocks,
     build_space,
     point_value_dofs,
     prolongate,
@@ -68,9 +68,10 @@ def _quad_order(space, norm):
 def field_norm(field, norm):
     """L2 norm, H1 seminorm, or nodal max of a field (components summed).
 
-    The squared integrand is formed TRANSFER_ROWS triangles at a time;
-    each block leaves only its per-triangle quadrature sums, and one
-    product with |det| adds them up.
+    The squared integrand is formed one block of triangles of
+    ``blocks`` at a time; each block leaves only its per-triangle
+    quadrature sums, each summed within its own row, and one product
+    with |det| adds them up, so no norm depends on the block size.
     """
     _check_norm(norm)
     space = field.space
@@ -84,8 +85,7 @@ def field_norm(field, norm):
     vals = basis_values(space, lam)
     gref = basis_ref_grads(space, lam)
     sums = np.empty(len(ed))  # quadrature sum of the squared integrand
-    for t0 in range(0, len(ed), TRANSFER_ROWS):
-        rows = slice(t0, t0 + TRANSFER_ROWS)
+    for rows in blocks(len(ed)):
         sq = 0.0  # squared integrand at the quadrature points, (rows, nq)
         for c in range(field.components):
             coef = field.component(c)[ed[rows]]
@@ -95,7 +95,7 @@ def field_norm(field, norm):
                 g = kernels.field_grads_at_quad(det[rows], inv_t[rows],
                                                 gref, coef)
                 sq = sq + g[..., 0] ** 2 + g[..., 1] ** 2
-        sums[rows] = sq @ w
+        sums[rows] = np.einsum("tq,q->t", sq, w)
     return math.sqrt(float(np.abs(det) @ sums))
 
 

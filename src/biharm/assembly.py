@@ -7,13 +7,14 @@ order k+2.  Every assembler reads its mesh's per-triangle ``det`` and
 summed from per-element blocks into int32-indexed CSR one block of
 SCATTER_ROWS rows at a time; each row takes its entries in
 element-index order, as one coo->csr of all triplets would, so the
-result is deterministic and the same to the bit.  Load vectors form
-their quadrature points, data values, field gradients and element
-vectors TRANSFER_ROWS triangles at a time, write the element vectors
-into one (nt, nloc) array, and sum it in element order with one
-``np.bincount``, so they do not depend on the block size.  Velocity
-vectors use component-major layout (all x-coefficients, then all
-y-coefficients).
+result is deterministic and the same to the bit.  Every load vector
+goes through one quadrature path, ``_loads``: each assembler states
+only its integrand (analytic data at the mapped points, or gradients
+of a finite element field), which is formed one block of triangles of
+``spaces.blocks`` at a time; the element vectors are written into one
+(nt, nloc) array and summed in element order with one ``np.bincount``,
+so no load depends on the block size.  Velocity vectors use
+component-major layout (all x-coefficients, then all y-coefficients).
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ import scipy.sparse as sps
 
 from . import kernels
 from .quadrature import physical_points, triangle_rule
-from .spaces import TRANSFER_ROWS, basis_ref_grads, basis_values, call_on_points
+from .spaces import basis_ref_grads, basis_values, blocks, call_on_points
 
 __all__ = [
     "assemble_stiffness",
@@ -114,46 +115,40 @@ def assemble_divergence(vspace, pspace):
         pspace.element_dofs, cols, (pspace.ndof, 2 * nv))
 
 
-def _block_loads(space, count, element_loads):
-    """``count`` load vectors of ``space`` summed from element vectors.
+def _loads(space, order, count, integrands):
+    """``count`` load vectors b_i = int g phi_i of ``space``.
 
-    ``element_loads(rows)`` returns ``count`` arrays of element vectors,
-    (len(rows), nloc), for the triangles ``rows``, a slice of
-    TRANSFER_ROWS of them (the last may hold fewer, or one more).  They
-    are written into one preallocated (count, nt, nloc) array, and
-    ``np.bincount`` sums each load's element vectors in element order.
-    A last block of one triangle
-    joins the block before it: numpy hands a one-row product to BLAS
-    gemv, which rounds differently from the gemm of every other block.
+    The rule has exactness degree ``order``.  ``integrands(lam, rows)``
+    returns ``count`` integrands g at the quadrature points ``lam`` of
+    the triangles ``rows``, each (len(rows), nq), for each block of
+    ``blocks``.  Their element vectors are written into one
+    preallocated (count, nt, nloc) array, and ``np.bincount`` sums each
+    load's element vectors in element order.
     """
+    lam, w = triangle_rule(order)
+    vals = basis_values(space, lam)
+    det = space.mesh.det
     ed = space.element_dofs
     local = np.empty((count,) + ed.shape)
-    starts = list(range(0, len(ed), TRANSFER_ROWS))
-    if len(starts) > 1 and len(ed) - starts[-1] == 1:
-        starts.pop()
-    for t0, t1 in zip(starts, starts[1:] + [len(ed)]):
-        rows = slice(t0, t1)
-        for out, block in zip(local, element_loads(rows)):
-            out[rows] = block
+    for rows in blocks(len(ed)):
+        for out, fq in zip(local, integrands(lam, rows)):
+            out[rows] = kernels.element_load(det[rows], vals, fq, w)
+        del fq  # not alive while the next block's integrands are formed
     return [np.bincount(ed.ravel(), b.ravel(), minlength=space.ndof)
             for b in local]
 
 
 def _analytic_loads(space, fs):
     """b_i = int f phi_i for each f of ``fs``, on points mapped once."""
-    lam, w = triangle_rule(space.poly_degree + 2)
-    vals = basis_values(space, lam)
     mesh = space.mesh
 
-    def element_loads(rows):
+    def values(lam, rows):
         pts = physical_points(lam, mesh.points[mesh.triangles[rows]])
         shape = pts.shape[:2]
         pts = pts.reshape(-1, 2)
-        return [kernels.element_load(
-            mesh.det[rows], vals, call_on_points(f, pts).reshape(shape), w)
-            for f in fs]
+        return [call_on_points(f, pts).reshape(shape) for f in fs]
 
-    return _block_loads(space, len(fs), element_loads)
+    return _loads(space, space.poly_degree + 2, len(fs), values)
 
 
 def assemble_load(space, f):
@@ -167,38 +162,23 @@ def assemble_stokes_rhs_analytic(vspace, F):
     return np.concatenate(_analytic_loads(vspace, (f1, f2)))
 
 
-def _field_grads(field, lam):
-    """grads(c, rows): gradients of component c at quad points of ``rows``."""
-    space = field.space
-    gref = basis_ref_grads(space, lam)
-    ed = space.element_dofs
-    det, inv_t = space.mesh.det, space.mesh.inv_t
-
-    def grads(c, rows):
-        return kernels.field_grads_at_quad(det[rows], inv_t[rows], gref,
-                                           field.component(c)[ed[rows]])
-    return grads
-
-
 def assemble_stokes_rhs_discrete_curl(vspace, w_field):
     """<curl w, v> = int (dw/dy) v1 - (dw/dx) v2 for a scalar FE field w."""
     if w_field.space.mesh is not vspace.mesh:
         raise ValueError("w lives on a different mesh than the velocity space")
     if w_field.components != 1:
         raise ValueError("w must be a scalar field")
-    order = max(1, w_field.space.poly_degree - 1 + vspace.poly_degree)
-    lam, w = triangle_rule(order)
-    grads = _field_grads(w_field, lam)
-    vals = basis_values(vspace, lam)
-    det = vspace.mesh.det
+    wspace = w_field.space
+    mesh, ed = wspace.mesh, wspace.element_dofs
 
-    def element_loads(rows):
-        gw = grads(0, rows)
-        return [kernels.element_load(det[rows], vals, fq, w) for fq in (
-            np.ascontiguousarray(gw[:, :, 1]),
-            np.ascontiguousarray(-gw[:, :, 0]))]
+    def curl(lam, rows):
+        gw = kernels.field_grads_at_quad(
+            mesh.det[rows], mesh.inv_t[rows], basis_ref_grads(wspace, lam),
+            w_field.coefficients[ed[rows]])
+        return [gw[:, :, 1], -gw[:, :, 0]]
 
-    return np.concatenate(_block_loads(vspace, 2, element_loads))
+    order = max(1, wspace.poly_degree - 1 + vspace.poly_degree)
+    return np.concatenate(_loads(vspace, order, 2, curl))
 
 
 def assemble_curl_rhs(space, u_field):
@@ -207,18 +187,18 @@ def assemble_curl_rhs(space, u_field):
         raise ValueError("u lives on a different mesh than the scalar space")
     if u_field.components != 2:
         raise ValueError("u must be a vector field")
-    order = max(1, u_field.space.poly_degree - 1 + space.poly_degree)
-    lam, w = triangle_rule(order)
-    grads = _field_grads(u_field, lam)
-    vals = basis_values(space, lam)
-    det = space.mesh.det
+    uspace = u_field.space
+    mesh, ed = uspace.mesh, uspace.element_dofs
 
-    def element_loads(rows):
-        g1, g2 = grads(0, rows), grads(1, rows)
-        curl = np.ascontiguousarray(g2[:, :, 0] - g1[:, :, 1])
-        return [kernels.element_load(det[rows], vals, curl, w)]
+    def curl(lam, rows):
+        gref = basis_ref_grads(uspace, lam)
+        g1, g2 = (kernels.field_grads_at_quad(
+            mesh.det[rows], mesh.inv_t[rows], gref,
+            u_field.component(c)[ed[rows]]) for c in (0, 1))
+        return [g2[:, :, 0] - g1[:, :, 1]]
 
-    return _block_loads(space, 1, element_loads)[0]
+    order = max(1, uspace.poly_degree - 1 + space.poly_degree)
+    return _loads(space, order, 1, curl)[0]
 
 
 def apply_dirichlet(A, dofs):

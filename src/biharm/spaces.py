@@ -262,16 +262,31 @@ def _barycentric(mesh, tri, xy):
 
 
 # Rows of one block of work: fine DOFs that prolongate transfers at once
-# (one row block of P), triangles whose integrands field_norm forms.
+# (one row block of P), triangles whose load or norm integrands are
+# formed at once.  ``blocks`` is its only reader.
 TRANSFER_ROWS = 1 << 14
+
+
+def blocks(n):
+    """Slices of TRANSFER_ROWS rows that cover range(n), in order.
+
+    The last block may hold fewer rows; a last block of one row joins
+    the block before it, because numpy hands a one-row product to BLAS
+    gemv, which rounds differently from the gemm of every other block.
+    """
+    starts = list(range(0, n, TRANSFER_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for r0, r1 in zip(starts, starts[1:] + [n]):
+        yield slice(r0, r1)
 
 
 def prolongate(coarse, fine_space):
     """Represent a coarse field exactly on a space of the same or a finer mesh.
 
     Each call builds the sparse transfer matrix P (fine DOFs x coarse
-    DOFs) one block of TRANSFER_ROWS rows at a time and applies each
-    block to every component.  Row i of P holds the coarse local basis,
+    DOFs) one row block of ``blocks`` at a time and applies each block
+    to every component.  Row i of P holds the coarse local basis,
     in local order, at fine DOF node i, evaluated in the coarse triangle
     that the refinement ancestry assigns to the lowest-numbered fine
     triangle at that node; rows of fine bubble DOFs are empty, so bubble
@@ -300,8 +315,7 @@ def prolongate(coarse, fine_space):
     for dofs in fine_space.element_dofs.T:
         np.minimum.at(rep, dofs, np.arange(nt, dtype=np.int32))
     out = np.zeros((coarse.components, fine_space.ndof))
-    for r0 in range(0, nodes, TRANSFER_ROWS):
-        rows = slice(r0, min(r0 + TRANSFER_ROWS, nodes))
+    for rows in blocks(nodes):
         ctri = anc[rep[rows]]
         vals = basis_values(coarse.space, _barycentric(
             cmesh, ctri, fine_space.dof_coords[rows]))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biharm import spaces
 from biharm.analysis import (
     ConvergenceReport,
     diff_norm,
@@ -91,6 +92,32 @@ def test_field_norm_exact_linear(square_meshes):
     assert abs(field_norm(f, "Linf") - 2.0) < 1e-14
     with pytest.raises(ValueError, match="norm"):
         field_norm(f, "H2")
+
+
+@pytest.fixture(scope="module")
+def kite5():
+    return refine_hierarchy(builtin_domain("convex_11pi12")[1], 5, 0.3)[5]
+
+
+# 7 and 13 split the 4,096 triangles into full blocks and a shorter last
+# one; 4,095 leaves one triangle, which joins the block before it
+@pytest.mark.parametrize("rows", [7, 13, 4095])
+@pytest.mark.parametrize("degree,kind", [(1, "lagrange_bubble"), (1, "lagrange"),
+                                         (2, "lagrange"), (3, "lagrange")])
+def test_norms_do_not_depend_on_the_block_size(kite5, monkeypatch, rows,
+                                               degree, kind):
+    space = build_space(kite5, degree, kind)
+    assert len(kite5.triangles) == 4096
+    rng = np.random.default_rng(3)
+    fields = [Field(space, c, rng.normal(size=c * space.ndof))
+              for c in (1, 2, 1, 2)]
+
+    def norms():
+        return [field_norm(f, norm) for f in fields for norm in ("L2", "H1")]
+
+    ref = norms()
+    monkeypatch.setattr(spaces, "TRANSFER_ROWS", rows)
+    assert norms() == ref
 
 
 def test_diff_norm_identical_fields(square_meshes):

@@ -217,6 +217,22 @@ def test_divergence_validates_spaces(square2):
 # -- loads ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("assembler,components,kind", [
+    (asm.assemble_stokes_rhs_discrete_curl, 1, "scalar"),
+    (asm.assemble_curl_rhs, 2, "vector")])
+def test_field_loads_validate_their_field(square2, assembler, components,
+                                          kind):
+    space = sp.build_space(square2, 1)
+    _, other = msh.builtin_domain("lshape")
+    elsewhere = sp.build_space(other, 1)
+    with pytest.raises(ValueError, match="different mesh"):
+        assembler(space, sp.Field(elsewhere, components,
+                                  np.zeros(components * elsewhere.ndof)))
+    wrong = 3 - components
+    with pytest.raises(ValueError, match=f"must be a {kind} field"):
+        assembler(space, sp.Field(space, wrong, np.zeros(wrong * space.ndof)))
+
+
 def test_load_zero_and_area(square2):
     space = sp.build_space(square2, 1)
     assert np.all(asm.assemble_load(space, lambda x, y: 0.0) == 0.0)
@@ -363,7 +379,7 @@ def test_loads_do_not_depend_on_the_block_size(kite7, monkeypatch, rows,
     space = sp.build_space(kite7, degree, kind)
     assert len(kite7.triangles) == 65536
     ref = _all_loads(space)
-    monkeypatch.setattr(asm, "TRANSFER_ROWS", rows)
+    monkeypatch.setattr(sp, "TRANSFER_ROWS", rows)
     for got, want in zip(_all_loads(space), ref):
         assert np.array_equal(got, want)
 

@@ -92,9 +92,10 @@ def test_mini_difference_in_p3_norm_transients(kite67, norm):
 # A load assembler may hold its result, its (count, nt, nloc) element
 # vectors, the int64 copy of the element DOFs that np.bincount makes,
 # and LOAD_BLOCKS arrays of one float64 per quadrature point of one
-# block of TRANSFER_ROWS triangles (7 points, the largest rule here).
-# Measured: 0.62 (load), 0.71 (analytic Stokes), 0.73 (discrete curl)
-# and 0.81 (curl) of the bound; formed for all triangles at once, the
+# block of spaces.blocks, TRANSFER_ROWS triangles (7 points, the
+# largest rule here).
+# Measured: 0.44 (load), 0.59 (analytic Stokes), 0.59 (discrete curl)
+# and 0.77 (curl) of the bound; formed for all triangles at once, the
 # four peaked at 1.59, 1.31, 1.25 and 2.36 times it.
 LOAD_BLOCKS = 6
 
@@ -124,5 +125,5 @@ def test_load_transients(kite67, assembler):
     b, peak, _ = traced(call)
     dofs = space.element_dofs.size * 8
     bound = (b.nbytes + count * dofs + dofs
-             + LOAD_BLOCKS * asm.TRANSFER_ROWS * 7 * 8)
+             + LOAD_BLOCKS * sp.TRANSFER_ROWS * 7 * 8)
     assert peak <= bound
