@@ -4,10 +4,10 @@ All integrals are evaluated with triangle rules whose exactness degree
 covers the integrand: polynomial parts exactly, analytic data with the
 order k+2.  Every assembler reads its mesh's per-triangle ``det`` and
 ``inv_t``, which the mesh computed once when it was made.  Matrices are
-summed from per-element blocks into int32-indexed CSR one block of
-SCATTER_ROWS rows at a time; each row takes its entries in
-element-index order, as one coo->csr of all triplets would, so the
-result is deterministic and the same to the bit.  Every load vector
+summed from per-element blocks into int32-indexed CSR one row block of
+``spaces.blocks`` (BLOCK_ROWS rows) at a time; each row takes its
+entries in element-index order, as one coo->csr of all triplets would,
+so the result is deterministic and the same to the bit.  Every load vector
 goes through one quadrature path, ``_loads``: each assembler states
 only its integrand (analytic data at the mapped points, or gradients
 of a finite element field), which is formed one block of triangles of
@@ -37,16 +37,14 @@ __all__ = [
 ]
 
 
-# Rows that _scatter compresses at once: besides the element blocks, no
-# more than one row block's triplets exist.
-SCATTER_ROWS = 1 << 12
-
-
 def _scatter(element_block, rows, cols, shape):
     """CSR sum of ``element_block()``, (nt, nrow, ncol), at (rows, cols).
 
-    Calling ``element_block`` here leaves ``_scatter`` its only reference,
-    so the element blocks are freed before the row blocks are joined.
+    The matrix rows are compressed one block of ``blocks`` at a time:
+    besides the element blocks, no more than one row block's triplets
+    exist.  Calling ``element_block`` here leaves ``_scatter`` its only
+    reference, so the element blocks are freed before the row blocks
+    are joined.
     """
     local = element_block()
     nt, nr, nc = local.shape
@@ -55,18 +53,18 @@ def _scatter(element_block, rows, cols, shape):
     cols = cols.astype(np.int32, copy=False)
     starts = np.zeros(shape[0] + 1, dtype=np.int32)
     starts[1:] = np.cumsum(np.bincount(rows.ravel(), minlength=shape[0]) * nc)
-    blocks = []
-    for r0 in range(0, shape[0], SCATTER_ROWS):
-        r1 = min(r0 + SCATTER_ROWS, shape[0])
-        sel = order[starts[r0] // nc:starts[r1] // nc]
+    parts = []
+    for r in blocks(shape[0]):
+        sel = order[starts[r.start] // nc:starts[r.stop] // nc]
         blk = sps.csr_matrix(
             (np.take(local, sel, axis=0).ravel(),
              np.take(cols, sel // nr, axis=0).ravel(),
-             starts[r0:r1 + 1] - starts[r0]), shape=(r1 - r0, shape[1]))
+             starts[r.start:r.stop + 1] - starts[r.start]),
+            shape=(r.stop - r.start, shape[1]))
         blk.sum_duplicates()  # scipy's row sort and sums, as in coo->csr
-        blocks.append(blk.copy())  # compact: drops the triplets' slack
+        parts.append(blk.copy())  # compact: drops the triplets' slack
     del local, order, sel, blk
-    return sps.vstack(blocks, format="csr")
+    return sps.vstack(parts, format="csr")
 
 
 def assemble_stiffness(space, weight=None):

@@ -33,6 +33,7 @@ level's pressure, prolongated exactly onto the finer mesh, and stops at
 1e-13 |f|.
 """
 
+import contextlib
 import resource
 import sys
 import time
@@ -93,22 +94,6 @@ class LevelRecord:
     seconds: dict = dc_field(default_factory=dict)
 
 
-def _factor(a, **options):
-    """Sparse LU; SuperLU rejects an exactly zero pivot itself."""
-    try:
-        return spla.splu(a, **options)
-    except SystemError as exc:
-        # seen when SuperLU ran out of L/U storage ("Can't expand MemType 0")
-        raise MemoryError(f"sparse factorization failed ({exc})") from exc
-    except RuntimeError as exc:
-        diag = a.diagonal()
-        idx = int(np.argmin(np.abs(diag)))
-        raise ArithmeticError(
-            f"sparse factorization failed ({exc}); "
-            f"smallest diagonal magnitude at dof {idx}"
-        ) from exc
-
-
 class SpdFactor:
     """One sparse LU of a symmetric positive definite matrix, solved often.
 
@@ -132,9 +117,19 @@ class SpdFactor:
         self.matrix = sps.csc_matrix(a)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("matrix is not square")
-        self._lu = _factor(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, relax=1,
-                           options={"SymmetricMode": True})
+        try:  # SuperLU rejects an exactly zero pivot itself
+            self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0, relax=1,
+                                 options={"SymmetricMode": True})
+        except SystemError as exc:
+            # SuperLU out of L/U storage ("Can't expand MemType 0")
+            raise MemoryError(f"sparse factorization failed ({exc})") from exc
+        except RuntimeError as exc:
+            idx = int(np.argmin(np.abs(self.matrix.diagonal())))
+            raise ArithmeticError(
+                f"sparse factorization failed ({exc}); "
+                f"smallest diagonal magnitude at dof {idx}"
+            ) from exc
         self.solves = 0
         self.residual_max = 0.0
 
@@ -339,9 +334,6 @@ def solve_stokes(op, rhs, p0=None):
     def a_inv(v):
         return factor.solve(v.reshape(2, nv).T).T.ravel()
 
-    def a_mul(v):
-        return (factor.matrix @ v.reshape(2, nv).T).T.ravel()
-
     npres = pspace.ndof
     if bub is None:
         schur = spla.LinearOperator((npres, npres), dtype=float,
@@ -367,8 +359,10 @@ def solve_stokes(op, rhs, p0=None):
 
     div = b @ xu
     mean = float(op.mvec @ xp)
-    squares = np.sum((a_mul(xu) + bt @ xp - f) ** 2)
-    energy = xu @ a_mul(xu)
+    au = (factor.matrix @ xu.reshape(2, nv).T).T.ravel()
+    squares = np.sum((au + bt @ xp - f) ** 2)
+    energy = xu @ au
+    del au  # not alive while the bubble block is joined to xu
     if bub is not None:
         gp = bub.grad(xp)
         xb = (fb - gp) / bub.diag
@@ -433,38 +427,37 @@ def validate_curl(mesh, f, F):
     return resid
 
 
-def _level_factor(vspace, pspace):
-    """The level's P_k Poisson space and the one factor of its stiffness.
-
-    For k >= 2 the Poisson space is the velocity space; for Mini it is
-    the P1 pressure space, whose stiffness is also the one the Mini
-    Stokes solve factors (``StokesOperator``).
-    """
-    sspace = vspace if vspace.kind == "lagrange" else pspace
-    return sspace, stiffness_factor(sspace)
-
-
 def _maxrss_mb():
     # ru_maxrss is in KiB on Linux, for the whole process
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-class _PeakStep:
-    """The step of a level during which the process's peak RSS last rose.
+class _Clock:
+    """Wall seconds and peak RSS of the steps of one level.
 
-    ``ended(step)`` reads ``ru_maxrss`` once, as ``step`` ends; ``mb``
-    holds the last reading and ``step`` the last step that raised it
-    above the reading made when the level began (None if none did).  A
-    rise while the level builds its spaces counts to its first step.
+    ``with clock.step(seconds, name):`` adds the seconds of its block to
+    ``seconds[name]``.  A step may run inside another, whose seconds
+    then include it; as the outermost step ends, ``ru_maxrss`` is read
+    once.  ``mb`` holds the last reading and ``peak_step`` the last step
+    that raised it above the reading made when the level began (None if
+    none did), so a rise while the level builds its spaces counts to
+    its first step.
     """
 
     def __init__(self):
-        self.mb, self.step = _maxrss_mb(), None
+        self.mb, self.peak_step, self._open = _maxrss_mb(), None, 0
 
-    def ended(self, step):
-        mb = _maxrss_mb()
-        if mb > self.mb:
-            self.mb, self.step = mb, step
+    @contextlib.contextmanager
+    def step(self, seconds, name):
+        self._open += 1
+        start = time.perf_counter()
+        yield
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+        self._open -= 1
+        if not self._open:
+            mb = _maxrss_mb()
+            if mb > self.mb:
+                self.mb, self.peak_step = mb, name
 
 
 def run_chains(meshes, k, chains):
@@ -494,60 +487,54 @@ def run_chains(meshes, k, chains):
     label = "" if kappa is None else f"kappa={kappa:g} "
     for mesh in meshes:
         start = time.perf_counter()
-        peak = _PeakStep()
+        clock = _Clock()
         vspace, pspace = stokes_spaces(mesh, k)
+        shared = {}  # the factor and the operator build, in every record
         try:
-            t0 = time.perf_counter()
-            sspace, sfactor = _level_factor(vspace, pspace)
-            factor_s = time.perf_counter() - t0
-            peak.ended("factor")
+            with clock.step(shared, "factor"):
+                # the Poisson space: the velocity space, or P1 for Mini
+                sspace = vspace if vspace.kind == "lagrange" else pspace
+                sfactor = stiffness_factor(sspace)
             op = None
             for (f, F), run in zip(chains, runs):
-                secs = {"factor": factor_s}
+                secs = {"factor": shared["factor"]}
                 w = None
                 if F is None:
-                    t0 = time.perf_counter()
-                    w = solve_poisson(
-                        sspace, assemble_load(sspace, f), sfactor)
-                    secs["poisson_w"] = time.perf_counter() - t0
-                    peak.ended("poisson_w")
-                t0 = time.perf_counter()
-                rhs = (assemble_stokes_rhs_analytic(vspace, F) if w is None
-                       else assemble_stokes_rhs_discrete_curl(vspace, w))
-                rhs_s = time.perf_counter() - t0
-                if op is None:  # after the level's first right-hand side
-                    op = StokesOperator(vspace, pspace, sfactor)
-                    op_s = time.perf_counter() - t0 - rhs_s
-                secs["stokes_assembly"] = rhs_s + op_s
-                peak.ended("stokes_assembly")
-                t0 = time.perf_counter()
-                rec = solve_stokes(op, rhs, run[-1].p if run else None)
-                secs["stokes"] = time.perf_counter() - t0
-                peak.ended("stokes")
+                    with clock.step(secs, "poisson_w"):
+                        w = solve_poisson(
+                            sspace, assemble_load(sspace, f), sfactor)
+                if op is not None:  # built in an earlier chain's step
+                    secs["stokes_assembly"] = shared["stokes_assembly"]
+                with clock.step(secs, "stokes_assembly"):
+                    rhs = (assemble_stokes_rhs_analytic(vspace, F)
+                           if w is None
+                           else assemble_stokes_rhs_discrete_curl(vspace, w))
+                    if op is None:  # after the level's first right-hand side
+                        with clock.step(shared, "stokes_assembly"):
+                            op = StokesOperator(vspace, pspace, sfactor)
+                with clock.step(secs, "stokes"):
+                    rec = solve_stokes(op, rhs, run[-1].p if run else None)
                 if run is runs[-1]:  # no phi solve holds B and M
                     op = None
-                t0 = time.perf_counter()
-                rec.phi = solve_poisson(
-                    sspace, assemble_curl_rhs(sspace, rec.u), sfactor)
-                secs["poisson_phi"] = time.perf_counter() - t0
-                peak.ended("poisson_phi")
+                with clock.step(secs, "poisson_phi"):
+                    rec.phi = solve_poisson(
+                        sspace, assemble_curl_rhs(sspace, rec.u), sfactor)
                 rec.w, rec.seconds = w, secs
                 run.append(rec)
         except ArithmeticError as exc:
             raise ArithmeticError(f"level {mesh.level}: {exc}") from exc
-        maxrss_mb = peak.mb
         level = [run[-1] for run in runs]
         for rec in level:  # totals of the factor every chain solved on
             rec.lu_solves = sfactor.solves
             rec.lu_residual_max = sfactor.residual_max
             rec.factor_nnz = sfactor.nnz
-            rec.maxrss_mb = maxrss_mb
-            rec.peak_step = peak.step
+            rec.maxrss_mb = clock.mb
+            rec.peak_step = clock.peak_step
         steps = "/".join(str(rec.iterations) for rec in level)
         sys.stderr.write(
             f"{label}level {mesh.level}: {len(mesh.triangles)} triangles, "
             f"factor_nnz {sfactor.nnz}, cg {steps} steps, "
-            f"{time.perf_counter() - start:.2f} s, maxrss_mb {maxrss_mb:.1f}\n")
+            f"{time.perf_counter() - start:.2f} s, maxrss_mb {clock.mb:.1f}\n")
         del sfactor
     return runs
 

@@ -263,18 +263,19 @@ def _barycentric(mesh, tri, xy):
 
 # Rows of one block of work: fine DOFs that prolongate transfers at once
 # (one row block of P), triangles whose load or norm integrands are
-# formed at once.  ``blocks`` is its only reader.
-TRANSFER_ROWS = 1 << 14
+# formed at once, matrix rows that assembly's ``_scatter`` compresses at
+# once.  ``blocks`` is its only reader.
+BLOCK_ROWS = 1 << 12
 
 
 def blocks(n):
-    """Slices of TRANSFER_ROWS rows that cover range(n), in order.
+    """Slices of BLOCK_ROWS rows that cover range(n), in order.
 
     The last block may hold fewer rows; a last block of one row joins
     the block before it, because numpy hands a one-row product to BLAS
     gemv, which rounds differently from the gemm of every other block.
     """
-    starts = list(range(0, n, TRANSFER_ROWS))
+    starts = list(range(0, n, BLOCK_ROWS))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     for r0, r1 in zip(starts, starts[1:] + [n]):

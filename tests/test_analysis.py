@@ -116,7 +116,7 @@ def test_norms_do_not_depend_on_the_block_size(kite5, monkeypatch, rows,
         return [field_norm(f, norm) for f in fields for norm in ("L2", "H1")]
 
     ref = norms()
-    monkeypatch.setattr(spaces, "TRANSFER_ROWS", rows)
+    monkeypatch.setattr(spaces, "BLOCK_ROWS", rows)
     assert norms() == ref
 
 

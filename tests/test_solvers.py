@@ -24,7 +24,6 @@ from biharm.assembly import (
 from biharm.cli import ExperimentConfig, run_comparison
 from biharm.meshing import builtin_domain, refine_hierarchy
 from biharm.solvers import (
-    _level_factor,
     CHEBYSHEV_STEPS,
     chebyshev_mass_inverse,
     mass_bounds,
@@ -66,11 +65,15 @@ FORCE_INT_Y = (lambda x, y: -fy(x, y), fzero)        # curl = 1
 FORCE_BLEND = (lambda x, y: -0.5 * fy(x, y), lambda x, y: 0.5 * fx(x, y))
 
 
+def level_factor(vspace, pspace):
+    """The one factor the pipelines build for the level: the velocity
+    stiffness's for Taylor-Hood, the P1 stiffness's for Mini."""
+    return stiffness_factor(vspace if vspace.kind == "lagrange" else pspace)
+
+
 def stokes(vspace, pspace, rhs, p0=None):
-    """solve_stokes on the one factor the pipelines build for the level:
-    the velocity stiffness's for Taylor-Hood, the P1 stiffness's for
-    Mini."""
-    factor = _level_factor(vspace, pspace)[1]
+    """solve_stokes on the level's one factor."""
+    factor = level_factor(vspace, pspace)
     return solve_stokes(StokesOperator(vspace, pspace, factor),
                         rhs, p0)
 
@@ -270,7 +273,7 @@ def test_stokes_solution_invariants(lshape_meshes, k):
 def test_stokes_non_finite_rhs_fails_its_first_back_solve(square_meshes, k):
     # the Schur right-hand side's back-solve raises; no CG step runs
     vspace, pspace = stokes_spaces(square_meshes[2], k)
-    sfactor = _level_factor(vspace, pspace)[1]
+    sfactor = level_factor(vspace, pspace)
     rhs = np.zeros(2 * vspace.ndof)
     rhs[np.setdiff1d(np.arange(vspace.ndof),
                      vspace.boundary_dofs)[0]] = np.nan
@@ -283,7 +286,7 @@ def test_stokes_non_finite_rhs_fails_its_first_back_solve(square_meshes, k):
 def test_stokes_non_finite_bubble_load_rejected(square_meshes, bad):
     # no LU solve sees the Mini bubble loads, so they are checked first
     vspace, pspace = stokes_spaces(square_meshes[2], 1)
-    sfactor = _level_factor(vspace, pspace)[1]
+    sfactor = level_factor(vspace, pspace)
     rhs = np.zeros(2 * vspace.ndof)
     rhs[-1] = bad  # the last triangle's bubble, second component
     with pytest.raises(ArithmeticError, match="bubble load"):
@@ -690,6 +693,49 @@ def test_run_records_structure(square_meshes):
     assert set(run2[0].seconds) == {"factor", "stokes_assembly", "stokes",
                                     "poisson_phi"}
     assert run2[0].w is None
+
+
+# the step functions that run_chains looks up on the solvers module
+STEP_FUNCTIONS = ("stiffness_factor", "StokesOperator", "assemble_load",
+                  "assemble_stokes_rhs_analytic",
+                  "assemble_stokes_rhs_discrete_curl", "assemble_curl_rhs",
+                  "solve_stokes", "solve_poisson")
+
+
+def test_step_seconds_count_each_step_in_its_records(monkeypatch,
+                                                     lshape_meshes):
+    # each step function advances a fake clock by its own power of two,
+    # so every record's seconds are exact sums however often the clock
+    # is read: the factor and the Stokes operator's build count to both
+    # chains, every other step to its own chain only
+    now = [0.0]
+    monkeypatch.setattr(biharm.solvers.time, "perf_counter", lambda: now[0])
+    tick = {name: 2.0 ** i for i, name in enumerate(STEP_FUNCTIONS)}
+    for name in STEP_FUNCTIONS:
+        def advancing(*args, func=getattr(biharm.solvers, name),
+                      seconds=tick[name], **kwargs):
+            result = func(*args, **kwargs)
+            now[0] += seconds
+            return result
+
+        monkeypatch.setattr(biharm.solvers, name, advancing)
+    runs = run_chains(lshape_meshes[:2], 2,
+                      [(fone, None), (fone, FORCE_INT_X)])
+    psp = {"factor": tick["stiffness_factor"],
+           "poisson_w": tick["assemble_load"] + tick["solve_poisson"],
+           "stokes_assembly": (tick["assemble_stokes_rhs_discrete_curl"]
+                               + tick["StokesOperator"]),
+           "stokes": tick["solve_stokes"],
+           "poisson_phi": tick["assemble_curl_rhs"] + tick["solve_poisson"]}
+    sp = {"factor": tick["stiffness_factor"],
+          "stokes_assembly": (tick["assemble_stokes_rhs_analytic"]
+                              + tick["StokesOperator"]),
+          "stokes": tick["solve_stokes"],
+          "poisson_phi": tick["assemble_curl_rhs"] + tick["solve_poisson"]}
+    for run, want in zip(runs, (psp, sp)):
+        assert len(run) == 2
+        for rec in run:
+            assert list(rec.seconds.items()) == list(want.items())
 
 
 def test_one_progress_line_per_level_on_stderr(capsys, lshape_meshes):

@@ -314,7 +314,7 @@ def test_prolongate_is_evaluation_at_fine_nodes(monkeypatch, same_mesh,
     if fine.kind == "lagrange_bubble":
         nodes = len(fine.mesh.points)
     monkeypatch.setattr(sp, "basis_values", counting)
-    monkeypatch.setattr(sp, "TRANSFER_ROWS", -(-nodes // 3))
+    monkeypatch.setattr(sp, "BLOCK_ROWS", -(-nodes // 3))
     got = sp.prolongate(u, fine)
     if same_mesh and coarse_spec == fine_spec:
         # a field on another FeSpace object of its own mesh, degree and

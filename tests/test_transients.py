@@ -92,11 +92,11 @@ def test_mini_difference_in_p3_norm_transients(kite67, norm):
 # A load assembler may hold its result, its (count, nt, nloc) element
 # vectors, the int64 copy of the element DOFs that np.bincount makes,
 # and LOAD_BLOCKS arrays of one float64 per quadrature point of one
-# block of spaces.blocks, TRANSFER_ROWS triangles (7 points, the
+# block of spaces.blocks, BLOCK_ROWS triangles (7 points, the
 # largest rule here).
-# Measured: 0.44 (load), 0.59 (analytic Stokes), 0.59 (discrete curl)
-# and 0.77 (curl) of the bound; formed for all triangles at once, the
-# four peaked at 1.59, 1.31, 1.25 and 2.36 times it.
+# Measured: 0.45 (load), 0.63 (analytic Stokes), 0.63 (discrete curl)
+# and 0.60 (curl) of the bound; formed for all triangles at once, the
+# four peaked at 2.30, 2.04, 2.04 and 4.71 times it.
 LOAD_BLOCKS = 6
 
 
@@ -125,5 +125,5 @@ def test_load_transients(kite67, assembler):
     b, peak, _ = traced(call)
     dofs = space.element_dofs.size * 8
     bound = (b.nbytes + count * dofs + dofs
-             + LOAD_BLOCKS * sp.TRANSFER_ROWS * 7 * 8)
+             + LOAD_BLOCKS * sp.BLOCK_ROWS * 7 * 8)
     assert peak <= bound
