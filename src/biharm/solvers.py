@@ -366,8 +366,9 @@ def solve_stokes(op, rhs, p0=None):
     if bub is not None:
         gp = bub.grad(xp)
         xb = (fb - gp) / bub.diag
-        div += bub.div(xb)
         squares += np.sum((bub.diag * xb + gp - fb) ** 2)
+        del gp  # not alive beside bub.div's per-triangle products
+        div += bub.div(xb)
         energy += np.sum(bub.diag * xb ** 2)
         xu = np.concatenate([xu.reshape(2, nv), xb], axis=1).ravel()
     residual = float(np.sqrt(squares + div @ div + mean ** 2))
@@ -435,29 +436,24 @@ def _maxrss_mb():
 class _Clock:
     """Wall seconds and peak RSS of the steps of one level.
 
-    ``with clock.step(seconds, name):`` adds the seconds of its block to
-    ``seconds[name]``.  A step may run inside another, whose seconds
-    then include it; as the outermost step ends, ``ru_maxrss`` is read
-    once.  ``mb`` holds the last reading and ``peak_step`` the last step
+    ``with clock.step(seconds, name):`` sets ``seconds[name]`` to the
+    seconds of its block and reads ``ru_maxrss`` once as the block
+    ends.  ``mb`` holds the last reading and ``peak_step`` the last step
     that raised it above the reading made when the level began (None if
-    none did), so a rise while the level builds its spaces counts to
-    its first step.
+    none did).
     """
 
     def __init__(self):
-        self.mb, self.peak_step, self._open = _maxrss_mb(), None, 0
+        self.mb, self.peak_step = _maxrss_mb(), None
 
     @contextlib.contextmanager
     def step(self, seconds, name):
-        self._open += 1
         start = time.perf_counter()
         yield
-        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
-        self._open -= 1
-        if not self._open:
-            mb = _maxrss_mb()
-            if mb > self.mb:
-                self.mb, self.peak_step = mb, name
+        seconds[name] = time.perf_counter() - start
+        mb = _maxrss_mb()
+        if mb > self.mb:
+            self.mb, self.peak_step = mb, name
 
 
 def run_chains(meshes, k, chains):
@@ -466,18 +462,21 @@ def run_chains(meshes, k, chains):
     Each chain is ``(f, F)``: sp with the analytic force F, whose curl
     F = f is checked on the first refinement before any level is
     solved, or psp when F is None.  On each level every chain in turn
-    runs its w (psp), Stokes and phi solves and ends as one LevelRecord.
-    Each chain's CG starts from its own coarser pressure, so each
-    chain's returned list of LevelRecords, one per mesh, equals a run of
-    that chain alone, except that the records report what the chains
-    share: the factor's ``factor_nnz``, ``lu_solves``, ``lu_residual_max``
-    and ``seconds["factor"]``, and in ``seconds["stokes_assembly"]`` the
-    build of the level's one StokesOperator, made after the level's first
-    Stokes right-hand side and dropped once the last chain's Stokes solve
-    returns, and the process's ``maxrss_mb`` as the level ends with the
-    ``peak_step`` during which it last rose.  Each finished level writes
-    one progress line to stderr, led by the kappa that graded the
-    hierarchy's refinements.
+    runs its w (psp), Stokes and phi solves on the level's spaces,
+    factor and StokesOperator (built after the level's first Stokes
+    right-hand side, dropped once the last chain's Stokes solve returns)
+    and ends as one LevelRecord.  Each chain's CG starts from its own
+    coarser pressure, so each chain's returned list of LevelRecords, one
+    per mesh, equals a run of that chain alone, except that the records
+    report what the chains share: the factor's ``factor_nnz``,
+    ``lu_solves`` and ``lu_residual_max``, the process's ``maxrss_mb``
+    as the level ends with the ``peak_step`` during which it last rose,
+    and the seconds of the level's steps.  Each step is one
+    ``clock.step``, none inside another: ``seconds`` holds the level's
+    ``spaces``, ``factor`` and ``stokes_operator``, then the chain's own
+    ``poisson_w`` (psp), ``stokes_assembly``, ``stokes`` and
+    ``poisson_phi``.  Each finished level writes one progress line to
+    stderr, led by the kappa that graded the hierarchy's refinements.
     """
     for f, F in chains:
         if F is not None:
@@ -488,30 +487,29 @@ def run_chains(meshes, k, chains):
     for mesh in meshes:
         start = time.perf_counter()
         clock = _Clock()
-        vspace, pspace = stokes_spaces(mesh, k)
-        shared = {}  # the factor and the operator build, in every record
+        shared = {}  # the level's steps, in every chain's record
         try:
-            with clock.step(shared, "factor"):
+            with clock.step(shared, "spaces"):
+                vspace, pspace = stokes_spaces(mesh, k)
                 # the Poisson space: the velocity space, or P1 for Mini
                 sspace = vspace if vspace.kind == "lagrange" else pspace
+            with clock.step(shared, "factor"):
                 sfactor = stiffness_factor(sspace)
             op = None
             for (f, F), run in zip(chains, runs):
-                secs = {"factor": shared["factor"]}
+                secs = {}
                 w = None
                 if F is None:
                     with clock.step(secs, "poisson_w"):
                         w = solve_poisson(
                             sspace, assemble_load(sspace, f), sfactor)
-                if op is not None:  # built in an earlier chain's step
-                    secs["stokes_assembly"] = shared["stokes_assembly"]
                 with clock.step(secs, "stokes_assembly"):
                     rhs = (assemble_stokes_rhs_analytic(vspace, F)
                            if w is None
                            else assemble_stokes_rhs_discrete_curl(vspace, w))
-                    if op is None:  # after the level's first right-hand side
-                        with clock.step(shared, "stokes_assembly"):
-                            op = StokesOperator(vspace, pspace, sfactor)
+                if op is None:  # after the level's first right-hand side
+                    with clock.step(shared, "stokes_operator"):
+                        op = StokesOperator(vspace, pspace, sfactor)
                 with clock.step(secs, "stokes"):
                     rec = solve_stokes(op, rhs, run[-1].p if run else None)
                 if run is runs[-1]:  # no phi solve holds B and M
@@ -524,12 +522,13 @@ def run_chains(meshes, k, chains):
         except ArithmeticError as exc:
             raise ArithmeticError(f"level {mesh.level}: {exc}") from exc
         level = [run[-1] for run in runs]
-        for rec in level:  # totals of the factor every chain solved on
+        for rec in level:  # what every chain on the level shared
             rec.lu_solves = sfactor.solves
             rec.lu_residual_max = sfactor.residual_max
             rec.factor_nnz = sfactor.nnz
             rec.maxrss_mb = clock.mb
             rec.peak_step = clock.peak_step
+            rec.seconds = {**shared, **rec.seconds}
         steps = "/".join(str(rec.iterations) for rec in level)
         sys.stderr.write(
             f"{label}level {mesh.level}: {len(mesh.triangles)} triangles, "

@@ -354,9 +354,9 @@ def test_curl_rhs_includes_mini_bubbles(square2):
 
 
 @pytest.fixture(scope="module")
-def kite7():
+def kite5():
     _, k0 = msh.builtin_domain("convex_11pi12")
-    return msh.refine_hierarchy(k0, 7, 0.3)[7]
+    return msh.refine_hierarchy(k0, 5, 0.3)[5]
 
 
 def _all_loads(space):
@@ -370,15 +370,15 @@ def _all_loads(space):
             asm.assemble_curl_rhs(space, u)]
 
 
-# 7 splits the 65,536 triangles into 9,362 blocks of 7 and one of 2;
-# 65,535 leaves one triangle, which joins the block before it
-@pytest.mark.parametrize("rows", [7, 65535])
+# 4,096 = 7 * 585 + 1: blocks of 7 leave a one-triangle tail, which
+# joins the block before it, and so does the tail that 4,095 leaves
+@pytest.mark.parametrize("rows", [7, 4095])
 @pytest.mark.parametrize("degree,kind", [(1, "lagrange_bubble"), (1, "lagrange"),
                                          (2, "lagrange"), (3, "lagrange")])
-def test_loads_do_not_depend_on_the_block_size(kite7, monkeypatch, rows,
+def test_loads_do_not_depend_on_the_block_size(kite5, monkeypatch, rows,
                                                degree, kind):
-    space = sp.build_space(kite7, degree, kind)
-    assert len(kite7.triangles) == 65536
+    space = sp.build_space(kite5, degree, kind)
+    assert len(kite5.triangles) == 4096
     ref = _all_loads(space)
     monkeypatch.setattr(sp, "BLOCK_ROWS", rows)
     for got, want in zip(_all_loads(space), ref):

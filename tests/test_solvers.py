@@ -680,8 +680,9 @@ def test_run_records_structure(square_meshes):
     run = run_psp(square_meshes, fone, 2)
     assert [rec.level for rec in run] == [0, 1, 2, 3]
     for rec in run:
-        assert set(rec.seconds) == {"factor", "poisson_w", "stokes_assembly",
-                                    "stokes", "poisson_phi"}
+        assert list(rec.seconds) == ["spaces", "factor", "stokes_operator",
+                                     "poisson_w", "stokes_assembly",
+                                     "stokes", "poisson_phi"]
         assert all(t >= 0.0 for t in rec.seconds.values())
         sspace = rec.phi.space
         assert np.all(rec.phi.coefficients[sspace.boundary_dofs] == 0.0)
@@ -690,24 +691,26 @@ def test_run_records_structure(square_meshes):
     for coarse, fine in zip(meshes, meshes[1:]):
         assert fine.coarser is coarse
     run2 = run_sp(square_meshes[:2], fone, FORCE_INT_X, 2)
-    assert set(run2[0].seconds) == {"factor", "stokes_assembly", "stokes",
-                                    "poisson_phi"}
+    assert list(run2[0].seconds) == ["spaces", "factor", "stokes_operator",
+                                     "stokes_assembly", "stokes",
+                                     "poisson_phi"]
     assert run2[0].w is None
 
 
 # the step functions that run_chains looks up on the solvers module
-STEP_FUNCTIONS = ("stiffness_factor", "StokesOperator", "assemble_load",
-                  "assemble_stokes_rhs_analytic",
+STEP_FUNCTIONS = ("stokes_spaces", "stiffness_factor", "StokesOperator",
+                  "assemble_load", "assemble_stokes_rhs_analytic",
                   "assemble_stokes_rhs_discrete_curl", "assemble_curl_rhs",
                   "solve_stokes", "solve_poisson")
+LEVEL_STEPS = ("spaces", "factor", "stokes_operator")
 
 
-def test_step_seconds_count_each_step_in_its_records(monkeypatch,
+def test_step_seconds_count_each_step_in_its_records(monkeypatch, capsys,
                                                      lshape_meshes):
     # each step function advances a fake clock by its own power of two,
     # so every record's seconds are exact sums however often the clock
-    # is read: the factor and the Stokes operator's build count to both
-    # chains, every other step to its own chain only
+    # is read: the spaces, the factor and the Stokes operator's build
+    # count to both chains, every other step to its own chain only
     now = [0.0]
     monkeypatch.setattr(biharm.solvers.time, "perf_counter", lambda: now[0])
     tick = {name: 2.0 ** i for i, name in enumerate(STEP_FUNCTIONS)}
@@ -721,21 +724,32 @@ def test_step_seconds_count_each_step_in_its_records(monkeypatch,
         monkeypatch.setattr(biharm.solvers, name, advancing)
     runs = run_chains(lshape_meshes[:2], 2,
                       [(fone, None), (fone, FORCE_INT_X)])
-    psp = {"factor": tick["stiffness_factor"],
+    level = {"spaces": tick["stokes_spaces"],
+             "factor": tick["stiffness_factor"],
+             "stokes_operator": tick["StokesOperator"]}
+    psp = {**level,
            "poisson_w": tick["assemble_load"] + tick["solve_poisson"],
-           "stokes_assembly": (tick["assemble_stokes_rhs_discrete_curl"]
-                               + tick["StokesOperator"]),
+           "stokes_assembly": tick["assemble_stokes_rhs_discrete_curl"],
            "stokes": tick["solve_stokes"],
            "poisson_phi": tick["assemble_curl_rhs"] + tick["solve_poisson"]}
-    sp = {"factor": tick["stiffness_factor"],
-          "stokes_assembly": (tick["assemble_stokes_rhs_analytic"]
-                              + tick["StokesOperator"]),
+    sp = {**level,
+          "stokes_assembly": tick["assemble_stokes_rhs_analytic"],
           "stokes": tick["solve_stokes"],
           "poisson_phi": tick["assemble_curl_rhs"] + tick["solve_poisson"]}
     for run, want in zip(runs, (psp, sp)):
         assert len(run) == 2
         for rec in run:
             assert list(rec.seconds.items()) == list(want.items())
+    # the level's steps once and each chain's own steps cover exactly
+    # the seconds of the level's progress line
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line, psp_rec, sp_rec in zip(lines, *runs):
+        total = sum(psp_rec.seconds[name] for name in LEVEL_STEPS) + sum(
+            seconds for rec in (psp_rec, sp_rec)
+            for name, seconds in rec.seconds.items()
+            if name not in LEVEL_STEPS)
+        assert f" steps, {total:.2f} s, maxrss_mb " in line
 
 
 def test_one_progress_line_per_level_on_stderr(capsys, lshape_meshes):
@@ -756,20 +770,21 @@ def test_one_progress_line_per_level_on_stderr(capsys, lshape_meshes):
 def test_peak_step_is_the_step_that_last_raised_maxrss(monkeypatch,
                                                        lshape_meshes):
     # one ru_maxrss reading as a level begins and one as each step ends:
-    # factor, the psp chain's poisson_w, stokes_assembly, stokes and
-    # poisson_phi, then the sp chain's stokes_assembly, stokes, poisson_phi
+    # spaces, factor, the psp chain's poisson_w, stokes_assembly, then
+    # stokes_operator, the psp chain's stokes and poisson_phi, then the
+    # sp chain's stokes_assembly, stokes and poisson_phi
     readings = iter([
-        10, 10, 10, 10, 10, 10, 12, 12, 12,  # sp's stokes_assembly
-        12, 12, 12, 12, 12, 12, 12, 12, 12,  # no rise
-        12, 15, 16, 16, 16, 16, 16, 16, 16,  # psp's poisson_w
-        16, 17, 17, 17, 17, 18, 18, 18, 18])  # psp's poisson_phi
+        10, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11,  # spaces
+        11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11,  # no rise
+        11, 11, 14, 14, 14, 15, 15, 15, 15, 15, 15,  # stokes_operator
+        15, 15, 15, 16, 16, 16, 16, 16, 16, 17, 17])  # sp's stokes
     monkeypatch.setattr(biharm.solvers, "_maxrss_mb", lambda: next(readings))
     runs = run_chains(lshape_meshes, 2, [(fone, None), (fone, FORCE_INT_X)])
     assert next(readings, None) is None
     for run in runs:
         assert [rec.peak_step for rec in run] == [
-            "stokes_assembly", None, "poisson_w", "poisson_phi"]
-        assert [rec.maxrss_mb for rec in run] == [12, 12, 16, 18]
+            "spaces", None, "stokes_operator", "stokes"]
+        assert [rec.maxrss_mb for rec in run] == [11, 11, 15, 17]
 
 
 def test_solver_error_carries_level(monkeypatch, square_meshes):
